@@ -20,22 +20,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, apply_overrides, dump_config, load_config
-from .data import compute_norm_stats, save_csv
-from .protocol import (
-    STRATEGIES,
-    PhaseContext,
-    run_benchmark,
-    run_phase_boundary_distill,
-    standardized_benchmark,
-    train_base,
-)
+from .data import save_csv
+from .protocol import STRATEGIES, SeedSetup, run_phase_boundary_distill, run_phases, setup_seed
 from .reporting import (
     export_boundary_grid,
     export_report,
     read_record_csv,
     write_manifest,
 )
-from .seeding import derive_seed
 
 SWEEP_KNOBS = ("delta", "lambda")
 
@@ -74,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"strategy to run (repeatable); one of {STRATEGIES} or 'all'",
     )
     p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="run up to N cells in parallel processes")
+                       help="run up to N seeds in parallel processes (at most one per "
+                       "seed and per core)")
     p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="phase-1 sensitivity sweep over one knob")
@@ -82,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--knob", choices=SWEEP_KNOBS, required=True,
                          help="which knob to sweep: noise scale or loss weight")
     p_sweep.add_argument("--values", help="comma-separated values (default: config grid)")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N")
+    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
+                         help="run up to N seeds in parallel processes (at most one per "
+                         "seed and per core)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_report = sub.add_parser("report", help="aggregate run records into summary files")
@@ -168,25 +163,36 @@ def cmd_split(args: argparse.Namespace) -> int:
 # --- run --------------------------------------------------------------------
 
 
-def _run_cell(config: ExperimentConfig, strategy: str, seed: int, out_str: str) -> dict:
-    """One (strategy, seed) run; executed possibly in a worker process."""
-    out = Path(out_str)
+def _run_cell(config: ExperimentConfig, seed: int, out_str: str) -> list[dict]:
+    """Every configured strategy on one seed, all from one shared setup.
+
+    Executed possibly in a worker process. Returns one outcome per
+    strategy; a failing strategy fails only its own (strategy, seed).
+    """
     try:
         bench = config.build_benchmark(seed)
+        setup = setup_seed(bench, config.run_config("boundary_distill", seed))
+    except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
+        return [_failure(exc, strategy=s, seed=seed) for s in config.strategies]
+    return [_run_strategy(config, setup, s, Path(out_str)) for s in config.strategies]
+
+
+def _run_strategy(config: ExperimentConfig, setup: SeedSetup, strategy: str, out: Path) -> dict:
+    """One strategy's phase walk (record and grids) from a seed setup."""
+    seed = setup.base_config.seed
+    try:
         run_cfg = config.run_config(strategy, seed)
-        results, record = run_benchmark(bench, run_cfg, out_dir=out / "records")
-        if bench.base.dim == 2:
-            model_space, _ = standardized_benchmark(bench)
-            feats = model_space.test.features
+        results, record = run_phases(setup, run_cfg, out / "records")
+        if setup.bench.base.dim == 2:
+            feats = setup.bench.test.features
             pad = 0.1 * (feats.max(axis=0) - feats.min(axis=0))
             lo, hi = feats.min(axis=0) - pad, feats.max(axis=0) + pad
             grid_dir = out / "grids"
             grid_dir.mkdir(parents=True, exist_ok=True)
-            spec = run_cfg.network_spec(bench.base.dim, bench.num_classes)
             for res in results:
                 export_boundary_grid(
                     res.model,
-                    spec,
+                    setup.net_spec,
                     (float(lo[0]), float(hi[0])),
                     (float(lo[1]), float(hi[1])),
                     config.grid_resolution,
@@ -200,17 +206,18 @@ def _run_cell(config: ExperimentConfig, strategy: str, seed: int, out_str: str) 
             "forgetting": record.forgetting,
         }
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-        return {
-            "strategy": strategy,
-            "seed": seed,
-            "status": "failed",
-            "error": f"{type(exc).__name__}: {exc}",
-            "trace": traceback.format_exc(),
-        }
+        return _failure(exc, strategy=strategy, seed=seed)
+
+
+def _failure(exc: Exception, **cell) -> dict:
+    """Outcome of a failed (strategy or value, seed); call inside the handler."""
+    return {**cell, "status": "failed", "error": f"{type(exc).__name__}: {exc}",
+            "trace": traceback.format_exc()}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
+    workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
     out = _out_dir(config)
     cells = [(s, seed) for s in config.strategies for seed in config.seeds]
     if args.dry_run:
@@ -223,11 +230,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(dump_config(config))
 
-    outcomes = _map_cells(
-        _run_cell,
-        [(config, s, seed, str(out)) for s, seed in cells],
-        args.parallel,
-    )
+    # with no strategies there is nothing to set a seed up for
+    argtuples = [(config, seed, str(out)) for seed in config.seeds if config.strategies]
+    outcomes = _map_cells(_run_cell, argtuples, workers)
 
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in outcomes:
@@ -253,49 +258,60 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _map_cells(worker, argtuples: list[tuple], parallel: int) -> list[dict]:
-    if parallel and parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(worker, *zip(*argtuples)))
-    return [worker(*a) for a in argtuples]
+def _pool_size(requested: int, cells: int, cpus: int) -> int:
+    """Worker processes for --parallel: never more than cells or cores."""
+    if requested < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {requested}")
+    return min(requested, cells, cpus)
+
+
+def _map_cells(worker, argtuples: list[tuple], workers: int) -> list[dict]:
+    """Run the per-seed cells and return their outcomes strategy-major
+    (value-major for a sweep), the order `run` prints and `sweep` writes.
+
+    Each cell returns one outcome per strategy (or value), in the same order.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_seed = list(pool.map(worker, *zip(*argtuples)))
+    else:
+        per_seed = [worker(*a) for a in argtuples]
+    return [outcome for group in zip(*per_seed) for outcome in group]
 
 
 # --- sweep ------------------------------------------------------------------
 
 
-def _sweep_cell(config: ExperimentConfig, knob: str, value: float, seed: int) -> dict:
-    """Phase-1-only sensitivity run for one (value, seed)."""
+def _sweep_cell(
+    config: ExperimentConfig, knob: str, values: tuple[float, ...], seed: int
+) -> list[dict]:
+    """Phase-1-only sensitivity runs of every value on one seed, all from
+    one shared setup. Returns one outcome per value."""
     try:
-        bench = config.build_benchmark(seed)
-        run_cfg = config.run_config("boundary_distill", seed)
-        if knob == "delta":
-            run_cfg = replace(run_cfg, noise=replace(run_cfg.noise, delta=value))
-        else:
-            run_cfg = replace(run_cfg, distill_weight=value)
-        model_space, _ = standardized_benchmark(bench)
-        stats = compute_norm_stats(model_space.base)
-        spec = run_cfg.network_spec(model_space.base.dim, model_space.num_classes)
-        base_model = train_base(model_space, run_cfg)
-        ctx = PhaseContext(
-            spec,
-            stats,
-            model_space.test,
-            model_space.base,
-            1,
-            derive_seed(run_cfg.seed, "phase", 1),
-        )
-        res = run_phase_boundary_distill(base_model, model_space.phases[0], run_cfg, ctx)
-        return {
-            "status": "ok",
-            "knob": knob,
-            "value": value,
-            "seed": seed,
-            "acc_student": res.student_acc_test,
-            "acc_teacher": res.acc_test,
-        }
+        base_cfg = config.run_config("boundary_distill", seed)
+        setup = setup_seed(config.build_benchmark(seed), base_cfg)
+        ctx = setup.context(1)
     except Exception as exc:  # noqa: BLE001
-        return {"status": "failed", "knob": knob, "value": value, "seed": seed,
-                "error": f"{type(exc).__name__}: {exc}", "trace": traceback.format_exc()}
+        return [_failure(exc, knob=knob, value=value, seed=seed) for value in values]
+    outcomes = []
+    for value in values:
+        try:
+            if knob == "delta":
+                run_cfg = replace(base_cfg, noise=replace(base_cfg.noise, delta=value))
+            else:
+                run_cfg = replace(base_cfg, distill_weight=value)
+            res = run_phase_boundary_distill(setup.base_model, setup.bench.phases[0], run_cfg, ctx)
+            outcomes.append({
+                "status": "ok",
+                "knob": knob,
+                "value": value,
+                "seed": seed,
+                "acc_student": res.student_acc_test,
+                "acc_teacher": res.acc_test,
+            })
+        except Exception as exc:  # noqa: BLE001
+            outcomes.append(_failure(exc, knob=knob, value=value, seed=seed))
+    return outcomes
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -307,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = config.grid_delta if args.knob == "delta" else config.grid_lambda
     if not values:
         raise ConfigError("no sweep values given")
-    cells = [(value, seed) for value in values for seed in config.seeds]
+    workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
     if args.dry_run:
         print(dump_config(config), end="")
         print(f"# plan: sweep {args.knob} over {list(values)} x seeds {list(config.seeds)} -> {out}")
@@ -315,9 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     outcomes = _map_cells(
-        _sweep_cell,
-        [(config, args.knob, value, seed) for value, seed in cells],
-        args.parallel,
+        _sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds], workers
     )
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in failed:

@@ -11,7 +11,7 @@ experiment identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .consolidation import ConsolidationSchedule
@@ -25,94 +25,92 @@ class ConfigError(ValueError):
     """Config file or flag could not be parsed/validated."""
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
+def _items(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+# ExperimentConfig annotation -> parser of a flat value of that type
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda text: None if text == "" else float(text),
+    "tuple[int, ...]": lambda text: tuple(int(p) for p in _items(text)),
+    "tuple[float, ...]": lambda text: tuple(float(p) for p in _items(text)),
+    "tuple[str, ...]": lambda text: tuple(_items(text)),
+}
 
 
-def _parse_opt_float(text: str):
-    return None if text == "" else float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip() != "")
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip() != "")
-
-
-def _parse_strs(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip() != "")
+def _key(key: str, default):
+    """Dataclass field read from and written to the flat key `key`."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment: data source, model, training, output, grids."""
+    """Resolved experiment: data source, model, training, output, grids.
 
-    data_source: str = "synthetic"
-    num_phases: int = 10
-    base_fraction: float = 0.5
-    imbalance: str = "uniform_random"
-    dirichlet_alpha: float = 5.0
+    Each field declares its flat config key (field metadata, via _key); its
+    annotation selects the value parser in _PARSERS. Field order is the
+    order dump_config writes.
+    """
 
-    synth_num_classes: int = 4
-    synth_dim: int = 2
-    synth_base_per_class: int = 500
-    synth_phase_per_class: int = 50
-    synth_test_per_class: int = 100
-    synth_cluster_radius: float = 3.0
-    synth_eccentricity: float = 0.55
-    synth_cluster_sigma: float = 0.33
-    synth_aniso_ratio: float = 2.5
-    synth_aniso_angle: float = -15.0
-    synth_mean_shift: float = 0.5
-    synth_cov_scale: float = 1.5
-    synth_rotation: float = 0.0
+    data_source: str = _key("data.source", "synthetic")
+    num_phases: int = _key("data.num_phases", 10)
+    base_fraction: float = _key("data.base_fraction", 0.5)
+    imbalance: str = _key("data.imbalance", "uniform_random")
+    dirichlet_alpha: float = _key("data.dirichlet_alpha", 5.0)
 
-    csv_train_path: str = ""
-    csv_test_path: str = ""
-    csv_label_col: str = "label"
-    csv_feature_cols: tuple[str, ...] = ()
+    synth_num_classes: int = _key("synthetic.num_classes", 4)
+    synth_dim: int = _key("synthetic.dim", 2)
+    synth_base_per_class: int = _key("synthetic.base_per_class", 500)
+    synth_phase_per_class: int = _key("synthetic.phase_per_class", 50)
+    synth_test_per_class: int = _key("synthetic.test_per_class", 100)
+    synth_cluster_radius: float = _key("synthetic.cluster_radius", 3.0)
+    synth_eccentricity: float = _key("synthetic.eccentricity", 0.55)
+    synth_cluster_sigma: float = _key("synthetic.cluster_sigma", 0.33)
+    synth_aniso_ratio: float = _key("synthetic.aniso_ratio", 2.5)
+    synth_aniso_angle: float = _key("synthetic.aniso_angle", -15.0)
+    synth_mean_shift: float = _key("synthetic.mean_shift", 0.5)
+    synth_cov_scale: float = _key("synthetic.cov_scale", 1.5)
+    synth_rotation: float = _key("synthetic.rotation", 0.0)
 
-    hidden: tuple[int, ...] = (16,)
-    activation: str = "relu"
+    csv_train_path: str = _key("csv.train_path", "")
+    csv_test_path: str = _key("csv.test_path", "")
+    csv_label_col: str = _key("csv.label_col", "label")
+    csv_feature_cols: tuple[str, ...] = _key("csv.feature_cols", ())
 
-    epochs_per_phase: int = 60
-    lr_base: float = 0.2
-    lr_incremental: float | None = None
-    batch_size: int = 64
-    fine_tune_epochs: int = 10
-    exemplar_fraction: float = 0.1
+    hidden: tuple[int, ...] = _key("model.hidden", (16,))
+    activation: str = _key("model.activation", "relu")
 
-    distill_weight: float = 0.1
-    fuse_tau: float = 1.0
-    fuse_variant: str = "literal"
-    inner_target: str = "fused"
-    outer_target: str = "fused"
-    noise_mu: float = 0.0
-    noise_delta: float = 2.0
+    epochs_per_phase: int = _key("train.epochs_per_phase", 60)
+    lr_base: float = _key("train.lr_base", 0.2)
+    lr_incremental: float | None = _key("train.lr_incremental", None)
+    batch_size: int = _key("train.batch_size", 64)
+    fine_tune_epochs: int = _key("train.fine_tune_epochs", 10)
+    exemplar_fraction: float = _key("train.exemplar_fraction", 0.1)
 
-    freeze_epochs: int = 10
-    period_epochs: int = 5
-    alpha0: float = 0.99
-    warmup: float = 500.0
-    ema_mode: str = "scheduled"
+    distill_weight: float = _key("distill.weight", 0.1)
+    fuse_tau: float = _key("distill.tau", 1.0)
+    fuse_variant: str = _key("distill.variant", "literal")
+    inner_target: str = _key("distill.inner_target", "fused")
+    outer_target: str = _key("distill.outer_target", "fused")
+    noise_mu: float = _key("noise.mu", 0.0)
+    noise_delta: float = _key("noise.delta", 2.0)
 
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    strategies: tuple[str, ...] = ("boundary_distill", "fine_tune")
-    out_dir: str = ""
+    freeze_epochs: int = _key("consolidate.freeze_epochs", 10)
+    period_epochs: int = _key("consolidate.period_epochs", 5)
+    alpha0: float = _key("consolidate.alpha0", 0.99)
+    warmup: float = _key("consolidate.warmup", 500.0)
+    ema_mode: str = _key("consolidate.mode", "scheduled")
 
-    grid_delta: tuple[float, ...] = (0.02, 0.2, 1.0, 2.0, 4.0, 10.0)
-    grid_lambda: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    grid_resolution: int = 50
+    seeds: tuple[int, ...] = _key("seeds", (0, 1, 2, 3, 4))
+    strategies: tuple[str, ...] = _key("strategies", ("boundary_distill", "fine_tune"))
+    out_dir: str = _key("out_dir", "")
+
+    grid_delta: tuple[float, ...] = _key("grid.delta", (0.02, 0.2, 1.0, 2.0, 4.0, 10.0))
+    grid_lambda: tuple[float, ...] = _key("grid.lambda", (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
+    grid_resolution: int = _key("grid.resolution", 50)
 
     # --- derived objects ---------------------------------------------------
 
@@ -201,59 +199,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# flat config key -> (dataclass field, parser)
-KEY_MAP: dict[str, tuple[str, object]] = {
-    "data.source": ("data_source", _parse_str),
-    "data.num_phases": ("num_phases", _parse_int),
-    "data.base_fraction": ("base_fraction", _parse_float),
-    "data.imbalance": ("imbalance", _parse_str),
-    "data.dirichlet_alpha": ("dirichlet_alpha", _parse_float),
-    "synthetic.num_classes": ("synth_num_classes", _parse_int),
-    "synthetic.dim": ("synth_dim", _parse_int),
-    "synthetic.base_per_class": ("synth_base_per_class", _parse_int),
-    "synthetic.phase_per_class": ("synth_phase_per_class", _parse_int),
-    "synthetic.test_per_class": ("synth_test_per_class", _parse_int),
-    "synthetic.cluster_radius": ("synth_cluster_radius", _parse_float),
-    "synthetic.eccentricity": ("synth_eccentricity", _parse_float),
-    "synthetic.cluster_sigma": ("synth_cluster_sigma", _parse_float),
-    "synthetic.aniso_ratio": ("synth_aniso_ratio", _parse_float),
-    "synthetic.aniso_angle": ("synth_aniso_angle", _parse_float),
-    "synthetic.mean_shift": ("synth_mean_shift", _parse_float),
-    "synthetic.cov_scale": ("synth_cov_scale", _parse_float),
-    "synthetic.rotation": ("synth_rotation", _parse_float),
-    "csv.train_path": ("csv_train_path", _parse_str),
-    "csv.test_path": ("csv_test_path", _parse_str),
-    "csv.label_col": ("csv_label_col", _parse_str),
-    "csv.feature_cols": ("csv_feature_cols", _parse_strs),
-    "model.hidden": ("hidden", _parse_ints),
-    "model.activation": ("activation", _parse_str),
-    "train.epochs_per_phase": ("epochs_per_phase", _parse_int),
-    "train.lr_base": ("lr_base", _parse_float),
-    "train.lr_incremental": ("lr_incremental", _parse_opt_float),
-    "train.batch_size": ("batch_size", _parse_int),
-    "train.fine_tune_epochs": ("fine_tune_epochs", _parse_int),
-    "train.exemplar_fraction": ("exemplar_fraction", _parse_float),
-    "distill.weight": ("distill_weight", _parse_float),
-    "distill.tau": ("fuse_tau", _parse_float),
-    "distill.variant": ("fuse_variant", _parse_str),
-    "distill.inner_target": ("inner_target", _parse_str),
-    "distill.outer_target": ("outer_target", _parse_str),
-    "noise.mu": ("noise_mu", _parse_float),
-    "noise.delta": ("noise_delta", _parse_float),
-    "consolidate.freeze_epochs": ("freeze_epochs", _parse_int),
-    "consolidate.period_epochs": ("period_epochs", _parse_int),
-    "consolidate.alpha0": ("alpha0", _parse_float),
-    "consolidate.warmup": ("warmup", _parse_float),
-    "consolidate.mode": ("ema_mode", _parse_str),
-    "seeds": ("seeds", _parse_ints),
-    "strategies": ("strategies", _parse_strs),
-    "out_dir": ("out_dir", _parse_str),
-    "grid.delta": ("grid_delta", _parse_floats),
-    "grid.lambda": ("grid_lambda", _parse_floats),
-    "grid.resolution": ("grid_resolution", _parse_int),
-}
-
-_FIELD_TO_KEY = {field_name: key for key, (field_name, _) in KEY_MAP.items()}
+# flat config key -> (dataclass field, parser), in field order
+_KEYS = {f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -268,9 +215,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KEY_MAP:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        field_name, parser = KEY_MAP[key]
+        field_name, parser = _KEYS[key]
         try:
             overrides[field_name] = parser(value)
         except (ValueError, TypeError) as exc:
@@ -283,9 +230,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def dump_config(config: ExperimentConfig) -> str:
     """Resolved config as key=value lines (a valid config file)."""
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
-    lines = [f"{key} = {_format_value(values[field_name])}"
-             for key, (field_name, _) in KEY_MAP.items()]
+    lines = [f"{f.metadata['key']} = {_format_value(getattr(config, f.name))}"
+             for f in fields(config)]
     return "\n".join(lines) + "\n"
 
 

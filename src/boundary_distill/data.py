@@ -11,21 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seeding import rng_for
 
 STD_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled point."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -55,9 +47,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, index: int) -> Sample:
-        return Sample(features=self.features[index].copy(), label=int(self.labels[index]))
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices)
@@ -365,8 +354,3 @@ def save_csv(dataset: Dataset, path: str, feature_names: tuple[str, ...] | None 
         writer.writerow([*names, "label"])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([*(repr(float(v)) for v in row), int(label)])
-
-
-def with_seed(spec: SyntheticSpec, seed: int) -> SyntheticSpec:
-    """Copy of the benchmark description with a different seed."""
-    return replace(spec, seed=seed)

@@ -390,10 +390,30 @@ def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None
     return params
 
 
-def _evaluate(model: np.ndarray, ctx: PhaseContext) -> tuple[float, float]:
-    return (
-        accuracy(model, ctx.net_spec, ctx.test_set),
-        accuracy(model, ctx.net_spec, ctx.base_set),
+def _phase_result(
+    ctx: PhaseContext,
+    start: float,
+    model: np.ndarray,
+    student: np.ndarray,
+    loss_history: tuple[float, ...],
+    ema_history: tuple[tuple[int, float], ...],
+) -> PhaseResult:
+    """Evaluate the outgoing model (and the student, when it is another
+    array) and package the phase, timed from `start`."""
+    acc_test = accuracy(model, ctx.net_spec, ctx.test_set)
+    acc_base = accuracy(model, ctx.net_spec, ctx.base_set)
+    return PhaseResult(
+        phase_index=ctx.phase_index,
+        model=model,
+        acc_test=acc_test,
+        acc_base=acc_base,
+        wall_time=time.perf_counter() - start,
+        student_model=student,
+        student_acc_test=(
+            acc_test if student is model else accuracy(student, ctx.net_spec, ctx.test_set)
+        ),
+        loss_history=loss_history,
+        ema_history=ema_history,
     )
 
 
@@ -449,18 +469,7 @@ def run_phase_boundary_distill(
             state = consolidate(state, student, alpha, epoch=epoch)
 
     outgoing = student if mode == "off" else state.teacher
-    acc_test, acc_base = _evaluate(outgoing, ctx)
-    return PhaseResult(
-        phase_index=ctx.phase_index,
-        model=outgoing,
-        acc_test=acc_test,
-        acc_base=acc_base,
-        wall_time=time.perf_counter() - start,
-        student_model=student,
-        student_acc_test=accuracy(student, spec, ctx.test_set),
-        loss_history=tuple(history),
-        ema_history=state.history,
-    )
+    return _phase_result(ctx, start, outgoing, student, tuple(history), state.history)
 
 
 def run_phase_fine_tune(
@@ -486,17 +495,7 @@ def run_phase_fine_tune(
         config.batch_size,
         rng_for(ctx.seed, "shuffle"),
     )
-    acc_test, acc_base = _evaluate(params, ctx)
-    return PhaseResult(
-        phase_index=ctx.phase_index,
-        model=params,
-        acc_test=acc_test,
-        acc_base=acc_base,
-        wall_time=time.perf_counter() - start,
-        student_model=params,
-        student_acc_test=acc_test,
-        loss_history=history,
-    )
+    return _phase_result(ctx, start, params, params, history, ())
 
 
 def run_phase_vanilla_distill(
@@ -565,17 +564,7 @@ def run_phase_vanilla_distill(
             batch_losses.append(loss)
         history.append(float(np.mean(batch_losses)))
 
-    acc_test, acc_base = _evaluate(student, ctx)
-    return PhaseResult(
-        phase_index=ctx.phase_index,
-        model=student,
-        acc_test=acc_test,
-        acc_base=acc_base,
-        wall_time=time.perf_counter() - start,
-        student_model=student,
-        student_acc_test=acc_test,
-        loss_history=tuple(history),
-    )
+    return _phase_result(ctx, start, student, student, tuple(history), ())
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
@@ -604,66 +593,92 @@ def run_phase_full_data(
     params, history = _fit_from_scratch(
         accumulated, ctx.net_spec, config, config.epochs_per_phase
     )
-    acc_test, acc_base = _evaluate(params, ctx)
-    return PhaseResult(
-        phase_index=ctx.phase_index,
-        model=params,
-        acc_test=acc_test,
-        acc_base=acc_base,
-        wall_time=time.perf_counter() - start,
-        student_model=params,
-        student_acc_test=acc_test,
-        loss_history=history,
-    )
+    return _phase_result(ctx, start, params, params, history, ())
 
 
 # --- orchestration ----------------------------------------------------------
 
 
-def run_benchmark(
-    bench: IILBenchmark,
-    config: RunConfig,
-    out_dir: str | Path | None = None,
-) -> tuple[list[PhaseResult], MetricsRecord]:
-    """Train the base model, walk every phase, measure, summarize.
+# RunConfig fields the base model depends on (see SeedSetup)
+_BASE_FIELDS = ("seed", "hidden_layers", "activation", "lr_base", "epochs_per_phase", "batch_size")
 
-    Features are standardized once (base-split statistics) before any
-    training; phase runners receive the model-space benchmark plus the
-    stats of its base split, so the perturbation op's contract holds
-    verbatim. On a phase failure the partial record is flushed to out_dir
-    (when given) before the exception propagates.
+
+@dataclass(frozen=True)
+class SeedSetup:
+    """The strategy-independent part of one seed's run, built once.
+
+    Holds the model-space benchmark (every split standardized by base-split
+    statistics), the norm stats of its base split, the network spec and the
+    base model. The base model depends on the seed, the data, the
+    architecture (hidden layers, activation), lr_base, epochs_per_phase and
+    batch_size, and on nothing else: not on the strategy, not on any
+    distillation knob. Every RunConfig that agrees with base_config on those
+    fields therefore runs from the same setup. The base model is read-only;
+    phase runners start from copies of it.
     """
-    model_space, _ = standardized_benchmark(bench)
-    stats = compute_norm_stats(model_space.base)
-    spec = config.network_spec(model_space.base.dim, model_space.num_classes)
 
-    start = time.perf_counter()
-    model = train_base(model_space, config)
-    ctx0 = PhaseContext(spec, stats, model_space.test, model_space.base, 0, config.seed)
-    acc_test, acc_base = _evaluate(model, ctx0)
-    results = [
-        PhaseResult(
-            phase_index=0,
-            model=model,
-            acc_test=acc_test,
-            acc_base=acc_base,
-            wall_time=time.perf_counter() - start,
-            student_model=model,
-            student_acc_test=acc_test,
+    bench: IILBenchmark
+    norm_stats: NormStats
+    net_spec: NetworkSpec
+    base_model: np.ndarray
+    base_config: RunConfig
+    base_seconds: float
+
+    def context(self, phase_index: int) -> PhaseContext:
+        """Surroundings of phase t; phases t >= 1 draw from their own
+        derived seed, the base phase from the root seed."""
+        seed = self.base_config.seed
+        if phase_index:
+            seed = derive_seed(seed, "phase", phase_index)
+        return PhaseContext(
+            self.net_spec, self.norm_stats, self.bench.test, self.bench.base, phase_index, seed
         )
-    ]
+
+
+def setup_seed(bench: IILBenchmark, config: RunConfig) -> SeedSetup:
+    """Standardize the benchmark once (base-split statistics) and train the
+    base model for config.seed."""
+    model_space, _ = standardized_benchmark(bench)
+    start = time.perf_counter()
+    base_model = train_base(model_space, config)
+    base_seconds = time.perf_counter() - start
+    base_model.setflags(write=False)
+    return SeedSetup(
+        bench=model_space,
+        norm_stats=compute_norm_stats(model_space.base),
+        net_spec=config.network_spec(model_space.base.dim, model_space.num_classes),
+        base_model=base_model,
+        base_config=config,
+        base_seconds=base_seconds,
+    )
+
+
+def run_phases(
+    setup: SeedSetup,
+    config: RunConfig,
+    out_dir: str | Path | None,
+) -> tuple[list[PhaseResult], MetricsRecord]:
+    """Walk every phase of config.strategy from a shared seed setup.
+
+    Phase 0 is the setup's base model; phase runners receive the
+    model-space benchmark plus the stats of its base split, so the
+    perturbation op's contract holds verbatim. On a phase failure the
+    partial record is flushed to out_dir (when given) before the exception
+    propagates.
+    """
+    differing = [f for f in _BASE_FIELDS if getattr(config, f) != getattr(setup.base_config, f)]
+    if differing:
+        raise ValueError(f"config differs from the seed setup's in {differing}")
+    bench = setup.bench
+    model = setup.base_model
+    # phase 0 is timed from the start of base training
+    start = time.perf_counter() - setup.base_seconds
+    results = [_phase_result(setup.context(0), start, model, model, (), ())]
 
     try:
-        for t in range(1, model_space.num_phases + 1):
-            ctx = PhaseContext(
-                spec,
-                stats,
-                model_space.test,
-                model_space.base,
-                t,
-                derive_seed(config.seed, "phase", t),
-            )
-            phase_data = model_space.phases[t - 1]
+        for t in range(1, bench.num_phases + 1):
+            ctx = setup.context(t)
+            phase_data = bench.phases[t - 1]
             if config.strategy == "boundary_distill":
                 res = run_phase_boundary_distill(model, phase_data, config, ctx)
             elif config.strategy == "fine_tune":
@@ -671,7 +686,7 @@ def run_benchmark(
             elif config.strategy == "vanilla_distill":
                 res = run_phase_vanilla_distill(model, phase_data, config, ctx)
             else:
-                accumulated = Dataset.concat([model_space.base, *model_space.phases[:t]])
+                accumulated = Dataset.concat([bench.base, *bench.phases[:t]])
                 res = run_phase_full_data(accumulated, config, ctx)
             results.append(res)
             model = res.model
@@ -687,6 +702,20 @@ def run_benchmark(
         if config.strategy == "boundary_distill":
             _write_consolidation_log(results, config, Path(out_dir))
     return results, record
+
+
+def run_benchmark(
+    bench: IILBenchmark,
+    config: RunConfig,
+    out_dir: str | Path | None = None,
+) -> tuple[list[PhaseResult], MetricsRecord]:
+    """Train the base model, walk every phase, measure, summarize.
+
+    The seed setup plus the phase walk; to run several strategies or knob
+    settings on one seed, build the setup once with setup_seed and call
+    run_phases for each.
+    """
+    return run_phases(setup_seed(bench, config), config, out_dir)
 
 
 def _record_from_results(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .metrics import MetricsRecord, PhaseAccuracy
 from .network import NetworkSpec, forward
@@ -82,6 +81,8 @@ def export_boundary_grid(
 
 def t_confidence_interval(values: "list[float] | np.ndarray", confidence: float = 0.95) -> tuple[float, float]:
     """(mean, halfwidth) of the Student-t interval over independent runs."""
+    # imported here so that only `report` pays for loading SciPy
+    from scipy import stats as scipy_stats
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         raise ValueError(f"need at least two values for an interval, got {v.size}")

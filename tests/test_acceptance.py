@@ -311,7 +311,7 @@ def test_criterion_07_scheduled_ema_beats_per_iteration(
 def _phase1_student_median(config, knob: str, value: float) -> float:
     accs = []
     for seed in SEEDS:
-        cell = _sweep_cell(config, knob, value, seed)
+        [cell] = _sweep_cell(config, knob, (value,), seed)
         assert cell["status"] == "ok", cell.get("error")
         accs.append(cell["acc_student"])
     return med(accs)

@@ -1,11 +1,16 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from boundary_distill import cli
-from boundary_distill.config import ExperimentConfig, load_config
+import boundary_distill
+from boundary_distill import cli, protocol
+from boundary_distill.config import ExperimentConfig, dump_config, load_config
 from boundary_distill.reporting import read_record_csv
 
 TINY = """\
@@ -133,12 +138,100 @@ def test_run_failure_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     def boom(*_args, **_kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_benchmark", boom)
+    monkeypatch.setattr(cli, "run_phases", boom)
     rc = cli.main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "FAILED" in capsys.readouterr().err
     manifest = (tmp_path / "o" / "manifest.txt").read_text()
     assert "status=failed" in manifest
+
+
+@pytest.fixture()
+def two_seed_config(tmp_path):
+    path = tmp_path / "two_seeds.cfg"
+    path.write_text(TINY.replace("seeds = 0", "seeds = 0,1"))
+    return path
+
+
+@pytest.fixture()
+def base_trainings(monkeypatch):
+    """Count protocol.train_base calls (one per base model trained)."""
+    calls = []
+    real = protocol.train_base
+
+    def counted(bench, config, *args, **kwargs):
+        calls.append(config.seed)
+        return real(bench, config, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "train_base", counted)
+    return calls
+
+
+def test_run_trains_one_base_model_per_seed(two_seed_config, tmp_path, base_trainings):
+    rc = cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert sorted(base_trainings) == [0, 1]
+    assert len(list((tmp_path / "o" / "records").glob("record_*.csv"))) == 8
+
+
+def test_sweep_trains_one_base_model_per_seed(two_seed_config, tmp_path, base_trainings):
+    rc = cli.main(["sweep", "--config", str(two_seed_config), "--knob", "delta",
+                   "--values", "0.5,2.0", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert sorted(base_trainings) == [0, 1]
+    detail = (tmp_path / "o" / "sweep_delta.csv").read_text().splitlines()[1:]
+    # rows stay value-major
+    assert [row.split(",")[1:3] for row in detail] == [
+        ["0.5", "0"], ["0.5", "1"], ["2.0", "0"], ["2.0", "1"]
+    ]
+
+
+def test_failing_strategy_fails_only_its_own_cell(tiny_config, tmp_path, monkeypatch, capsys):
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(protocol, "run_phase_boundary_distill", boom)
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--config", str(tiny_config), "--out", str(out),
+                   "--strategy", "boundary_distill", "--strategy", "fine_tune"])
+    assert rc == 1
+    assert "boundary_distill seed=0: FAILED (RuntimeError: synthetic failure)" in (
+        capsys.readouterr().err
+    )
+    assert read_record_csv(out / "records" / "record_fine_tune_seed0.csv").strategy == "fine_tune"
+    assert not (out / "records" / "record_boundary_distill_seed0.csv").exists()
+    manifest = (out / "manifest.txt").read_text()
+    assert "completed=1" in manifest and "failed=1" in manifest
+
+
+def test_pool_size_is_clamped_to_cells_and_cores():
+    assert cli._pool_size(1, 5, 8) == 1
+    assert cli._pool_size(4, 5, 8) == 4
+    assert cli._pool_size(64, 5, 8) == 5
+    assert cli._pool_size(64, 5, 2) == 2
+    assert cli._pool_size(3, 0, 2) == 0
+    for bad in (0, -1):
+        with pytest.raises(cli.ConfigError, match="--parallel"):
+            cli._pool_size(bad, 5, 8)
+
+
+def test_parallel_below_one_exits_two(tiny_config, tmp_path, capsys):
+    for command in (["run"], ["sweep", "--knob", "delta"]):
+        rc = cli.main([*command, "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                       "--parallel", "0"])
+        assert rc == 2
+        assert "--parallel must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(boundary_distill.__file__).resolve().parents[1]
+    probe = ("import sys, boundary_distill.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_strategy_flag_expands_and_validates(tiny_config, tmp_path, capsys):
@@ -161,6 +254,16 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(bad), "--dry-run"])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_round_trips_every_value_type(tmp_path):
+    path = tmp_path / "c.cfg"
+    changed = replace(ExperimentConfig(), num_phases=3, base_fraction=0.25, imbalance="dirichlet",
+                      lr_incremental=0.05, hidden=(8, 4), grid_delta=(0.5,),
+                      csv_feature_cols=("a", "b"), seeds=())
+    for config in (ExperimentConfig(), changed):
+        path.write_text(dump_config(config))
+        assert load_config(path) == config
 
 
 def test_missing_config_file_exits_two(tmp_path):

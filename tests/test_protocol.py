@@ -19,6 +19,7 @@ from boundary_distill.data import (
 from boundary_distill.distill import LabelAssignment
 from boundary_distill.network import forward, init_network
 from boundary_distill.protocol import (
+    STRATEGIES,
     IILBenchmark,
     PhaseContext,
     RunConfig,
@@ -27,6 +28,8 @@ from boundary_distill.protocol import (
     run_phase_fine_tune,
     run_phase_full_data,
     run_phase_vanilla_distill,
+    run_phases,
+    setup_seed,
     split_benchmark,
     standardized_benchmark,
     train_base,
@@ -393,6 +396,31 @@ class TestRunBenchmark:
         partial = read_record_csv(tmp_path / "record_fine_tune_partial_seed0.csv")
         assert partial.strategy == "fine_tune(partial)"
         assert [p.phase for p in partial.per_phase] == [0, 1]
+
+
+class TestSeedSetup:
+    def test_shared_setup_matches_separate_runs(self):
+        bench = _drift_bench(seed=3)
+        configs = [RunConfig(strategy=s, epochs_per_phase=4, seed=3) for s in STRATEGIES]
+        setup = setup_seed(bench, configs[0])
+        before = setup.base_model.copy()
+        for config in configs:
+            shared_results, shared_record = run_phases(setup, config, None)
+            results, record = run_benchmark(bench, config)
+            assert shared_record == record
+            for a, b in zip(shared_results, results):
+                np.testing.assert_array_equal(a.model, b.model)
+        # every strategy started from copies: the shared base is untouched
+        np.testing.assert_array_equal(setup.base_model, before)
+        assert not setup.base_model.flags.writeable
+
+    def test_rejects_config_with_another_base_model(self):
+        bench = _drift_bench(seed=0)
+        setup = setup_seed(bench, RunConfig(epochs_per_phase=2, seed=0))
+        for changed in (RunConfig(epochs_per_phase=2, seed=1),
+                        RunConfig(epochs_per_phase=2, lr_base=0.1, seed=0)):
+            with pytest.raises(ValueError, match="seed setup"):
+                run_phases(setup, changed, None)
 
 
 class TestStandardizedBenchmark:
