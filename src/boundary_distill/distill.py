@@ -20,10 +20,8 @@ import numpy as np
 
 from .data import NormStats
 from .network import (
-    PROB_FLOOR,
     NetworkSpec,
-    backward,
-    cross_entropy_rows,
+    Trainer,
     forward,
     one_hot,
     softmax,
@@ -105,6 +103,13 @@ class DistillLossTerms:
     @property
     def total(self) -> float:
         return self.learn_term + self.weight * self.distill_term
+
+    @classmethod
+    def from_rows(cls, losses: np.ndarray, n: int, weight: float) -> "DistillLossTerms":
+        """Terms from the per-row losses of distillation_batch's rows: n
+        clean rows, then the perturbed rows, if any."""
+        distill = float(losses[n:].mean()) if losses.size > n else 0.0
+        return cls(learn_term=float(losses[:n].mean()), distill_term=distill, weight=weight)
 
 
 def fuse_labels(label_dist: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
@@ -199,65 +204,69 @@ def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.argmax(teacher_probs, axis=1) == np.asarray(labels)
 
 
-def _targets_from_teacher(
-    teacher_params: np.ndarray,
-    spec: NetworkSpec,
-    batch: np.ndarray,
-    perturbed: np.ndarray | None,
+def _clean_targets(
+    labels_hot: np.ndarray,
+    teacher_clean: np.ndarray | None,
     labels: np.ndarray,
     fuse: FuseConfig,
     assign: LabelAssignment,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fixed targets for both loss terms, computed from the frozen teacher.
-
-    Returns (clean_targets, perturbed_targets); the second is None when no
-    perturbed batch is supplied (weight 0 fast path).
-    """
-    labels_hot = one_hot(labels, spec.num_classes)
+) -> np.ndarray:
+    """Learning targets of the clean rows (teacher_clean is None only for
+    the one-hot rule, which needs no teacher)."""
     rule = assign.uniform_rule
     if rule == "one_hot":
-        clean_targets = labels_hot
-    else:
-        teacher_clean, _ = forward(teacher_params, spec, batch)
-        if rule == "teacher":
-            clean_targets = teacher_clean
-        elif rule == "fused":
-            clean_targets = fuse_labels_batch(labels_hot, teacher_clean, fuse)
-        else:
-            fused = fuse_labels_batch(labels_hot, teacher_clean, fuse)
-            pick = {"one_hot": labels_hot, "teacher": teacher_clean, "fused": fused}
-            mask = inner_mask(teacher_clean, labels)
-            clean_targets = np.where(mask[:, None], pick[assign.inner], pick[assign.outer])
-    if perturbed is None:
-        return clean_targets, None
-    teacher_perturbed, _ = forward(teacher_params, spec, perturbed)
-    return clean_targets, teacher_perturbed
+        return labels_hot
+    if rule == "teacher":
+        return teacher_clean
+    fused = fuse_labels_batch(labels_hot, teacher_clean, fuse)
+    if rule == "fused":
+        return fused
+    pick = {"one_hot": labels_hot, "teacher": teacher_clean, "fused": fused}
+    mask = inner_mask(teacher_clean, labels)
+    return np.where(mask[:, None], pick[assign.inner], pick[assign.outer])
 
 
-def _student_objective(
-    student_params: np.ndarray,
+def distillation_batch(
+    teacher_params: np.ndarray,
     spec: NetworkSpec,
     batch: np.ndarray,
-    perturbed: np.ndarray | None,
-    clean_targets: np.ndarray,
-    perturbed_targets: np.ndarray | None,
+    labels: np.ndarray,
+    norm_stats: NormStats,
+    noise: NoiseSpec,
+    fuse: FuseConfig,
     weight: float,
-) -> tuple[DistillLossTerms, np.ndarray]:
-    """Loss terms and student gradient for fixed (teacher-derived) targets."""
-    probs, cache = forward(student_params, spec, batch)
-    n = probs.shape[0]
-    learn = float(cross_entropy_rows(clean_targets, probs).mean())
-    dprobs = -(clean_targets / np.clip(probs, PROB_FLOOR, 1.0)) / n
-    grad = backward(student_params, spec, cache, dprobs)
+    assign: LabelAssignment,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Student rows, their fixed targets and per-row loss scales for one
+    minibatch of n samples.
 
-    distill = 0.0
-    if perturbed is not None and perturbed_targets is not None:
-        probs_p, cache_p = forward(student_params, spec, perturbed)
-        distill = float(cross_entropy_rows(perturbed_targets, probs_p).mean())
-        if weight != 0.0:
-            dprobs_p = -weight * (perturbed_targets / np.clip(probs_p, PROB_FLOOR, 1.0)) / n
-            grad = grad + backward(student_params, spec, cache_p, dprobs_p)
-    return DistillLossTerms(learn_term=learn, distill_term=distill, weight=weight), grad
+    The clean rows come first, with scale 1/n. With weight > 0 the
+    noise-perturbed rows follow, with scale weight/n and the teacher's
+    predictions as targets, so one student pass covers both loss terms;
+    the teacher sees the same stacked rows in one forward. With weight 0
+    no noise is drawn and the scale is the number 1/n, exactly what a
+    one-hot minibatch uses, which is what makes the fine-tuning collapse
+    ablation bitwise. The noise comes from `rng`, or from noise.seed when
+    rng is None (see perturb_inputs).
+    """
+    if weight < 0:
+        raise ValueError(f"distillation weight must be >= 0, got {weight}")
+    x = np.asarray(batch, dtype=np.float64)
+    n = x.shape[0]
+    rows = x
+    if weight != 0.0:
+        rows = np.concatenate([x, perturb_inputs(x, norm_stats, noise, rng=rng)])
+    needs_clean = assign.uniform_rule != "one_hot"
+    teacher = None
+    if needs_clean or weight != 0.0:
+        teacher, _ = forward(teacher_params, spec, rows if needs_clean else rows[n:])
+    labels_hot = one_hot(labels, spec.num_classes)
+    clean = _clean_targets(labels_hot, teacher[:n] if needs_clean else None, labels, fuse, assign)
+    if weight == 0.0:
+        return rows, clean, 1.0 / n
+    scale = np.repeat([1.0 / n, weight / n], n)[:, None]
+    return rows, np.concatenate([clean, teacher[-n:]]), scale
 
 
 def distillation_loss(
@@ -284,19 +293,13 @@ def distillation_loss(
     Teacher outputs are constants; the returned gradient has student
     length and no component for teacher parameters. When weight is 0 the
     perturbed pass is skipped entirely (no noise is drawn), which is what
-    makes the fine-tuning collapse ablation exact.
+    makes the fine-tuning collapse ablation exact. The phase loop trains
+    through the same distillation_batch and Trainer.loss_rows.
     """
-    if assign is None:
-        assign = LabelAssignment()
-    if weight < 0:
-        raise ValueError(f"distillation weight must be >= 0, got {weight}")
-    x = np.asarray(batch, dtype=np.float64)
-    perturbed = None
-    if weight != 0.0:
-        perturbed = perturb_inputs(x, norm_stats, noise, rng=rng)
-    clean_targets, perturbed_targets = _targets_from_teacher(
-        teacher_params, spec, x, perturbed, labels, fuse, assign
+    rows, targets, scale = distillation_batch(
+        teacher_params, spec, batch, labels, norm_stats, noise, fuse, weight,
+        assign or LabelAssignment(), rng,
     )
-    return _student_objective(
-        student_params, spec, x, perturbed, clean_targets, perturbed_targets, weight
-    )
+    trainer = Trainer(np.asarray(student_params, dtype=np.float64), spec)
+    losses = trainer.loss_rows(rows, targets, scale)
+    return DistillLossTerms.from_rows(losses, len(labels), weight), trainer.grad

@@ -5,6 +5,12 @@ All parameters live in one flat float64 vector with a fixed layout
 layout is what lets teacher and student models be blended elementwise
 during consolidation. Forward/backward are plain numpy; the backward
 pass is validated against central finite differences in the test suite.
+
+Training goes through `Trainer`: per-layer views on the parameter vector
+and on a gradient buffer are made once, the loss is the exact
+cross-entropy (log-softmax where p is below PROB_FLOOR), its gradient is
+taken in logit space (p - t per row, exact for every target row that is
+a distribution, however small p is), and the update is applied in place.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Probabilities are clamped to this floor inside logs so that losses and
-# loss gradients stay finite even for extremely confident predictions.
+# The probability-space helpers (soft_cross_entropy, cross_entropy_rows)
+# clip probabilities to this floor inside logs. Training takes log-softmax
+# below it instead, and clips no gradient.
 PROB_FLOOR = 1e-12
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -68,7 +75,7 @@ class ForwardCache:
 
     activations[i] is the input to layer i (activations[0] is the batch);
     pre_activations[i] is the affine output of layer i before its
-    nonlinearity (or before softmax for the last layer).
+    nonlinearity (the logits, for the last layer).
     """
 
     inputs: np.ndarray
@@ -116,11 +123,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities for a batch, plus the cache for backward().
-
-    Rows are processed independently; each output row sums to 1.
-    """
+def _as_batch(batch: np.ndarray, spec: NetworkSpec) -> np.ndarray:
+    """The batch as 2-d float64 rows of the spec's input width."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -128,16 +132,58 @@ def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[n
         raise ValueError(
             f"batch shape {np.shape(batch)} does not match input dim {spec.input_dim}"
         )
-    layers = unpack_params(params, spec)
+    return x
+
+
+def _forward_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(activations, pre_activations) of a forward pass; see ForwardCache."""
     activations = [x]
     pre_activations = []
     a = x
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_activations.append(z)
-        if i < len(layers) - 1:
-            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        if i < last:
+            a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
             activations.append(a)
+    return activations, pre_activations
+
+
+def _backward_layers(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+    activation: str,
+    activations: list[np.ndarray] | tuple[np.ndarray, ...],
+    pre_activations: list[np.ndarray] | tuple[np.ndarray, ...],
+    dz: np.ndarray,
+) -> None:
+    """Write the parameter gradient for logit gradient dz into grad_layers."""
+    for i in range(len(layers) - 1, -1, -1):
+        dw, db = grad_layers[i]
+        np.matmul(activations[i].T, dz, out=dw)
+        dz.sum(axis=0, out=db)
+        if i > 0:
+            da = dz @ layers[i][0].T
+            if activation == "relu":
+                da *= pre_activations[i - 1] > 0.0
+            else:
+                da *= 1.0 - activations[i] ** 2
+            dz = da
+
+
+def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Class probabilities for a batch, plus the cache for backward().
+
+    Rows are processed independently; each output row sums to 1.
+    """
+    x = _as_batch(batch, spec)
+    activations, pre_activations = _forward_layers(
+        unpack_params(params, spec), spec.activation, x
+    )
     probs = softmax(pre_activations[-1])
     cache = ForwardCache(
         inputs=x,
@@ -170,39 +216,76 @@ def backward(
     params: np.ndarray,
     spec: NetworkSpec,
     cache: ForwardCache,
-    dprobs: np.ndarray,
+    dlogits: np.ndarray,
 ) -> np.ndarray:
-    """Exact gradient of the scalar batch loss w.r.t. the flat parameters.
+    """Exact gradient of a scalar batch loss w.r.t. the flat parameters.
 
-    `dprobs` is the gradient of the loss w.r.t. the output probabilities,
-    one row per batch row (already scaled by any mean-reduction factor).
+    `dlogits` is the gradient of the loss w.r.t. the logits, one row per
+    batch row (already scaled by any mean-reduction factor). For soft
+    cross-entropy against a target distribution t it is (p - t) per row.
     """
-    layers = unpack_params(params, spec)
-    dprobs = np.asarray(dprobs, dtype=np.float64)
-    p = cache.probs
-    if dprobs.shape != p.shape:
-        raise ValueError(f"dprobs shape {dprobs.shape} != probs shape {p.shape}")
+    dz = np.asarray(dlogits, dtype=np.float64)
+    if dz.shape != cache.probs.shape:
+        raise ValueError(f"dlogits shape {dz.shape} != logits shape {cache.probs.shape}")
+    grad = np.empty(spec.num_params)
+    _backward_layers(unpack_params(params, spec), unpack_params(grad, spec), spec.activation,
+                     cache.activations, cache.pre_activations, dz)
+    return grad
 
-    # Softmax Jacobian applied row-wise: dz = p*g - p*(sum_k p_k g_k).
-    tmp = p * dprobs
-    dz = tmp - p * tmp.sum(axis=1, keepdims=True)
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
-    for i in range(len(layers) - 1, -1, -1):
-        a_in = cache.activations[i]
-        grads[i] = (a_in.T @ dz, dz.sum(axis=0))
-        if i > 0:
-            da = dz @ layers[i][0].T
-            if spec.activation == "relu":
-                dz = da * (cache.pre_activations[i - 1] > 0.0)
-            else:
-                dz = da * (1.0 - cache.activations[i] ** 2)
+class Trainer:
+    """SGD on one flat parameter vector, updated in place.
 
-    flat = []
-    for dw, db in grads:
-        flat.append(dw.ravel())
-        flat.append(db)
-    return np.concatenate(flat)
+    Per-layer views on `params` and on the gradient buffer `grad` are made
+    once, here, so a step costs only its arithmetic. `params` must be a
+    writable float64 vector; it is the model being trained, not a copy.
+    """
+
+    def __init__(self, params: np.ndarray, spec: NetworkSpec):
+        self.params = params
+        self.spec = spec
+        self.grad = np.empty_like(params)
+        self._layers = unpack_params(params, spec)
+        self._grad_layers = unpack_params(self.grad, spec)
+
+    def loss_rows(
+        self, batch: np.ndarray, targets: np.ndarray, scale: float | np.ndarray
+    ) -> np.ndarray:
+        """Per-row soft cross-entropy of the batch against `targets`.
+
+        Leaves in `grad` the gradient of sum_i scale_i * loss_i, where
+        `scale` is one number or a column with one entry per row. Its
+        logit gradient is scale_i * (p_i - t_i), which is exact because
+        every target row sums to one.
+        """
+        activations, pre_activations = _forward_layers(self._layers, self.spec.activation, batch)
+        logits = pre_activations[-1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        dz = np.exp(shifted)
+        total = dz.sum(axis=1, keepdims=True)
+        dz /= total  # softmax
+        # log p of the probabilities themselves, which keeps the loss bit
+        # for bit where it was exact before; log-softmax below PROB_FLOOR,
+        # where p may underflow to zero
+        log_probs = np.log(np.maximum(dz, PROB_FLOOR))
+        tail = dz < PROB_FLOOR
+        if tail.any():
+            log_probs[tail] = (shifted - np.log(total))[tail]
+        losses = -(targets * log_probs).sum(axis=1)
+        dz -= targets
+        dz *= scale
+        _backward_layers(self._layers, self._grad_layers, self.spec.activation,
+                         activations, pre_activations, dz)
+        return losses
+
+    def step(
+        self, batch: np.ndarray, targets: np.ndarray, scale: float | np.ndarray, lr: float
+    ) -> np.ndarray:
+        """loss_rows, then one in-place update of `params`; returns the
+        per-row losses."""
+        losses = self.loss_rows(batch, targets, scale)
+        sgd_step(self.params, self.grad, lr)
+        return losses
 
 
 def loss_and_grad(
@@ -212,22 +295,27 @@ def loss_and_grad(
     targets: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Mean soft cross-entropy over the batch and its parameter gradient."""
-    probs, cache = forward(params, spec, batch)
-    n = probs.shape[0]
-    loss = float(cross_entropy_rows(targets, probs).mean())
-    dprobs = -(np.asarray(targets, dtype=np.float64) / np.clip(probs, PROB_FLOOR, 1.0)) / n
-    return loss, backward(params, spec, cache, dprobs)
+    x = _as_batch(batch, spec)
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != (x.shape[0], spec.num_classes):
+        raise ValueError(f"targets shape {t.shape} does not match {x.shape[0]} rows "
+                         f"of {spec.num_classes} classes")
+    trainer = Trainer(np.asarray(params, dtype=np.float64), spec)
+    losses = trainer.loss_rows(x, t, 1.0 / x.shape[0])
+    return float(losses.mean()), trainer.grad
 
 
 def sgd_step(params: np.ndarray, gradient: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient-descent update: params - lr * gradient."""
-    params = np.asarray(params, dtype=np.float64)
-    gradient = np.asarray(gradient, dtype=np.float64)
+    """One plain gradient-descent update, in place: params -= lr * gradient.
+
+    Returns `params` itself.
+    """
     if params.shape != gradient.shape:
         raise ValueError(f"shape mismatch {params.shape} vs {gradient.shape}")
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    return params - lr * gradient
+    params -= lr * gradient
+    return params
 
 
 # --- label-distribution helpers -------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +46,9 @@ from .data import (
     gen_test,
     standardize,
 )
-from .distill import FuseConfig, LabelAssignment, NoiseSpec, distillation_loss
+from .distill import DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec, distillation_batch
 from .metrics import MetricsRecord, PhaseAccuracy, accuracy, forgetting_rate, performance_promotion
-from .network import NetworkSpec, forward, init_network, loss_and_grad, one_hot, sgd_step
+from .network import NetworkSpec, Trainer, forward, init_network, one_hot
 from .seeding import derive_seed, rng_for
 
 STRATEGIES = ("boundary_distill", "fine_tune", "vanilla_distill", "full_data")
@@ -337,11 +337,21 @@ def _minibatch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
 
 
+def _epoch_loss(batch_losses: list[float], where: str, epoch: int) -> float:
+    """Mean minibatch loss of one epoch. A non-finite mean means training
+    diverged; it stops the run instead of letting it write a record."""
+    loss = float(np.mean(batch_losses))
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"{where}, epoch {epoch}: mean loss {loss} is not finite")
+    return loss
+
+
 def _fit_from_scratch(
     dataset: Dataset,
     spec: NetworkSpec,
     config: RunConfig,
     epochs: int,
+    where: str,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Fresh init + one-hot cross-entropy SGD at the base learning rate.
 
@@ -352,7 +362,7 @@ def _fit_from_scratch(
     params = init_network(spec, derive_seed(config.seed, "init"))
     shuffle_rng = rng_for(config.seed, "base-train", "shuffle")
     return _sgd_one_hot(params, dataset, spec, config.lr_base, epochs,
-                        config.batch_size, shuffle_rng)
+                        config.batch_size, shuffle_rng, where)
 
 
 def _sgd_one_hot(
@@ -363,17 +373,20 @@ def _sgd_one_hot(
     epochs: int,
     batch_size: int,
     shuffle_rng: np.random.Generator,
+    where: str,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
+    """One-hot SGD that updates `params` in place; `where` names the
+    strategy and phase in a divergence error."""
     targets_all = one_hot(dataset.labels, spec.num_classes)
+    trainer = Trainer(params, spec)
     history = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(dataset))
         batch_losses = []
         for idx in _minibatch_slices(order, batch_size):
-            loss, grad = loss_and_grad(params, spec, dataset.features[idx], targets_all[idx])
-            params = sgd_step(params, grad, lr)
-            batch_losses.append(loss)
-        history.append(float(np.mean(batch_losses)))
+            losses = trainer.step(dataset.features[idx], targets_all[idx], 1.0 / idx.size, lr)
+            batch_losses.append(losses.mean())
+        history.append(_epoch_loss(batch_losses, where, epoch))
     return params, tuple(history)
 
 
@@ -386,7 +399,7 @@ def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None
     if resolved < 0:
         raise ValueError(f"epochs must be >= 0, got {resolved}")
     spec = config.network_spec(bench.base.dim, bench.num_classes)
-    params, _ = _fit_from_scratch(bench.base, spec, config, resolved)
+    params, _ = _fit_from_scratch(bench.base, spec, config, resolved, "base training, phase 0")
     return params
 
 
@@ -436,34 +449,36 @@ def run_phase_boundary_distill(
     start = time.perf_counter()
     spec = ctx.net_spec
     student = np.array(model_prev, dtype=np.float64, copy=True)
+    trainer = Trainer(student, spec)
     state = EmaState(teacher=student.copy())
     lr = config.lr_incremental_resolved
+    weight = config.distill_weight
     shuffle_rng = rng_for(ctx.seed, "shuffle")
     mode = config.sched.mode
+    where = f"boundary_distill, phase {ctx.phase_index}"
 
     history = []
     for epoch in range(1, config.epochs_per_phase + 1):
         order = shuffle_rng.permutation(len(phase_data))
         batch_losses = []
         for bi, idx in enumerate(_minibatch_slices(order, config.batch_size)):
-            noise = replace(config.noise, seed=derive_seed(ctx.seed, "noise", epoch, bi))
-            terms, grad = distillation_loss(
-                student,
+            rows, targets, scale = distillation_batch(
                 state.teacher,
                 spec,
                 phase_data.features[idx],
                 phase_data.labels[idx],
                 ctx.norm_stats,
-                noise,
+                config.noise,
                 config.fuse,
-                config.distill_weight,
+                weight,
                 config.assign,
+                np.random.default_rng(derive_seed(ctx.seed, "noise", epoch, bi)),
             )
-            student = sgd_step(student, grad, lr)
-            batch_losses.append(terms.total)
+            losses = trainer.step(rows, targets, scale, lr)
+            batch_losses.append(DistillLossTerms.from_rows(losses, idx.size, weight).total)
             if mode == "per_iteration":
                 state = consolidate(state, student, config.sched.alpha0, epoch=epoch)
-        history.append(float(np.mean(batch_losses)))
+        history.append(_epoch_loss(batch_losses, where, epoch))
         if mode == "scheduled" and should_consolidate(epoch, config.sched):
             alpha = adaptive_momentum(epoch, config.sched)
             state = consolidate(state, student, alpha, epoch=epoch)
@@ -494,6 +509,7 @@ def run_phase_fine_tune(
         resolved,
         config.batch_size,
         rng_for(ctx.seed, "shuffle"),
+        f"fine_tune, phase {ctx.phase_index}",
     )
     return _phase_result(ctx, start, params, params, history, ())
 
@@ -534,8 +550,10 @@ def run_phase_vanilla_distill(
     half_ex = config.batch_size // 2 if rem_idx.size else config.batch_size
     rem_per_batch = max(config.batch_size - half_ex, 1)
 
+    trainer = Trainer(student, spec)
+    where = f"vanilla_distill, phase {ctx.phase_index}"
     history = []
-    for _ in range(config.epochs_per_phase):
+    for epoch in range(1, config.epochs_per_phase + 1):
         batch_losses = []
         if rem_idx.size:
             rem_order = shuffle_rng.permutation(rem_idx.size)
@@ -557,12 +575,10 @@ def run_phase_vanilla_distill(
                 rows = rem_idx[rem_pos]
                 feats.append(phase_data.features[rows])
                 targets.append(onehot_all[rows])
-            loss, grad = loss_and_grad(
-                student, spec, np.concatenate(feats), np.concatenate(targets)
-            )
-            student = sgd_step(student, grad, lr)
-            batch_losses.append(loss)
-        history.append(float(np.mean(batch_losses)))
+            batch = np.concatenate(feats)
+            losses = trainer.step(batch, np.concatenate(targets), 1.0 / batch.shape[0], lr)
+            batch_losses.append(losses.mean())
+        history.append(_epoch_loss(batch_losses, where, epoch))
 
     return _phase_result(ctx, start, student, student, tuple(history), ())
 
@@ -591,7 +607,8 @@ def run_phase_full_data(
     """
     start = time.perf_counter()
     params, history = _fit_from_scratch(
-        accumulated, ctx.net_spec, config, config.epochs_per_phase
+        accumulated, ctx.net_spec, config, config.epochs_per_phase,
+        f"full_data, phase {ctx.phase_index}",
     )
     return _phase_result(ctx, start, params, params, history, ())
 

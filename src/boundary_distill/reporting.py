@@ -70,12 +70,16 @@ def export_boundary_grid(
         probs=confidence.reshape(resolution, resolution),
     )
     if path is not None:
+        # The same bytes as csv.writer gives (repr'd floats need no quoting),
+        # with each axis coordinate formatted once.
+        x_text = [repr(v) for v in xs.tolist()]
+        y_text = [repr(v) for v in ys.tolist()]
+        cells = zip(classes.tolist(), confidence.tolist())
+        lines = ["x,y,class,prob"]
+        lines += [f"{x_text[k % resolution]},{y_text[k // resolution]},{cls},{prob!r}"
+                  for k, (cls, prob) in enumerate(cells)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "class", "prob"])
-            for point, cls, prob in zip(points, classes, confidence):
-                writer.writerow([repr(float(point[0])), repr(float(point[1])),
-                                 int(cls), repr(float(prob))])
+            fh.write("\r\n".join(lines) + "\r\n")
     return grid
 
 

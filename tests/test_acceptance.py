@@ -308,27 +308,24 @@ def test_criterion_07_scheduled_ema_beats_per_iteration(
 # --- 8: sensitivity sweep shape ------------------------------------------------
 
 
-def _phase1_student_median(config, knob: str, value: float) -> float:
-    accs = []
+def _phase1_student_medians(config, knob: str, grid: tuple[float, ...]) -> dict:
+    """Median phase-1 student accuracy over SEEDS for each grid value."""
+    accs = {value: [] for value in grid}
     for seed in SEEDS:
-        [cell] = _sweep_cell(config, knob, (value,), seed)
-        assert cell["status"] == "ok", cell.get("error")
-        accs.append(cell["acc_student"])
-    return med(accs)
+        for cell in _sweep_cell(config, knob, grid, seed):
+            assert cell["status"] == "ok", cell.get("error")
+            accs[cell["value"]].append(cell["acc_student"])
+    return {value: med(values) for value, values in accs.items()}
 
 
 def test_criterion_08_sweep_shapes(config):
-    noise_curve = {
-        value: _phase1_student_median(config, "delta", value)
-        for value in config.grid_delta
-    }
+    noise_curve = _phase1_student_medians(config, "delta", config.grid_delta)
     largest = config.grid_delta[-1]
     best_interior = max(noise_curve[v] for v in config.grid_delta[:-1])
     a = noise_curve[largest] < best_interior
 
-    weight_curve = [
-        _phase1_student_median(config, "lambda", value) for value in config.grid_lambda
-    ]
+    weight_medians = _phase1_student_medians(config, "lambda", config.grid_lambda)
+    weight_curve = [weight_medians[value] for value in config.grid_lambda]
     spread = max(weight_curve) - min(weight_curve)
     b = spread < 0.01
 

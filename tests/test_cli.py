@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boundary_distill
@@ -144,6 +145,19 @@ def test_run_failure_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().err
     manifest = (tmp_path / "o" / "manifest.txt").read_text()
     assert "status=failed" in manifest
+
+
+def test_diverged_base_training_fails_without_records(tmp_path, capsys):
+    config = tmp_path / "diverging.cfg"
+    config.write_text(TINY + "train.lr_base = 1e300\n")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["run", "--config", str(config), "--strategy", "all", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "boundary_distill seed=0: FAILED (FloatingPointError: base training, phase 0, epoch" in err
+    assert not list(out.rglob("record_*.csv"))
+    assert "failed=4" in (out / "manifest.txt").read_text()
 
 
 @pytest.fixture()

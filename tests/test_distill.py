@@ -255,6 +255,35 @@ def test_distillation_gradient_finite_difference():
     assert rel < 1e-4
 
 
+@pytest.mark.parametrize(
+    "assign, clean_target",
+    [(LabelAssignment(), [1 / 6, 1 / 6, 2 / 3]),
+     (LabelAssignment(inner="one_hot", outer="one_hot"), [0.0, 0.0, 1.0])],
+)
+def test_gradient_exact_below_old_probability_floor(assign, clean_target):
+    # The student gives the labeled class probability ~1e-30 on every input
+    # (logits are its output biases); the teacher is uniform. Each term's
+    # output-bias gradient is mean(p - t) exactly, with no probability floor.
+    spec = NetworkSpec((2, 3))
+    student = np.zeros(spec.num_params)
+    student[-3:] = [0.0, 0.0, -69.0]
+    teacher = np.zeros(spec.num_params)
+    batch = np.random.default_rng(1).normal(size=(5, 2))
+    labels = np.full(5, 2)
+    p = np.exp(student[-3:]) / np.exp(student[-3:]).sum()
+    assert p[2] < 1e-29
+
+    def bias_grad(weight):
+        _, grad = distillation_loss(student, teacher, spec, batch, labels, _stats(2),
+                                    NoiseSpec(seed=3), LITERAL, weight, assign=assign)
+        return grad[-3:]
+
+    learn = bias_grad(0.0)
+    np.testing.assert_allclose(learn, p - np.array(clean_target), rtol=0, atol=1e-12)
+    distill = (bias_grad(0.5) - learn) / 0.5
+    np.testing.assert_allclose(distill, p - 1 / 3, rtol=0, atol=1e-12)
+
+
 def test_distill_term_is_entropy_when_student_equals_teacher():
     spec, _, teacher, batch, labels = _problem(seed=6)
     stats = _stats(3)

@@ -1,5 +1,7 @@
 """Metrics (accuracy, promotion, forgetting) and report files."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from boundary_distill.metrics import (
     forgetting_rate,
     performance_promotion,
 )
-from boundary_distill.network import NetworkSpec
+from boundary_distill.network import NetworkSpec, forward
 from boundary_distill.reporting import (
     export_boundary_grid,
     export_report,
@@ -120,6 +122,26 @@ class TestBoundaryGrid:
         assert (float(second[0]), float(second[1])) == (0.5, 2.0)
         # Exact float round-trip through repr.
         assert float(lines[1].split(",")[3]) == grid.probs[0, 0]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        # reference: one csv.writer row per grid point, the file format's
+        # original writer
+        params, spec = _band_model()
+        x_range, y_range, res = (-1.3, 0.7), (-2.25, -0.1), 7
+        path = tmp_path / "grid.csv"
+        export_boundary_grid(params, spec, x_range, y_range, res, path=path)
+        xx, yy = np.meshgrid(np.linspace(*x_range, res), np.linspace(*y_range, res))
+        points = np.column_stack([xx.ravel(), yy.ravel()])
+        probs, _ = forward(params, spec, points)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "class", "prob"])
+            for point, row in zip(points, probs):
+                cls = int(np.argmax(row))
+                writer.writerow([repr(float(point[0])), repr(float(point[1])), cls,
+                                 repr(float(row[cls]))])
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_input_validation(self):
         params, spec = _band_model()

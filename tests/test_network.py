@@ -210,6 +210,35 @@ def test_gradient_duplicate_rows_invariance():
     np.testing.assert_allclose(grad2, grad1, atol=1e-12)
 
 
+def test_backward_takes_logit_gradient():
+    # backward() with dL/dlogits = (p - t)/n gives loss_and_grad's gradient
+    spec = NetworkSpec((3, 5, 4), activation="tanh")
+    params = init_network(spec, seed=2)
+    rng = np.random.default_rng(5)
+    batch = rng.normal(size=(6, 3))
+    targets = rng.dirichlet(np.ones(4), size=6)
+    probs, cache = forward(params, spec, batch)
+    _, grad = loss_and_grad(params, spec, batch, targets)
+    np.testing.assert_allclose(backward(params, spec, cache, (probs - targets) / 6), grad,
+                               rtol=0, atol=1e-15)
+
+
+def test_gradient_exact_below_old_probability_floor():
+    # The target class gets probability ~1e-30, far below PROB_FLOOR. The
+    # loss is -log p exactly and the output-bias gradient is mean(p - t);
+    # a clipped gradient would scale the target row by p / PROB_FLOOR.
+    spec = NetworkSpec((2, 3))
+    params = np.zeros(spec.num_params)
+    params[-3:] = [0.0, 0.0, -69.0]  # logits independent of the input
+    batch = np.random.default_rng(0).normal(size=(4, 2))
+    targets = one_hot(np.full(4, 2), 3)
+    p = softmax(params[None, -3:])[0]
+    assert p[2] < 1e-29
+    loss, grad = loss_and_grad(params, spec, batch, targets)
+    assert loss == pytest.approx(-np.log(p[2]), rel=1e-14)
+    np.testing.assert_allclose(grad[-3:], p - targets[0], rtol=0, atol=1e-12)
+
+
 def test_backward_rejects_shape_mismatch():
     spec = NetworkSpec((2, 3))
     params = init_network(spec, seed=0)
@@ -221,8 +250,11 @@ def test_backward_rejects_shape_mismatch():
 def test_sgd_step_edges():
     params = np.array([1.0, 2.0, 3.0])
     grad = np.array([0.5, -1.0, 0.0])
-    np.testing.assert_array_equal(sgd_step(params, grad, 0.0), params)
-    np.testing.assert_allclose(sgd_step(params, grad, 0.1), [0.95, 2.1, 3.0])
+    assert sgd_step(params, grad, 0.0) is params
+    np.testing.assert_array_equal(params, [1.0, 2.0, 3.0])
+    # the update is in place
+    sgd_step(params, grad, 0.1)
+    np.testing.assert_allclose(params, [0.95, 2.1, 3.0])
     with pytest.raises(ValueError):
         sgd_step(params, grad, -0.1)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from boundary_distill.data import (
     standardize,
 )
 from boundary_distill.distill import LabelAssignment
+from boundary_distill.metrics import accuracy
 from boundary_distill.network import forward, init_network
 from boundary_distill.protocol import (
     STRATEGIES,
@@ -398,7 +400,44 @@ class TestRunBenchmark:
         assert [p.phase for p in partial.per_phase] == [0, 1]
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_phase_loop_raises_naming_strategy_phase_epoch(self, strategy):
+        bench = _drift_bench(seed=0)
+        config = RunConfig(strategy=strategy, epochs_per_phase=3, fine_tune_epochs=3, seed=0)
+        setup = setup_seed(bench, config)
+        exploding = replace(config, lr_incremental=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if strategy == "full_data":  # retrains at the base rate
+                with pytest.raises(FloatingPointError, match=r"full_data, phase 1, epoch \d"):
+                    run_phase_full_data(bench.base, replace(config, lr_base=1e300),
+                                        setup.context(1))
+            else:
+                with pytest.raises(FloatingPointError, match=rf"{strategy}, phase 1, epoch \d"):
+                    run_phases(setup, exploding, None)
+
+
 class TestSeedSetup:
+    def test_phase_models_reproduce_their_accuracies(self):
+        # phase runners update their working vector in place; no phase may
+        # write into a model an earlier phase returned (grids are exported
+        # from them after the walk)
+        bench = _drift_bench(seed=4, phases=3)
+        sched = ConsolidationSchedule(freeze_epochs=1, period_epochs=1)
+        configs = [RunConfig(strategy=s, epochs_per_phase=4, sched=sched, seed=4)
+                   for s in STRATEGIES]
+        setup = setup_seed(bench, configs[0])
+        before = setup.base_model.copy()
+        for config in configs:
+            results, _ = run_phases(setup, config, None)
+            for res in results:
+                assert accuracy(res.model, setup.net_spec, setup.bench.test) == res.acc_test
+                assert accuracy(res.model, setup.net_spec, setup.bench.base) == res.acc_base
+                assert accuracy(res.student_model, setup.net_spec,
+                                setup.bench.test) == res.student_acc_test
+        assert not setup.base_model.flags.writeable
+        np.testing.assert_array_equal(setup.base_model, before)
+
     def test_shared_setup_matches_separate_runs(self):
         bench = _drift_bench(seed=3)
         configs = [RunConfig(strategy=s, epochs_per_phase=4, seed=3) for s in STRATEGIES]
