@@ -2,8 +2,8 @@
 
 Thin argparse layer over the protocol module. Output directory resolution:
 --out flag, then the config's out_dir, then $BD_OUT_DIR, then ./runs.
-Exit codes: 0 when everything requested completed, 1 when any run failed,
-2 for configuration/usage errors.
+Exit codes: 0 when everything requested completed, 1 when any run failed
+or a worker process died, 2 for configuration/usage errors (before any write).
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, apply_overrides, dump_config, load_config
+from .config import ConfigError, ExperimentConfig, dump_config, load_config
 from .data import save_csv
 from .protocol import STRATEGIES, SeedSetup, run_phase_boundary_distill, run_phases, setup_seed
 from .reporting import (
@@ -29,7 +30,8 @@ from .reporting import (
     write_manifest,
 )
 
-SWEEP_KNOBS = ("delta", "lambda")
+# sweep knob -> the ExperimentConfig field it sets
+SWEEP_KNOBS = {"delta": "noise_delta", "lambda": "distill_weight"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help=f"strategy to run (repeatable); one of {STRATEGIES} or 'all'",
     )
-    p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="run up to N seeds in parallel processes (at most one per "
-                       "seed and per core)")
     p_run.set_defaults(handler=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="phase-1 sensitivity sweep over one knob")
@@ -75,10 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--knob", choices=SWEEP_KNOBS, required=True,
                          help="which knob to sweep: noise scale or loss weight")
     p_sweep.add_argument("--values", help="comma-separated values (default: config grid)")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="run up to N seeds in parallel processes (at most one per "
-                         "seed and per core)")
     p_sweep.set_defaults(handler=cmd_sweep)
+    for p in (p_run, p_sweep):
+        p.add_argument("--parallel", type=int, default=1, metavar="N",
+                       help="run up to N seeds in parallel processes (at most one per "
+                       "seed and per core)")
 
     p_report = sub.add_parser("report", help="aggregate run records into summary files")
     p_report.add_argument("results_dir", help="directory holding record CSVs")
@@ -103,23 +103,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         changes["seeds"] = tuple(args.seed)
     if getattr(args, "out", None):
         changes["out_dir"] = args.out
-    strategies = getattr(args, "strategy", None)
-    if strategies:
-        resolved: list[str] = []
-        for s in strategies:
-            if s == "all":
-                resolved.extend(STRATEGIES)
-            elif s in STRATEGIES:
-                resolved.append(s)
-            else:
-                raise ConfigError(f"unknown strategy {s!r}; pick from {STRATEGIES} or 'all'")
-        changes["strategies"] = tuple(dict.fromkeys(resolved))
-    if changes:
-        config = apply_overrides(config, **changes)
-    for s in config.strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {s!r} in config; pick from {STRATEGIES}")
-    return config
+    if getattr(args, "strategy", None):
+        names = [n for s in args.strategy for n in (STRATEGIES if s == "all" else (s,))]
+        changes["strategies"] = tuple(dict.fromkeys(names))
+    return replace(config, **changes)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -173,8 +160,13 @@ def _run_cell(config: ExperimentConfig, seed: int, out_str: str) -> list[dict]:
         bench = config.build_benchmark(seed)
         setup = setup_seed(bench, config.run_config("boundary_distill", seed))
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-        return [_failure(exc, strategy=s, seed=seed) for s in config.strategies]
+        return _run_cell_failed(exc, config, seed, out_str)
     return [_run_strategy(config, setup, s, Path(out_str)) for s in config.strategies]
+
+
+def _run_cell_failed(exc: Exception, config: ExperimentConfig, seed: int, _out: str) -> list[dict]:
+    """Outcomes of a run cell that failed as a whole; call inside the handler."""
+    return [_failure(exc, strategy=s, seed=seed) for s in config.strategies]
 
 
 def _run_strategy(config: ExperimentConfig, setup: SeedSetup, strategy: str, out: Path) -> dict:
@@ -232,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # with no strategies there is nothing to set a seed up for
     argtuples = [(config, seed, str(out)) for seed in config.seeds if config.strategies]
-    outcomes = _map_cells(_run_cell, argtuples, workers)
+    outcomes = _map_cells(_run_cell, argtuples, workers, _run_cell_failed)
 
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in outcomes:
@@ -265,15 +257,22 @@ def _pool_size(requested: int, cells: int, cpus: int) -> int:
     return min(requested, cells, cpus)
 
 
-def _map_cells(worker, argtuples: list[tuple], workers: int) -> list[dict]:
+def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[dict]:
     """Run the per-seed cells and return their outcomes strategy-major
     (value-major for a sweep), the order `run` prints and `sweep` writes.
 
-    Each cell returns one outcome per strategy (or value), in the same order.
+    Each cell returns one outcome per strategy (or value), in the same order;
+    a cell whose worker process died gets `failed(exc, *args)` instead.
     """
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(worker, *zip(*argtuples)))
+            futures = [pool.submit(worker, *a) for a in argtuples]
+            per_seed = []
+            for future, args in zip(futures, argtuples):
+                try:
+                    per_seed.append(future.result())
+                except BrokenProcessPool as exc:
+                    per_seed.append(failed(exc, *args))
     else:
         per_seed = [worker(*a) for a in argtuples]
     return [outcome for group in zip(*per_seed) for outcome in group]
@@ -288,18 +287,16 @@ def _sweep_cell(
     """Phase-1-only sensitivity runs of every value on one seed, all from
     one shared setup. Returns one outcome per value."""
     try:
-        base_cfg = config.run_config("boundary_distill", seed)
-        setup = setup_seed(config.build_benchmark(seed), base_cfg)
+        bench = config.build_benchmark(seed)
+        setup = setup_seed(bench, config.run_config("boundary_distill", seed))
         ctx = setup.context(1)
     except Exception as exc:  # noqa: BLE001
-        return [_failure(exc, knob=knob, value=value, seed=seed) for value in values]
+        return _sweep_cell_failed(exc, config, knob, values, seed)
     outcomes = []
     for value in values:
         try:
-            if knob == "delta":
-                run_cfg = replace(base_cfg, noise=replace(base_cfg.noise, delta=value))
-            else:
-                run_cfg = replace(base_cfg, distill_weight=value)
+            swept = replace(config, **{SWEEP_KNOBS[knob]: value})
+            run_cfg = swept.run_config("boundary_distill", seed)
             res = run_phase_boundary_distill(setup.base_model, setup.bench.phases[0], run_cfg, ctx)
             outcomes.append({
                 "status": "ok",
@@ -314,15 +311,22 @@ def _sweep_cell(
     return outcomes
 
 
+def _sweep_cell_failed(exc: Exception, _config, knob: str, values: tuple, seed: int) -> list[dict]:
+    """Outcomes of a sweep cell that failed as a whole; call inside the handler."""
+    return [_failure(exc, knob=knob, value=value, seed=seed) for value in values]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
     out = _out_dir(config)
     if args.values:
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     else:
-        values = config.grid_delta if args.knob == "delta" else config.grid_lambda
+        values = getattr(config, f"grid_{args.knob}")
     if not values:
         raise ConfigError("no sweep values given")
+    for value in values:  # each value must pass its knob's checks
+        replace(config, **{SWEEP_KNOBS[args.knob]: value})
     workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
     if args.dry_run:
         print(dump_config(config), end="")
@@ -330,9 +334,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = _map_cells(
-        _sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds], workers
-    )
+    outcomes = _map_cells(_sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds],
+                          workers, _sweep_cell_failed)
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in failed:
         print(f"sweep {args.knob}={o['value']} seed={o['seed']}: FAILED ({o['error']})",
@@ -369,14 +372,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
     if not results_dir.exists():
-        print(f"error: {results_dir} does not exist", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"{results_dir} does not exist")
     candidates = sorted((results_dir / "records").glob("record_*.csv")) or sorted(
         results_dir.glob("record_*.csv")
     )
     if not candidates:
-        print(f"error: no record_*.csv files under {results_dir}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no record_*.csv files under {results_dir}")
     records = [read_record_csv(p) for p in candidates]
     paths = export_report(records, results_dir / "report")
     for name, path in paths.items():

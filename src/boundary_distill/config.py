@@ -10,14 +10,13 @@ experiment identically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .consolidation import ConsolidationSchedule
 from .data import CsvSchema, DriftSpec, SyntheticSpec, elongated_cov, load_csv, ring_means
-from .distill import FuseConfig, LabelAssignment, NoiseSpec
-from .protocol import IILBenchmark, RunConfig, drift_benchmark, split_benchmark
+from .protocol import STRATEGIES, IILBenchmark, RunConfig, drift_benchmark, split_benchmark
 from .seeding import derive_seed
 
 
@@ -46,13 +45,27 @@ def _key(key: str, default):
     return field(default=default, metadata={"key": key})
 
 
+def _knob(key: str, path: str):
+    """Run knob at the flat key `key`, stored in RunConfig at the dotted
+    attribute `path`, whose default it takes."""
+    default = functools.reduce(getattr, path.split("."), RunConfig())
+    return field(default=default, metadata={"key": key, "run": path})
+
+
+def _with(obj, path: str, value):
+    """obj with its attribute at the dotted `path` replaced by value."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value) if rest else value})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment: data source, model, training, output, grids.
 
-    Each field declares its flat config key (field metadata, via _key); its
+    Each field declares its flat config key (field metadata, via _key); a
+    run knob (_knob) takes its default and its checks from RunConfig. The
     annotation selects the value parser in _PARSERS. Field order is the
-    order dump_config writes.
+    order dump_config writes. Every value is checked when the config is built.
     """
 
     data_source: str = _key("data.source", "synthetic")
@@ -80,29 +93,29 @@ class ExperimentConfig:
     csv_label_col: str = _key("csv.label_col", "label")
     csv_feature_cols: tuple[str, ...] = _key("csv.feature_cols", ())
 
-    hidden: tuple[int, ...] = _key("model.hidden", (16,))
-    activation: str = _key("model.activation", "relu")
+    hidden: tuple[int, ...] = _knob("model.hidden", "hidden_layers")
+    activation: str = _knob("model.activation", "activation")
 
-    epochs_per_phase: int = _key("train.epochs_per_phase", 60)
-    lr_base: float = _key("train.lr_base", 0.2)
-    lr_incremental: float | None = _key("train.lr_incremental", None)
-    batch_size: int = _key("train.batch_size", 64)
-    fine_tune_epochs: int = _key("train.fine_tune_epochs", 10)
-    exemplar_fraction: float = _key("train.exemplar_fraction", 0.1)
+    epochs_per_phase: int = _knob("train.epochs_per_phase", "epochs_per_phase")
+    lr_base: float = _knob("train.lr_base", "lr_base")
+    lr_incremental: float | None = _knob("train.lr_incremental", "lr_incremental")
+    batch_size: int = _knob("train.batch_size", "batch_size")
+    fine_tune_epochs: int = _knob("train.fine_tune_epochs", "fine_tune_epochs")
+    exemplar_fraction: float = _knob("train.exemplar_fraction", "exemplar_fraction")
 
-    distill_weight: float = _key("distill.weight", 0.1)
-    fuse_tau: float = _key("distill.tau", 1.0)
-    fuse_variant: str = _key("distill.variant", "literal")
-    inner_target: str = _key("distill.inner_target", "fused")
-    outer_target: str = _key("distill.outer_target", "fused")
-    noise_mu: float = _key("noise.mu", 0.0)
-    noise_delta: float = _key("noise.delta", 2.0)
+    distill_weight: float = _knob("distill.weight", "distill_weight")
+    fuse_tau: float = _knob("distill.tau", "fuse.tau")
+    fuse_variant: str = _knob("distill.variant", "fuse.variant")
+    inner_target: str = _knob("distill.inner_target", "assign.inner")
+    outer_target: str = _knob("distill.outer_target", "assign.outer")
+    noise_mu: float = _knob("noise.mu", "noise.mu")
+    noise_delta: float = _knob("noise.delta", "noise.delta")
 
-    freeze_epochs: int = _key("consolidate.freeze_epochs", 10)
-    period_epochs: int = _key("consolidate.period_epochs", 5)
-    alpha0: float = _key("consolidate.alpha0", 0.99)
-    warmup: float = _key("consolidate.warmup", 500.0)
-    ema_mode: str = _key("consolidate.mode", "scheduled")
+    freeze_epochs: int = _knob("consolidate.freeze_epochs", "sched.freeze_epochs")
+    period_epochs: int = _knob("consolidate.period_epochs", "sched.period_epochs")
+    alpha0: float = _knob("consolidate.alpha0", "sched.alpha0")
+    warmup: float = _knob("consolidate.warmup", "sched.warmup")
+    ema_mode: str = _knob("consolidate.mode", "sched.mode")
 
     seeds: tuple[int, ...] = _key("seeds", (0, 1, 2, 3, 4))
     strategies: tuple[str, ...] = _key("strategies", ("boundary_distill", "fine_tune"))
@@ -112,32 +125,27 @@ class ExperimentConfig:
     grid_lambda: tuple[float, ...] = _key("grid.lambda", (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
     grid_resolution: int = _key("grid.resolution", 50)
 
+    def __post_init__(self) -> None:
+        """Every check a run would make, so a bad value fails at load."""
+        if self.data_source == "synthetic":
+            self.synthetic_spec(0)
+        elif self.data_source != "csv":
+            raise ConfigError(f"unknown data.source {self.data_source!r}")
+        elif not (self.csv_train_path and self.csv_test_path):
+            raise ConfigError("csv source needs both csv.train_path and csv.test_path")
+        for strategy in self.strategies:  # RunConfig checks the name
+            RunConfig(strategy=strategy)
+        # RunConfig and its parts check the run knobs, NetworkSpec the model
+        self.run_config(STRATEGIES[0], 0).network_spec(1, 2)
+
     # --- derived objects ---------------------------------------------------
 
     def run_config(self, strategy: str, seed: int) -> RunConfig:
-        return RunConfig(
-            strategy=strategy,
-            epochs_per_phase=self.epochs_per_phase,
-            lr_base=self.lr_base,
-            lr_incremental=self.lr_incremental,
-            batch_size=self.batch_size,
-            fuse=FuseConfig(tau=self.fuse_tau, variant=self.fuse_variant),
-            noise=NoiseSpec(mu=self.noise_mu, delta=self.noise_delta),
-            distill_weight=self.distill_weight,
-            sched=ConsolidationSchedule(
-                freeze_epochs=self.freeze_epochs,
-                period_epochs=self.period_epochs,
-                alpha0=self.alpha0,
-                warmup=self.warmup,
-                mode=self.ema_mode,
-            ),
-            assign=LabelAssignment(inner=self.inner_target, outer=self.outer_target),
-            fine_tune_epochs=self.fine_tune_epochs,
-            exemplar_fraction=self.exemplar_fraction,
-            hidden_layers=self.hidden,
-            activation=self.activation,
-            seed=seed,
-        )
+        config = RunConfig(strategy=strategy, seed=seed)
+        for f in fields(self):
+            if "run" in f.metadata:
+                config = _with(config, f.metadata["run"], getattr(self, f.name))
+        return config
 
     def synthetic_spec(self, seed: int) -> SyntheticSpec:
         return SyntheticSpec(
@@ -171,24 +179,16 @@ class ExperimentConfig:
             return drift_benchmark(
                 self.synthetic_spec(seed), self.num_phases, self.synth_test_per_class
             )
-        if self.data_source == "csv":
-            if not self.csv_train_path or not self.csv_test_path:
-                raise ConfigError(
-                    "csv source needs both csv.train_path and csv.test_path"
-                )
-            schema = CsvSchema(self.csv_feature_cols, self.csv_label_col)
-            train = load_csv(self.csv_train_path, schema)
-            test = load_csv(self.csv_test_path, schema)
-            return split_benchmark(
-                train,
-                self.base_fraction,
-                self.num_phases,
-                seed=derive_seed(seed, "split"),
-                imbalance=self.imbalance,
-                test=test,
-                dirichlet_alpha=self.dirichlet_alpha,
-            )
-        raise ConfigError(f"unknown data.source {self.data_source!r}")
+        schema = CsvSchema(self.csv_feature_cols, self.csv_label_col)
+        return split_benchmark(
+            load_csv(self.csv_train_path, schema),
+            self.base_fraction,
+            self.num_phases,
+            seed=derive_seed(seed, "split"),
+            imbalance=self.imbalance,
+            test=load_csv(self.csv_test_path, schema),
+            dirichlet_alpha=self.dirichlet_alpha,
+        )
 
 
 def _format_value(value) -> str:
@@ -234,11 +234,3 @@ def dump_config(config: ExperimentConfig) -> str:
              for f in fields(config)]
     return "\n".join(lines) + "\n"
 
-
-def apply_overrides(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """replace() wrapper that rejects unknown fields early."""
-    valid = {f.name for f in fields(config)}
-    unknown = set(changes) - valid
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return replace(config, **changes)

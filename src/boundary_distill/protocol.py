@@ -137,7 +137,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+            raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
         if self.epochs_per_phase < 1:
             raise ValueError(f"epochs_per_phase must be >= 1, got {self.epochs_per_phase}")
         if self.fine_tune_epochs < 0:
@@ -681,7 +681,7 @@ def run_phases(
     model-space benchmark plus the stats of its base split, so the
     perturbation op's contract holds verbatim. On a phase failure the
     partial record is flushed to out_dir (when given) before the exception
-    propagates.
+    propagates; a complete record replaces the partial one of an earlier run.
     """
     differing = [f for f in _BASE_FIELDS if getattr(config, f) != getattr(setup.base_config, f)]
     if differing:
@@ -716,6 +716,7 @@ def run_phases(
     record = _record_from_results(results, config)
     if out_dir is not None:
         write_record_csv(record, Path(out_dir))
+        _record_path(Path(out_dir), config.strategy + "(partial)", config.seed).unlink(missing_ok=True)
         if config.strategy == "boundary_distill":
             _write_consolidation_log(results, config, Path(out_dir))
     return results, record
@@ -762,7 +763,7 @@ def _record_from_results(
 def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
     """One CSV per run: the canonical, byte-reproducible record format."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"record_{record.strategy.replace('(partial)', '_partial')}_seed{record.seed}.csv"
+    path = _record_path(out_dir, record.strategy, record.seed)
     lines = ["strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest"]
     for p in record.per_phase:
         lines.append(
@@ -771,6 +772,10 @@ def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
         )
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
+    return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
 
 
 def _write_consolidation_log(results: list[PhaseResult], config: RunConfig, out_dir: Path) -> None:

@@ -239,6 +239,36 @@ def test_parallel_below_one_exits_two(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, capsys):
+    real = cli.setup_seed
+
+    def dies_on_seed_one(bench, config):
+        if config.seed == 1:
+            os._exit(3)
+        return real(bench, config)
+
+    # forked workers inherit the patched module attribute; two reported cores
+    # keep the cells in a 2-worker pool, never in this process
+    monkeypatch.setattr(cli, "setup_seed", dies_on_seed_one)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    rc = cli.main(["run", "--config", str(two_seed_config), "--out", str(run_out),
+                   "--parallel", "2"])
+    assert rc == 1
+    assert "fine_tune seed=1: FAILED (BrokenProcessPool" in capsys.readouterr().err
+    manifest = (run_out / "manifest.txt").read_text()
+    assert "status=failed" in manifest and "failed=0" not in manifest
+
+    rc = cli.main(["sweep", "--config", str(two_seed_config), "--knob", "delta",
+                   "--values", "0.5,2.0", "--out", str(sweep_out), "--parallel", "2"])
+    assert rc == 1
+    assert "sweep delta=2.0 seed=1: FAILED (BrokenProcessPool" in capsys.readouterr().err
+    detail = (sweep_out / "sweep_delta.csv").read_text().splitlines()
+    assert detail[0] == "knob,value,seed,acc_student,acc_teacher"
+    assert not [row for row in detail[1:] if row.split(",")[2] == "1"]
+    assert (sweep_out / "sweep_delta_summary.csv").exists()
+
+
 def test_cli_import_does_not_load_scipy():
     src = Path(boundary_distill.__file__).resolve().parents[1]
     probe = ("import sys, boundary_distill.cli; "
@@ -278,6 +308,108 @@ def test_config_round_trips_every_value_type(tmp_path):
     for config in (ExperimentConfig(), changed):
         path.write_text(dump_config(config))
         assert load_config(path) == config
+
+
+# dump_config(ExperimentConfig()) and the default RunConfig digest of each
+# strategy: a refactor of the config code must leave both unchanged, since
+# every record carries the digest and config.resolved re-runs the experiment
+DEFAULT_DUMP = """\
+data.source = synthetic
+data.num_phases = 10
+data.base_fraction = 0.5
+data.imbalance = uniform_random
+data.dirichlet_alpha = 5.0
+synthetic.num_classes = 4
+synthetic.dim = 2
+synthetic.base_per_class = 500
+synthetic.phase_per_class = 50
+synthetic.test_per_class = 100
+synthetic.cluster_radius = 3.0
+synthetic.eccentricity = 0.55
+synthetic.cluster_sigma = 0.33
+synthetic.aniso_ratio = 2.5
+synthetic.aniso_angle = -15.0
+synthetic.mean_shift = 0.5
+synthetic.cov_scale = 1.5
+synthetic.rotation = 0.0
+csv.train_path = 
+csv.test_path = 
+csv.label_col = label
+csv.feature_cols = 
+model.hidden = 16
+model.activation = relu
+train.epochs_per_phase = 60
+train.lr_base = 0.2
+train.lr_incremental = 
+train.batch_size = 64
+train.fine_tune_epochs = 10
+train.exemplar_fraction = 0.1
+distill.weight = 0.1
+distill.tau = 1.0
+distill.variant = literal
+distill.inner_target = fused
+distill.outer_target = fused
+noise.mu = 0.0
+noise.delta = 2.0
+consolidate.freeze_epochs = 10
+consolidate.period_epochs = 5
+consolidate.alpha0 = 0.99
+consolidate.warmup = 500.0
+consolidate.mode = scheduled
+seeds = 0,1,2,3,4
+strategies = boundary_distill,fine_tune
+out_dir = 
+grid.delta = 0.02,0.2,1.0,2.0,4.0,10.0
+grid.lambda = 0.1,0.5,1.0,2.0,5.0,10.0
+grid.resolution = 50
+"""
+DEFAULT_DIGESTS = {
+    "boundary_distill": "98f22945bcbe221aceba0c7c65bbdfc78551d26a1501197d1524495ea096a7f1",
+    "fine_tune": "892c618fbe3b2495771a17d4a85ae4e346c924fa78f3695b75150d16a5dea0d3",
+    "vanilla_distill": "b97072b2d1f5f91debfd93ba6307e7b3855ca6c02033a0b67a1729af664c2da2",
+    "full_data": "f41a82a0015738bccd3ad8b267e56da02c810b8552a7bb00f53f95110dddc5a2",
+}
+
+
+def test_default_config_text_and_digests_are_pinned():
+    assert dump_config(ExperimentConfig()) == DEFAULT_DUMP
+    for strategy in cli.STRATEGIES:
+        assert ExperimentConfig().run_config(strategy, 0).digest() == DEFAULT_DIGESTS[strategy]
+
+
+# one out-of-range value per owner of a check, and the check's message
+BAD_VALUES = [
+    ("train.batch_size = 0", "batch_size must be >= 1"),
+    ("noise.delta = 0", "delta must be positive"),
+    ("distill.variant = nope", "variant must be one of"),
+    ("consolidate.mode = bogus", "mode must be one of"),
+    ("synthetic.num_classes = 1", "need at least two classes"),
+    ("data.source = foo", "unknown data.source 'foo'"),
+    ("data.source = csv", "csv source needs both csv.train_path and csv.test_path"),
+]
+
+
+@pytest.mark.parametrize(("line", "message"), BAD_VALUES,
+                         ids=[line.replace(" ", "") for line, _ in BAD_VALUES])
+def test_bad_value_fails_at_load(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY + line + "\n")
+    out = tmp_path / "o"
+    for command in (["run", "--dry-run"], ["split", "--dry-run"], ["run"], ["split"],
+                    ["sweep", "--knob", "delta"]):
+        rc = cli.main([*command, "--config", str(bad), "--out", str(out)])
+        assert rc == 2, command
+        assert message in capsys.readouterr().err, command
+    assert not out.exists()
+
+
+def test_bad_sweep_value_fails_at_load(tiny_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(["sweep", "--config", str(tiny_config), "--knob", "delta", "--values", "0",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "delta must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_two(tmp_path):

@@ -399,6 +399,16 @@ class TestRunBenchmark:
         assert partial.strategy == "fine_tune(partial)"
         assert [p.phase for p in partial.per_phase] == [0, 1]
 
+    def test_complete_record_removes_partial(self, tmp_path, monkeypatch):
+        # a failed run leaves a partial record; a later successful run of the
+        # same strategy and seed must not leave it beside the complete one
+        self.test_partial_record_flushed_on_failure(tmp_path, monkeypatch)
+        monkeypatch.undo()
+        bench = _drift_bench(seed=0, phases=3)
+        run_benchmark(bench, RunConfig(strategy="fine_tune", epochs_per_phase=3, seed=0),
+                      out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["record_fine_tune_seed0.csv"]
+
 
 class TestDivergence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
