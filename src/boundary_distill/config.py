@@ -16,7 +16,14 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import CsvSchema, DriftSpec, SyntheticSpec, elongated_cov, load_csv, ring_means
-from .protocol import STRATEGIES, IILBenchmark, RunConfig, drift_benchmark, split_benchmark
+from .protocol import (
+    STRATEGIES,
+    IILBenchmark,
+    RunConfig,
+    check_split,
+    drift_benchmark,
+    split_benchmark,
+)
 from .seeding import derive_seed
 
 
@@ -129,10 +136,20 @@ class ExperimentConfig:
         """Every check a run would make, so a bad value fails at load."""
         if self.data_source == "synthetic":
             self.synthetic_spec(0)
+            if self.num_phases < 0:
+                raise ConfigError(f"data.num_phases must be >= 0, got {self.num_phases}")
+            if self.synth_test_per_class < 1:
+                raise ConfigError(
+                    f"synthetic.test_per_class must be >= 1, got {self.synth_test_per_class}"
+                )
         elif self.data_source != "csv":
             raise ConfigError(f"unknown data.source {self.data_source!r}")
         elif not (self.csv_train_path and self.csv_test_path):
             raise ConfigError("csv source needs both csv.train_path and csv.test_path")
+        else:
+            check_split(self.base_fraction, self.num_phases, self.imbalance, self.dirichlet_alpha)
+        if self.grid_resolution < 2:
+            raise ConfigError(f"grid.resolution must be >= 2, got {self.grid_resolution}")
         for strategy in self.strategies:  # RunConfig checks the name
             RunConfig(strategy=strategy)
         # RunConfig and its parts check the run knobs, NetworkSpec the model

@@ -11,6 +11,9 @@ and on a gradient buffer are made once, the loss is the exact
 cross-entropy (log-softmax where p is below PROB_FLOOR), its gradient is
 taken in logit space (p - t per row, exact for every target row that is
 a distribution, however small p is), and the update is applied in place.
+A Trainer also takes a stack of vectors (M, P), one model per row; the
+same forward and backward code then runs on (M, B, d) batches, and each
+model gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -99,18 +102,23 @@ def init_network(spec: NetworkSpec, seed: int) -> np.ndarray:
 
 
 def unpack_params(params: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector as per-layer (W, b) pairs. No copies."""
+    """Views of a flat vector (P,), or of a stack of them (M, P), as
+    per-layer (W, b) pairs: W of shape (..., fan_in, fan_out), b of shape
+    (..., 1, fan_out). No copies."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != spec.num_params:
+    if params.ndim not in (1, 2) or params.shape[-1] != spec.num_params:
         raise ValueError(
-            f"parameter vector has {params.size} entries, spec wants {spec.num_params}"
+            f"parameter array of shape {params.shape}, spec wants (..., {spec.num_params})"
         )
+    lead = params.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in spec.layer_dims:
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., offset : offset + fan_in * fan_out].reshape(
+            (*lead, fan_in, fan_out), copy=False
+        )
         offset += fan_in * fan_out
-        b = params[offset : offset + fan_out]
+        b = params[..., None, offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -138,7 +146,10 @@ def _as_batch(batch: np.ndarray, spec: NetworkSpec) -> np.ndarray:
 def _forward_layers(
     layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(activations, pre_activations) of a forward pass; see ForwardCache."""
+    """(activations, pre_activations) of a forward pass; see ForwardCache.
+
+    x is (B, d) for flat layers or (M, B, d) for stacked ones.
+    """
     activations = [x]
     pre_activations = []
     a = x
@@ -164,10 +175,10 @@ def _backward_layers(
     """Write the parameter gradient for logit gradient dz into grad_layers."""
     for i in range(len(layers) - 1, -1, -1):
         dw, db = grad_layers[i]
-        np.matmul(activations[i].T, dz, out=dw)
-        dz.sum(axis=0, out=db)
+        np.matmul(activations[i].swapaxes(-1, -2), dz, out=dw)
+        dz.sum(axis=-2, keepdims=True, out=db)
         if i > 0:
-            da = dz @ layers[i][0].T
+            da = dz @ layers[i][0].swapaxes(-1, -2)
             if activation == "relu":
                 da *= pre_activations[i - 1] > 0.0
             else:
@@ -234,11 +245,15 @@ def backward(
 
 
 class Trainer:
-    """SGD on one flat parameter vector, updated in place.
+    """SGD on a flat parameter vector (P,), or on a stack of them (M, P),
+    updated in place.
 
-    Per-layer views on `params` and on the gradient buffer `grad` are made
-    once, here, so a step costs only its arithmetic. `params` must be a
-    writable float64 vector; it is the model being trained, not a copy.
+    A flat trainer takes (B, d) batches; a stacked one takes (M, B, d)
+    batches, one per model, and each model gets the bits it would get
+    alone. Per-layer views on `params` and on the gradient buffer `grad`
+    are made once, here, so a step costs only its arithmetic. `params` must
+    be writable float64; it is the model (or the stack) being trained, not
+    a copy.
     """
 
     def __init__(self, params: np.ndarray, spec: NetworkSpec):
@@ -260,9 +275,9 @@ class Trainer:
         """
         activations, pre_activations = _forward_layers(self._layers, self.spec.activation, batch)
         logits = pre_activations[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         dz = np.exp(shifted)
-        total = dz.sum(axis=1, keepdims=True)
+        total = dz.sum(axis=-1, keepdims=True)
         dz /= total  # softmax
         # log p of the probabilities themselves, which keeps the loss bit
         # for bit where it was exact before; log-softmax below PROB_FLOOR,
@@ -271,7 +286,7 @@ class Trainer:
         tail = dz < PROB_FLOOR
         if tail.any():
             log_probs[tail] = (shifted - np.log(total))[tail]
-        losses = -(targets * log_probs).sum(axis=1)
+        losses = -(targets * log_probs).sum(axis=-1)
         dz -= targets
         dz *= scale
         _backward_layers(self._layers, self._grad_layers, self.spec.activation,

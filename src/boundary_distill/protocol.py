@@ -224,12 +224,7 @@ def split_benchmark(
     like real-world increments. The test pool cannot come out of the input
     (base + phases must partition it), so it is passed in explicitly.
     """
-    if not 0.0 < base_fraction < 1.0:
-        raise ValueError(f"base_fraction must lie in (0, 1), got {base_fraction}")
-    if num_phases < 1:
-        raise ValueError(f"num_phases must be >= 1, got {num_phases}")
-    if imbalance not in ("uniform_random", "dirichlet"):
-        raise ValueError(f"unknown imbalance scheme {imbalance!r}")
+    check_split(base_fraction, num_phases, imbalance, dirichlet_alpha)
     if test is None:
         raise ValueError("a separate test dataset is required (the input is fully "
                          "partitioned into base + phases)")
@@ -287,6 +282,19 @@ def split_benchmark(
     )
 
 
+def check_split(base_fraction: float, num_phases: int, imbalance: str,
+                dirichlet_alpha: float) -> None:
+    """The checks of split_benchmark's arguments that need no data."""
+    if not 0.0 < base_fraction < 1.0:
+        raise ValueError(f"base_fraction must lie in (0, 1), got {base_fraction}")
+    if num_phases < 1:
+        raise ValueError(f"num_phases must be >= 1, got {num_phases}")
+    if imbalance not in ("uniform_random", "dirichlet"):
+        raise ValueError(f"unknown imbalance scheme {imbalance!r}")
+    if not dirichlet_alpha > 0:
+        raise ValueError(f"dirichlet_alpha must be positive, got {dirichlet_alpha}")
+
+
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Round weights * total to integers that sum to total exactly."""
     raw = weights * total
@@ -342,8 +350,19 @@ def _epoch_loss(batch_losses: list[float], where: str, epoch: int) -> float:
     diverged; it stops the run instead of letting it write a record."""
     loss = float(np.mean(batch_losses))
     if not np.isfinite(loss):
-        raise FloatingPointError(f"{where}, epoch {epoch}: mean loss {loss} is not finite")
+        raise _diverged(where, epoch, loss)
     return loss
+
+
+def _diverged(where: str, epoch: int, loss: float) -> FloatingPointError:
+    return FloatingPointError(f"{where}, epoch {epoch}: mean loss {loss} is not finite")
+
+
+def _check_finite(model: np.ndarray, where: str) -> None:
+    """An outgoing model must be finite: the epoch losses are taken before
+    each update, so they do not see the last one."""
+    if not np.isfinite(model).all():
+        raise FloatingPointError(f"{where}: outgoing parameters are not finite")
 
 
 def _fit_from_scratch(
@@ -377,17 +396,86 @@ def _sgd_one_hot(
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """One-hot SGD that updates `params` in place; `where` names the
     strategy and phase in a divergence error."""
-    targets_all = one_hot(dataset.labels, spec.num_classes)
-    trainer = Trainer(params, spec)
-    history = []
+    histories, error = _sgd_one_hot_stack(params[None], dataset, (len(dataset),), spec, lr,
+                                          epochs, batch_size, [shuffle_rng], [where])
+    if error is not None:
+        raise error
+    return params, histories[0]
+
+
+def _sgd_one_hot_stack(
+    models: np.ndarray,
+    dataset: Dataset,
+    sizes: tuple[int, ...],
+    spec: NetworkSpec,
+    lr: float,
+    epochs: int,
+    batch_size: int,
+    shuffle_rngs: list[np.random.Generator],
+    wheres: list[str],
+) -> tuple[list[tuple[float, ...]], FloatingPointError | None]:
+    """One-hot SGD of the models stacked in `models` (M, P), in place and
+    in lockstep: model m trains on the first sizes[m] rows of `dataset`,
+    drawing its epoch orders from shuffle_rngs[m].
+
+    Each model runs exactly the steps it would run alone. sizes must not
+    increase, so the models that have a full batch at a given step are a
+    slice of the stack, and step together; a model that steps alone (a
+    single model, or a short last batch) steps on its flat vector.
+
+    Returns the epoch losses of each model, and None. Once an epoch's mean
+    loss is not finite for some models, the last of them in the stack and
+    every model before it stop training, and their parameters mean
+    nothing: the losses then cover only the models after it, and the error
+    is its FloatingPointError (naming wheres[m]).
+    """
+    count = len(models)
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"model row counts must not increase, got {sizes}")
+    features = dataset.features
+    targets = one_hot(dataset.labels[: sizes[0]], spec.num_classes)
+    orders = np.empty((count, sizes[0]), dtype=np.intp)
+    steps = [-(-n // batch_size) for n in sizes]
+    # per step k: the first full[k] models have a full batch, the first
+    # rows[k] have any rows
+    full = [sum(n >= (k + 1) * batch_size for n in sizes) for k in range(steps[0])]
+    rows = [sum(n > k * batch_size for n in sizes) for k in range(steps[0])]
+    trainers: dict[tuple[int, int], Trainer] = {}
+    batch_losses = np.empty((count, steps[0]))
+    histories: list[list[float]] = [[] for _ in range(count)]
+    live, error = 0, None  # models before `live` have stopped
+
+    def step(first: int, end: int, k: int, stop: int) -> None:
+        """Step models first..end-1 on their rows k * batch_size..stop-1."""
+        key = (first, end)
+        if key not in trainers:
+            trainers[key] = Trainer(models[first] if end - first == 1 else models[first:end], spec)
+        start = k * batch_size
+        idx = orders[first, start:stop] if end - first == 1 else orders[first:end, start:stop]
+        losses = trainers[key].step(features[idx], targets[idx], 1.0 / (stop - start), lr)
+        batch_losses[first:end, k] = losses.mean(axis=-1)
+
     for epoch in range(1, epochs + 1):
-        order = shuffle_rng.permutation(len(dataset))
-        batch_losses = []
-        for idx in _minibatch_slices(order, batch_size):
-            losses = trainer.step(dataset.features[idx], targets_all[idx], 1.0 / idx.size, lr)
-            batch_losses.append(losses.mean())
-        history.append(_epoch_loss(batch_losses, where, epoch))
-    return params, tuple(history)
+        for m in range(live, count):
+            orders[m, : sizes[m]] = shuffle_rngs[m].permutation(sizes[m])
+        for k in range(steps[live]):
+            end = max(live, full[k])
+            if end > live:
+                step(live, end, k, (k + 1) * batch_size)
+            for m in range(end, rows[k]):
+                step(m, m + 1, k, sizes[m])
+        failed = None
+        for m in range(live, count):
+            loss = float(np.mean(batch_losses[m, : steps[m]]))
+            if np.isfinite(loss):
+                histories[m].append(loss)
+            else:
+                failed, error = m, _diverged(wheres[m], epoch, loss)
+        if failed is not None:
+            live = failed + 1
+            if live == count:
+                break
+    return [tuple(h) for h in histories[live:]], error
 
 
 def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None) -> np.ndarray:
@@ -399,20 +487,25 @@ def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None
     if resolved < 0:
         raise ValueError(f"epochs must be >= 0, got {resolved}")
     spec = config.network_spec(bench.base.dim, bench.num_classes)
-    params, _ = _fit_from_scratch(bench.base, spec, config, resolved, "base training, phase 0")
+    where = "base training, phase 0"
+    params, _ = _fit_from_scratch(bench.base, spec, config, resolved, where)
+    _check_finite(params, where)
     return params
 
 
 def _phase_result(
     ctx: PhaseContext,
+    where: str,
     start: float,
     model: np.ndarray,
     student: np.ndarray,
     loss_history: tuple[float, ...],
     ema_history: tuple[tuple[int, float], ...],
 ) -> PhaseResult:
-    """Evaluate the outgoing model (and the student, when it is another
-    array) and package the phase, timed from `start`."""
+    """Check that the outgoing model is finite (`where` names the strategy
+    and phase), evaluate it (and the student, when it is another array)
+    and package the phase, timed from `start`."""
+    _check_finite(model, where)
     acc_test = accuracy(model, ctx.net_spec, ctx.test_set)
     acc_base = accuracy(model, ctx.net_spec, ctx.base_set)
     return PhaseResult(
@@ -484,7 +577,7 @@ def run_phase_boundary_distill(
             state = consolidate(state, student, alpha, epoch=epoch)
 
     outgoing = student if mode == "off" else state.teacher
-    return _phase_result(ctx, start, outgoing, student, tuple(history), state.history)
+    return _phase_result(ctx, where, start, outgoing, student, tuple(history), state.history)
 
 
 def run_phase_fine_tune(
@@ -501,6 +594,7 @@ def run_phase_fine_tune(
     if resolved < 0:
         raise ValueError(f"epochs must be >= 0, got {resolved}")
     params = np.array(model_prev, dtype=np.float64, copy=True)
+    where = f"fine_tune, phase {ctx.phase_index}"
     params, history = _sgd_one_hot(
         params,
         phase_data,
@@ -509,9 +603,9 @@ def run_phase_fine_tune(
         resolved,
         config.batch_size,
         rng_for(ctx.seed, "shuffle"),
-        f"fine_tune, phase {ctx.phase_index}",
+        where,
     )
-    return _phase_result(ctx, start, params, params, history, ())
+    return _phase_result(ctx, where, start, params, params, history, ())
 
 
 def run_phase_vanilla_distill(
@@ -580,7 +674,7 @@ def run_phase_vanilla_distill(
             batch_losses.append(losses.mean())
         history.append(_epoch_loss(batch_losses, where, epoch))
 
-    return _phase_result(ctx, start, student, student, tuple(history), ())
+    return _phase_result(ctx, where, start, student, student, tuple(history), ())
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
@@ -606,11 +700,43 @@ def run_phase_full_data(
     train_base; with the base pool alone it reproduces the base model.
     """
     start = time.perf_counter()
+    where = f"full_data, phase {ctx.phase_index}"
     params, history = _fit_from_scratch(
-        accumulated, ctx.net_spec, config, config.epochs_per_phase,
-        f"full_data, phase {ctx.phase_index}",
+        accumulated, ctx.net_spec, config, config.epochs_per_phase, where
     )
-    return _phase_result(ctx, start, params, params, history, ())
+    return _phase_result(ctx, where, start, params, params, history, ())
+
+
+def _run_full_data_stack(setup: SeedSetup, config: RunConfig, results: list[PhaseResult]) -> None:
+    """Every full_data phase of a seed as one stack: the model of phase t is
+    run_phase_full_data on the base split plus phases 1..t, a prefix of
+    their concatenation, and all of them start from the same init and
+    shuffle streams, so they train in lockstep (see _sgd_one_hot_stack).
+
+    Appends the phase results in phase order, each timed from the start of
+    the stack. A failed phase raises its error after the phases before it
+    are appended; later phases are dropped.
+    """
+    bench = setup.bench
+    if not bench.num_phases:
+        return
+    start = time.perf_counter()
+    phases = range(bench.num_phases, 0, -1)  # largest row count first
+    sizes = tuple(len(bench.base) + sum(len(p) for p in bench.phases[:t]) for t in phases)
+    init = init_network(setup.net_spec, derive_seed(config.seed, "init"))
+    models = np.tile(init, (len(sizes), 1))
+    histories, error = _sgd_one_hot_stack(
+        models, Dataset.concat([bench.base, *bench.phases]), sizes, setup.net_spec,
+        config.lr_base, config.epochs_per_phase, config.batch_size,
+        [rng_for(config.seed, "base-train", "shuffle") for _ in phases],
+        [f"full_data, phase {t}" for t in phases],
+    )
+    # the models that trained to the end are those of phases 1..len(histories)
+    for t, model, history in zip(range(1, len(histories) + 1), models[::-1], histories[::-1]):
+        results.append(_phase_result(setup.context(t), f"full_data, phase {t}", start,
+                                     model, model, history, ()))
+    if error is not None:
+        raise error
 
 
 # --- orchestration ----------------------------------------------------------
@@ -690,23 +816,24 @@ def run_phases(
     model = setup.base_model
     # phase 0 is timed from the start of base training
     start = time.perf_counter() - setup.base_seconds
-    results = [_phase_result(setup.context(0), start, model, model, (), ())]
+    results = [_phase_result(setup.context(0), "base training, phase 0", start, model, model,
+                             (), ())]
 
     try:
-        for t in range(1, bench.num_phases + 1):
-            ctx = setup.context(t)
-            phase_data = bench.phases[t - 1]
-            if config.strategy == "boundary_distill":
-                res = run_phase_boundary_distill(model, phase_data, config, ctx)
-            elif config.strategy == "fine_tune":
-                res = run_phase_fine_tune(model, phase_data, config, ctx)
-            elif config.strategy == "vanilla_distill":
-                res = run_phase_vanilla_distill(model, phase_data, config, ctx)
-            else:
-                accumulated = Dataset.concat([bench.base, *bench.phases[:t]])
-                res = run_phase_full_data(accumulated, config, ctx)
-            results.append(res)
-            model = res.model
+        if config.strategy == "full_data":
+            _run_full_data_stack(setup, config, results)
+        else:
+            for t in range(1, bench.num_phases + 1):
+                ctx = setup.context(t)
+                phase_data = bench.phases[t - 1]
+                if config.strategy == "boundary_distill":
+                    res = run_phase_boundary_distill(model, phase_data, config, ctx)
+                elif config.strategy == "fine_tune":
+                    res = run_phase_fine_tune(model, phase_data, config, ctx)
+                else:
+                    res = run_phase_vanilla_distill(model, phase_data, config, ctx)
+                results.append(res)
+                model = res.model
     except Exception:
         if out_dir is not None:
             partial = _record_from_results(results, config, partial=True)

@@ -386,14 +386,44 @@ BAD_VALUES = [
     ("synthetic.num_classes = 1", "need at least two classes"),
     ("data.source = foo", "unknown data.source 'foo'"),
     ("data.source = csv", "csv source needs both csv.train_path and csv.test_path"),
+    ("data.num_phases = -1", "data.num_phases must be >= 0"),
+    ("synthetic.test_per_class = 0", "synthetic.test_per_class must be >= 1"),
+    ("grid.resolution = 0", "grid.resolution must be >= 2"),
 ]
 
 
 @pytest.mark.parametrize(("line", "message"), BAD_VALUES,
                          ids=[line.replace(" ", "") for line, _ in BAD_VALUES])
 def test_bad_value_fails_at_load(tmp_path, capsys, line, message):
+    _assert_fails_at_load(tmp_path, capsys, TINY + line + "\n", message)
+
+
+# the same on the CSV route, whose split checks the data-free values
+BAD_CSV_VALUES = [
+    ("data.base_fraction = 1.5", "base_fraction must lie in (0, 1)"),
+    ("data.num_phases = 0", "num_phases must be >= 1"),
+    ("data.imbalance = sorted", "unknown imbalance scheme 'sorted'"),
+    ("data.dirichlet_alpha = 0", "dirichlet_alpha must be positive"),
+]
+
+
+@pytest.mark.parametrize(("line", "message"), BAD_CSV_VALUES,
+                         ids=[line.replace(" ", "") for line, _ in BAD_CSV_VALUES])
+def test_bad_csv_value_fails_at_load(tmp_path, capsys, line, message):
+    rng = np.random.default_rng(0)
+    for name, rows in (("train", 400), ("test", 40)):
+        labels = np.arange(rows) % 2
+        lines = ["x,y,label", *(f"{x!r},{y!r},{label}" for (x, y), label
+                                in zip(rng.normal(size=(rows, 2)) + labels[:, None], labels))]
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    csv_route = (f"data.source = csv\ncsv.train_path = {tmp_path / 'train.csv'}\n"
+                 f"csv.test_path = {tmp_path / 'test.csv'}\n")
+    _assert_fails_at_load(tmp_path, capsys, TINY + csv_route + line + "\n", message)
+
+
+def _assert_fails_at_load(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY + line + "\n")
+    bad.write_text(text)
     out = tmp_path / "o"
     for command in (["run", "--dry-run"], ["split", "--dry-run"], ["run"], ["split"],
                     ["sweep", "--knob", "delta"]):

@@ -6,6 +6,7 @@ import pytest
 from boundary_distill.network import (
     PROB_FLOOR,
     NetworkSpec,
+    Trainer,
     backward,
     cross_entropy_rows,
     forward,
@@ -281,3 +282,45 @@ def test_forward_bitwise_deterministic():
     a, _ = forward(params, spec, batch)
     b, _ = forward(params, spec, batch)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(("sizes", "activation"), [
+    ((2, 16, 4), "relu"),
+    ((2, 8, 8, 4), "tanh"),
+    ((32, 128, 10), "relu"),
+])
+@pytest.mark.parametrize("count", [1, 3])
+def test_stacked_trainer_equals_flat_trainers(sizes, activation, count):
+    # Each epoch: the first batch steps the whole stack, the second the
+    # first count - 1 models as a stack of their own and the last model on
+    # its flat vector, and the short last batch each model on its flat
+    # vector.
+    spec = NetworkSpec(sizes, activation)
+    rng = np.random.default_rng(3)
+    rows = 2 * 16 + 5
+    x = rng.normal(size=(count, rows, sizes[0]))
+    t = np.stack([one_hot(rng.integers(0, sizes[-1], rows), sizes[-1]) for _ in range(count)])
+    init = init_network(spec, seed=1)
+    expected = []
+    for m in range(count):
+        params = init.copy()
+        trainer = Trainer(params, spec)
+        for _ in range(3):
+            for start in range(0, rows, 16):
+                batch = x[m, start : start + 16]
+                trainer.step(batch, t[m, start : start + 16], 1.0 / len(batch), 0.3)
+        expected.append(params)
+
+    stack = np.tile(init, (count, 1))
+    stacked, head = Trainer(stack, spec), Trainer(stack[:-1], spec)
+    flat = [Trainer(params, spec) for params in stack]
+    for _ in range(3):
+        losses = stacked.step(x[:, :16], t[:, :16], 1.0 / 16, 0.3)
+        assert losses.shape == (count, 16)
+        if count > 1:
+            head.step(x[:-1, 16:32], t[:-1, 16:32], 1.0 / 16, 0.3)
+        flat[-1].step(x[-1, 16:32], t[-1, 16:32], 1.0 / 16, 0.3)
+        for m in range(count):
+            flat[m].step(x[m, 32:], t[m, 32:], 1.0 / 5, 0.3)
+    for m in range(count):
+        assert np.array_equal(stack[m], expected[m])

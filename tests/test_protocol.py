@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boundary_distill import network, protocol
 from boundary_distill.consolidation import ConsolidationSchedule
 from boundary_distill.data import (
     Dataset,
@@ -180,6 +181,9 @@ class TestSplitBenchmark:
             split_benchmark(ds, 0.5, 0, seed=0, test=test)
         with pytest.raises(ValueError, match="imbalance"):
             split_benchmark(ds, 0.5, 2, seed=0, imbalance="sorted", test=test)
+        with pytest.raises(ValueError, match="dirichlet_alpha"):
+            split_benchmark(ds, 0.5, 2, seed=0, imbalance="dirichlet", dirichlet_alpha=0.0,
+                            test=test)
         with pytest.raises(ValueError, match="test dataset"):
             split_benchmark(ds, 0.5, 2, seed=0)
         missing = Dataset(np.ones((4, 1)), np.array([0, 0, 2, 2]))
@@ -322,6 +326,28 @@ class TestVanillaDistill:
         assert statistics.median(margins) >= 0.0
 
 
+def _dirichlet_csv_bench(seed=0):
+    """A 4-class mixture in 3 features split like the CSV route, with
+    class-imbalanced phases of unequal sizes."""
+    rng = np.random.default_rng(seed)
+    means = 2.0 * rng.standard_normal((4, 3))
+
+    def mixture(rows):
+        labels = np.arange(rows) % 4
+        return Dataset(means[labels] + rng.standard_normal((rows, 3)), labels)
+
+    return split_benchmark(mixture(900), 0.5, 10, seed=seed, imbalance="dirichlet",
+                           test=mixture(200))
+
+
+def _full_data_per_phase(setup, config, phases):
+    """run_phase_full_data on the accumulated splits of phases 1..phases."""
+    bench = setup.bench
+    return [run_phase_full_data(Dataset.concat([bench.base, *bench.phases[:t]]), config,
+                                setup.context(t))
+            for t in range(1, phases + 1)]
+
+
 class TestFullData:
     def test_phase_zero_equals_train_base(self):
         bench = _blob_bench()
@@ -330,6 +356,25 @@ class TestFullData:
         base = train_base(model_space, config, epochs=10)
         res = run_phase_full_data(model_space.base, config, ctx)
         np.testing.assert_array_equal(res.model, base)
+
+    @pytest.mark.parametrize(("make_bench", "batch_size"), [
+        (lambda: _drift_bench(seed=0, phases=3), 64),
+        (_dirichlet_csv_bench, 16),
+    ], ids=["drift", "dirichlet_csv"])
+    def test_stacked_phases_equal_per_phase_runs(self, make_bench, batch_size):
+        bench = make_bench()
+        config = RunConfig(strategy="full_data", epochs_per_phase=4, batch_size=batch_size,
+                           seed=5)
+        setup = setup_seed(bench, config)
+        results, record = run_phases(setup, config, None)
+        serial = _full_data_per_phase(setup, config, bench.num_phases)
+        assert len(results) == bench.num_phases + 1
+        for stacked, alone in zip(results[1:], serial):
+            assert stacked.phase_index == alone.phase_index
+            np.testing.assert_array_equal(stacked.model, alone.model)
+            assert stacked.loss_history == alone.loss_history
+            assert (stacked.acc_test, stacked.acc_base) == (alone.acc_test, alone.acc_base)
+        assert record == protocol._record_from_results([results[0], *serial], config)
 
 
 class TestRunBenchmark:
@@ -425,6 +470,54 @@ class TestDivergence:
             else:
                 with pytest.raises(FloatingPointError, match=rf"{strategy}, phase 1, epoch \d"):
                     run_phases(setup, exploding, None)
+
+    def test_diverging_full_data_phase_fails_alone(self, tmp_path):
+        # a phase-3 row scaled to -1e200 (far across the origin, so it is
+        # misclassified) makes phases 3 and 4 diverge in epoch 2; the stacked
+        # phases 1 and 2 keep every bit of their lone runs
+        bench = _drift_bench(seed=0, phases=4)
+        third = bench.phases[2]
+        features = third.features.copy()
+        features[2] *= -1e200
+        bench = replace(bench, phases=(*bench.phases[:2], Dataset(features, third.labels),
+                                       bench.phases[3]))
+        config = RunConfig(strategy="full_data", epochs_per_phase=3, seed=0)
+        setup = setup_seed(bench, config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^full_data, phase 3, epoch 2: ") as stacked:
+                run_phases(setup, config, tmp_path)
+            with pytest.raises(FloatingPointError) as alone:
+                _full_data_per_phase(setup, config, 3)
+        assert str(stacked.value) == str(alone.value)
+        partial = read_record_csv(tmp_path / "record_full_data_partial_seed0.csv")
+        assert [p.phase for p in partial.per_phase] == [0, 1, 2]
+        for phase, res in zip(partial.per_phase[1:], _full_data_per_phase(setup, config, 2)):
+            assert (phase.acc_test, phase.acc_base) == (res.acc_test, res.acc_base)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_non_finite_outgoing_model_fails(self, strategy, monkeypatch):
+        # One epoch of one batch: its loss is taken before the only update,
+        # which the injected step makes infinite, so only the check on the
+        # outgoing parameters can see it.
+        bench = _drift_bench(seed=0)
+        config = RunConfig(strategy=strategy, epochs_per_phase=1, fine_tune_epochs=1,
+                           batch_size=10_000, sched=ConsolidationSchedule(mode="off"), seed=0)
+        setup = setup_seed(bench, config)
+        real_step = network.Trainer.step
+
+        def overflowing_step(self, *args):
+            losses = real_step(self, *args)
+            self.params[..., 0] = np.inf
+            return losses
+
+        monkeypatch.setattr(network.Trainer, "step", overflowing_step)
+        with pytest.raises(FloatingPointError,
+                           match="base training, phase 0: outgoing parameters are not finite"):
+            setup_seed(bench, config)
+        with pytest.raises(FloatingPointError,
+                           match=f"{strategy}, phase 1: outgoing parameters are not finite"):
+            run_phases(setup, config, None)
 
 
 class TestSeedSetup:
