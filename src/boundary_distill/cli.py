@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, dump_config, load_config
+from .config import ConfigError, ExperimentConfig, check_unique, dump_config, load_config
 from .data import save_csv
 from .protocol import STRATEGIES, SeedSetup, run_phase_boundary_distill, run_phases, setup_seed
 from .reporting import (
@@ -325,6 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = getattr(config, f"grid_{args.knob}")
     if not values:
         raise ConfigError("no sweep values given")
+    check_unique("--values", values)
     for value in values:  # each value must pass its knob's checks
         replace(config, **{SWEEP_KNOBS[args.knob]: value})
     workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)

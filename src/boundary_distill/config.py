@@ -31,6 +31,13 @@ class ConfigError(ValueError):
     """Config file or flag could not be parsed/validated."""
 
 
+def check_unique(name: str, values: tuple) -> None:
+    """Fail when a list value names an entry twice."""
+    repeated = sorted({str(v) for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} lists {', '.join(repeated)} more than once")
+
+
 def _items(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
@@ -152,6 +159,11 @@ class ExperimentConfig:
             raise ConfigError(f"grid.resolution must be >= 2, got {self.grid_resolution}")
         for strategy in self.strategies:  # RunConfig checks the name
             RunConfig(strategy=strategy)
+        # a repeated entry would run or write the same cell twice
+        check_unique("seeds", self.seeds)
+        check_unique("strategies", self.strategies)
+        check_unique("grid.delta", self.grid_delta)
+        check_unique("grid.lambda", self.grid_lambda)
         # RunConfig and its parts check the run knobs, NetworkSpec the model
         self.run_config(STRATEGIES[0], 0).network_spec(1, 2)
 

@@ -112,138 +112,6 @@ def closed_form_teacher(
     return total
 
 
-@dataclass(frozen=True)
-class QuadraticLoss:
-    """L(theta) = 0.5 * (theta - center)^T curvature (theta - center).
-
-    Exact value/gradient oracle for the trade-off diagnostic. curvature may
-    be a scalar, a diagonal (1-d), or a full symmetric matrix.
-    """
-
-    center: np.ndarray
-    curvature: np.ndarray
-
-    def _apply(self, delta: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.curvature, dtype=np.float64)
-        if a.ndim == 0:
-            return a * delta
-        if a.ndim == 1:
-            return a * delta
-        return a @ delta
-
-    def value(self, theta: np.ndarray) -> float:
-        delta = np.asarray(theta, dtype=np.float64) - np.asarray(self.center, dtype=np.float64)
-        return float(0.5 * delta @ self._apply(delta))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        delta = np.asarray(theta, dtype=np.float64) - np.asarray(self.center, dtype=np.float64)
-        return self._apply(delta)
-
-
-@dataclass(frozen=True)
-class TradeoffReport:
-    """Both sides of the old/new gradient decomposition at theta_t^n.
-
-    lhs is the finite-difference gradient of the composed objective in the
-    consolidated parameters; rhs_old_term and rhs_new_term are the
-    1/alpha^n- and 1/(1-alpha)-scaled loss gradients. For quadratic losses
-    lhs equals rhs_old_term + rhs_new_term up to rounding; elsewhere the
-    report is diagnostic, not an identity.
-    """
-
-    lhs: np.ndarray
-    rhs_old_term: np.ndarray
-    rhs_new_term: np.ndarray
-    alpha: float
-    steps: int
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return self.rhs_old_term + self.rhs_new_term
-
-    def to_text(self) -> str:
-        lines = [
-            f"alpha={self.alpha!r}",
-            f"steps={self.steps}",
-            f"lhs={_fmt_vector(self.lhs)}",
-            f"rhs_old_term={_fmt_vector(self.rhs_old_term)}",
-            f"rhs_new_term={_fmt_vector(self.rhs_new_term)}",
-            f"rhs={_fmt_vector(self.rhs)}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_vector(v: np.ndarray) -> str:
-    return ",".join(repr(float(x)) for x in np.atleast_1d(v))
-
-
-def gradient_tradeoff_diagnostic(
-    loss_old: QuadraticLoss,
-    loss_new: QuadraticLoss,
-    teacher0: np.ndarray,
-    student_n: np.ndarray,
-    alpha: float,
-    n: int,
-    fd_step: float = 1e-6,
-) -> TradeoffReport:
-    """Evaluate the combined-gradient decomposition at the consolidated point.
-
-    Convention: theta_t^n depends affinely on theta_t^0 with coefficient
-    alpha^n and on the final student theta_s^n with coefficient (1-alpha);
-    intermediate students are held fixed. Under that convention
-
-        d(L_old + L_new)/d theta_t^n
-            = (1/alpha^n) dL_old/d theta_t^0 + (1/(1-alpha)) dL_new/d theta_s^n.
-
-    The left side is computed by central finite differences on the composed
-    objective (an independent route); the right side from the exact loss
-    gradients. alpha = 0 makes 1/alpha^n undefined and raises; alpha = 1
-    likewise (the student coefficient vanishes).
-    """
-    if alpha == 0.0:
-        raise ValueError("alpha = 0 leaves theta_t^0 with no influence; 1/alpha^n is undefined")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    if n < 1:
-        raise ValueError(f"need at least one consolidation step, got n = {n}")
-    theta0 = np.atleast_1d(np.asarray(teacher0, dtype=np.float64))
-    student = np.atleast_1d(np.asarray(student_n, dtype=np.float64))
-    if theta0.shape != student.shape:
-        raise ValueError("teacher0 and student_n must have the same shape")
-
-    # Consolidated point with every intermediate student held at student_n.
-    state = EmaState(teacher=theta0)
-    for _ in range(n):
-        state = consolidate(state, student, alpha)
-    theta_n = state.teacher
-
-    coeff_old = alpha**n
-    coeff_new = 1.0 - alpha
-    const_old = theta_n - coeff_old * theta0
-    const_new = theta_n - coeff_new * student
-
-    def composed(theta: np.ndarray) -> float:
-        back_old = (theta - const_old) / coeff_old
-        back_new = (theta - const_new) / coeff_new
-        return loss_old.value(back_old) + loss_new.value(back_new)
-
-    lhs = np.empty_like(theta_n)
-    for i in range(theta_n.size):
-        bump = np.zeros_like(theta_n)
-        bump[i] = fd_step
-        lhs[i] = (composed(theta_n + bump) - composed(theta_n - bump)) / (2.0 * fd_step)
-
-    rhs_old = loss_old.gradient(theta0) / coeff_old
-    rhs_new = loss_new.gradient(student) / coeff_new
-    return TradeoffReport(
-        lhs=lhs,
-        rhs_old_term=np.atleast_1d(rhs_old),
-        rhs_new_term=np.atleast_1d(rhs_new),
-        alpha=alpha,
-        steps=n,
-    )
-
-
 def history_text(state: EmaState) -> str:
     """Consolidation history as key=value blocks (one per event)."""
     blocks = []

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormStats
-from .network import (
-    NetworkSpec,
-    Trainer,
-    forward,
-    one_hot,
-    softmax,
-    validate_distribution,
-)
+from .network import NetworkSpec, Trainer, forward, one_hot, softmax
 
 FUSE_VARIANTS = ("literal", "tempered_softmax")
 TARGET_RULES = ("one_hot", "teacher", "fused")
@@ -112,39 +105,17 @@ class DistillLossTerms:
         return cls(learn_term=float(losses[:n].mean()), distill_term=distill, weight=weight)
 
 
-def fuse_labels(label_dist: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
-    """Fuse one one-hot label with one teacher prediction."""
-    y = np.asarray(label_dist, dtype=np.float64)
-    p = np.asarray(teacher_probs, dtype=np.float64)
-    if y.shape != p.shape or y.ndim != 1:
-        raise ValueError(f"expected matching 1-d vectors, got {y.shape} vs {p.shape}")
-    _validate_one_hot(y)
-    validate_distribution(p, name="teacher prediction")
-    return _fuse_rows(y[None, :], p[None, :], config)[0]
-
-
 def fuse_labels_batch(labels_one_hot: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
-    """Row-wise label fusion for a batch."""
+    """Row-wise fusion of one-hot labels with teacher predictions."""
     y = np.asarray(labels_one_hot, dtype=np.float64)
     p = np.asarray(teacher_probs, dtype=np.float64)
     if y.shape != p.shape or y.ndim != 2:
         raise ValueError(f"expected matching 2-d arrays, got {y.shape} vs {p.shape}")
-    return _fuse_rows(y, p, config)
-
-
-def _fuse_rows(y: np.ndarray, p: np.ndarray, config: FuseConfig) -> np.ndarray:
     merged = y + p
     if config.variant == "literal":
         # Both addends are distributions, so each row of `merged` sums to 2.
         return merged / merged.sum(axis=1, keepdims=True)
     return softmax(merged / config.tau)
-
-
-def _validate_one_hot(y: np.ndarray) -> None:
-    ones = y == 1.0
-    zeros = y == 0.0
-    if not (ones | zeros).all() or ones.sum() != 1:
-        raise ValueError(f"label distribution must be one-hot, got {y!r}")
 
 
 def perturb_inputs(
@@ -184,23 +155,10 @@ def perturb_inputs(
     return normalized + rng.normal(noise.mu, noise.delta, size=x.shape)
 
 
-def classify_inner_outer(teacher_probs: np.ndarray, label_one_hot: np.ndarray) -> str:
-    """"inner" when the teacher's argmax matches the label, else "outer".
-
-    Ties resolve to the lowest class index (numpy argmax convention).
-    Diagnostic only; the default loss fuses labels for every sample.
-    """
-    p = np.asarray(teacher_probs, dtype=np.float64)
-    y = np.asarray(label_one_hot, dtype=np.float64)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ValueError(f"expected matching 1-d vectors, got {p.shape} vs {y.shape}")
-    _validate_one_hot(y)
-    validate_distribution(p, name="teacher prediction")
-    return "inner" if int(np.argmax(p)) == int(np.argmax(y)) else "outer"
-
-
 def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows where the teacher already predicts the label."""
+    """Boolean mask of rows where the teacher already predicts the label
+    (inner rows); the rest are outer. Ties in the teacher's prediction
+    resolve to the lowest class index (numpy argmax convention)."""
     return np.argmax(teacher_probs, axis=1) == np.asarray(labels)
 
 

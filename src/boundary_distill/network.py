@@ -3,8 +3,7 @@
 All parameters live in one flat float64 vector with a fixed layout
 (per layer: weight matrix in row-major order, then biases). The flat
 layout is what lets teacher and student models be blended elementwise
-during consolidation. Forward/backward are plain numpy; the backward
-pass is validated against central finite differences in the test suite.
+during consolidation.
 
 Training goes through `Trainer`: per-layer views on the parameter vector
 and on a gradient buffer are made once, the loss is the exact
@@ -13,7 +12,9 @@ taken in logit space (p - t per row, exact for every target row that is
 a distribution, however small p is), and the update is applied in place.
 A Trainer also takes a stack of vectors (M, P), one model per row; the
 same forward and backward code then runs on (M, B, d) batches, and each
-model gets the bits it would get alone.
+model gets the bits it would get alone. `forward` gives the class
+probabilities that evaluation and the teacher use; `backward` and
+`cross_entropy_rows` are the standalone forms of the gradient and loss.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The probability-space helpers (soft_cross_entropy, cross_entropy_rows)
-# clip probabilities to this floor inside logs. Training takes log-softmax
-# below it instead, and clips no gradient.
+# cross_entropy_rows clips probabilities to this floor inside logs.
+# Training takes log-softmax below it instead, and clips no gradient.
 PROB_FLOOR = 1e-12
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -205,15 +205,6 @@ def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[n
     return probs, cache
 
 
-def soft_cross_entropy(target: np.ndarray, predicted: np.ndarray) -> float:
-    """-sum_k target_k * log(predicted_k) for one distribution pair."""
-    t = np.asarray(target, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ValueError(f"expected matching 1-d distributions, got {t.shape} vs {p.shape}")
-    return float(-(t * np.log(np.clip(p, PROB_FLOOR, 1.0))).sum())
-
-
 def cross_entropy_rows(targets: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Per-row soft cross-entropy for batched distributions."""
     t = np.asarray(targets, dtype=np.float64)
@@ -333,9 +324,6 @@ def sgd_step(params: np.ndarray, gradient: np.ndarray, lr: float) -> np.ndarray:
     return params
 
 
-# --- label-distribution helpers -------------------------------------------
-
-
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """One-hot rows for integer class labels."""
     labels = np.asarray(labels)
@@ -349,18 +337,3 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.size, num_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
-
-
-def is_distribution(vec: np.ndarray, atol: float = 1e-9) -> bool:
-    """True when entries lie in [0, 1] and sum to 1 within atol."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        return False
-    return bool(
-        (v >= -atol).all() and (v <= 1.0 + atol).all() and abs(v.sum() - 1.0) <= atol
-    )
-
-
-def validate_distribution(vec: np.ndarray, atol: float = 1e-9, name: str = "distribution") -> None:
-    if not is_distribution(vec, atol=atol):
-        raise ValueError(f"{name} is not a probability vector within {atol}: {vec!r}")

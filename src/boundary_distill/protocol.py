@@ -316,12 +316,11 @@ def drift_benchmark(spec: SyntheticSpec, num_phases: int, test_per_class: int = 
     )
 
 
-def standardized_benchmark(bench: IILBenchmark) -> tuple[IILBenchmark, NormStats]:
+def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
     """Benchmark with every split standardized by base-split statistics.
 
-    Models always consume this space; the returned stats describe the raw
-    -> model-space map (frozen from the base split, per the normalization
-    contract).
+    Models always consume this space. The raw -> model-space map is frozen
+    from the base split, per the normalization contract.
     """
     stats = compute_norm_stats(bench.base)
 
@@ -335,7 +334,7 @@ def standardized_benchmark(bench: IILBenchmark) -> tuple[IILBenchmark, NormStats
         num_classes=bench.num_classes,
         max_phase_fraction=bench.max_phase_fraction,
     )
-    return transformed, stats
+    return transformed
 
 
 # --- training loops ---------------------------------------------------------
@@ -781,7 +780,7 @@ class SeedSetup:
 def setup_seed(bench: IILBenchmark, config: RunConfig) -> SeedSetup:
     """Standardize the benchmark once (base-split statistics) and train the
     base model for config.seed."""
-    model_space, _ = standardized_benchmark(bench)
+    model_space = standardized_benchmark(bench)
     start = time.perf_counter()
     base_model = train_base(model_space, config)
     base_seconds = time.perf_counter() - start

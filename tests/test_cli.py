@@ -389,6 +389,10 @@ BAD_VALUES = [
     ("data.num_phases = -1", "data.num_phases must be >= 0"),
     ("synthetic.test_per_class = 0", "synthetic.test_per_class must be >= 1"),
     ("grid.resolution = 0", "grid.resolution must be >= 2"),
+    ("seeds = 0,1,0", "seeds lists 0 more than once"),
+    ("strategies = fine_tune,fine_tune", "strategies lists fine_tune more than once"),
+    ("grid.delta = 1,1,2", "grid.delta lists 1.0 more than once"),
+    ("grid.lambda = 0.5,2,0.5", "grid.lambda lists 0.5 more than once"),
 ]
 
 
@@ -435,11 +439,28 @@ def _assert_fails_at_load(tmp_path, capsys, text, message):
 
 def test_bad_sweep_value_fails_at_load(tiny_config, tmp_path, capsys):
     out = tmp_path / "o"
-    rc = cli.main(["sweep", "--config", str(tiny_config), "--knob", "delta", "--values", "0",
-                   "--out", str(out)])
-    assert rc == 2
-    assert "delta must be positive" in capsys.readouterr().err
+    for values, message in (("0", "delta must be positive"),
+                            ("1,1,2", "--values lists 1.0 more than once")):
+        rc = cli.main(["sweep", "--config", str(tiny_config), "--knob", "delta",
+                       "--values", values, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repeated_seed_flag_fails_at_load(tiny_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    for command in ("run", "sweep --knob delta", "split"):
+        rc = cli.main([*command.split(), "--config", str(tiny_config), "--seed", "0",
+                       "--seed", "0", "--out", str(out)])
+        assert rc == 2, command
+        assert "seeds lists 0 more than once" in capsys.readouterr().err, command
+    assert not out.exists()
+    # repeated --strategy flags still merge: 'all' already names fine_tune
+    rc = cli.main(["run", "--config", str(tiny_config), "--strategy", "all",
+                   "--strategy", "fine_tune", "--out", str(out), "--dry-run"])
+    assert rc == 0
+    assert "# plan: 4 run(s)" in capsys.readouterr().out
 
 
 def test_missing_config_file_exits_two(tmp_path):

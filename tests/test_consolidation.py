@@ -1,4 +1,4 @@
-"""Scheduled EMA consolidation and the gradient trade-off diagnostic."""
+"""Scheduled EMA consolidation."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from boundary_distill.consolidation import (
     ConsolidationSchedule,
     EmaState,
-    QuadraticLoss,
     adaptive_momentum,
     closed_form_teacher,
     consolidate,
-    gradient_tradeoff_diagnostic,
     history_text,
     should_consolidate,
     with_mode,
@@ -116,103 +114,3 @@ def test_history_records_epoch_and_alpha():
     assert "epoch=15" in text
     assert "alpha=0.25" in text
     assert "n=2" in text
-
-
-def test_quadratic_loss_forms_agree():
-    rng = np.random.default_rng(3)
-    center = rng.normal(size=4)
-    theta = rng.normal(size=4)
-    scalar = QuadraticLoss(center=center, curvature=np.asarray(2.0))
-    diag = QuadraticLoss(center=center, curvature=np.full(4, 2.0))
-    matrix = QuadraticLoss(center=center, curvature=np.eye(4) * 2.0)
-    assert scalar.value(theta) == pytest.approx(diag.value(theta), abs=1e-12)
-    assert scalar.value(theta) == pytest.approx(matrix.value(theta), abs=1e-12)
-    np.testing.assert_allclose(scalar.gradient(theta), matrix.gradient(theta), atol=1e-12)
-    # Gradient vs central differences on a non-trivial symmetric curvature.
-    m = rng.normal(size=(4, 4))
-    loss = QuadraticLoss(center=center, curvature=m @ m.T)
-    grad = loss.gradient(theta)
-    h = 1e-6
-    for i in range(4):
-        bump = np.zeros(4)
-        bump[i] = h
-        fd = (loss.value(theta + bump) - loss.value(theta - bump)) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_tradeoff_diagnostic_1d_frozen_case():
-    loss_old = QuadraticLoss(center=np.array([1.0]), curvature=np.asarray(2.0))
-    loss_new = QuadraticLoss(center=np.array([-2.0]), curvature=np.asarray(3.0))
-    report = gradient_tradeoff_diagnostic(
-        loss_old, loss_new, teacher0=np.array([0.3]), student_n=np.array([0.8]),
-        alpha=0.5, n=3,
-    )
-    # Hand-computed: 2*(0.3-1)/0.5^3 = -11.2 and 3*(0.8+2)/0.5 = 16.8.
-    assert report.rhs_old_term[0] == pytest.approx(-11.2, abs=1e-12)
-    assert report.rhs_new_term[0] == pytest.approx(16.8, abs=1e-12)
-    assert np.abs(report.lhs - report.rhs).max() < 1e-9
-    assert report.steps == 3
-    text = report.to_text()
-    assert "alpha=0.5" in text
-    assert "rhs_old_term=" in text
-
-
-def test_tradeoff_diagnostic_multidim_agreement():
-    rng = np.random.default_rng(11)
-    dim = 5
-    m1 = rng.normal(size=(dim, dim))
-    m2 = rng.normal(size=(dim, dim))
-    loss_old = QuadraticLoss(center=rng.normal(size=dim), curvature=m1 @ m1.T + np.eye(dim))
-    loss_new = QuadraticLoss(center=rng.normal(size=dim), curvature=m2 @ m2.T + np.eye(dim))
-    report = gradient_tradeoff_diagnostic(
-        loss_old, loss_new, teacher0=rng.normal(size=dim), student_n=rng.normal(size=dim),
-        alpha=0.7, n=4,
-    )
-    assert np.abs(report.lhs - report.rhs).max() < 1e-6
-
-
-def test_tradeoff_diagnostic_zero_at_minima():
-    # When both losses are minimized at their own evaluation points the
-    # decomposition vanishes on both routes.
-    theta0 = np.array([0.4, -1.2])
-    student = np.array([2.0, 0.5])
-    loss_old = QuadraticLoss(center=theta0, curvature=np.asarray(2.0))
-    loss_new = QuadraticLoss(center=student, curvature=np.asarray(5.0))
-    report = gradient_tradeoff_diagnostic(
-        loss_old, loss_new, teacher0=theta0, student_n=student, alpha=0.5, n=2
-    )
-    assert np.abs(report.rhs).max() == 0.0
-    assert np.abs(report.lhs).max() < 1e-8
-
-
-def test_tradeoff_diagnostic_rejects_degenerate_alpha():
-    loss = QuadraticLoss(center=np.array([0.0]), curvature=np.asarray(1.0))
-    with pytest.raises(ValueError, match="alpha = 0"):
-        gradient_tradeoff_diagnostic(
-            loss, loss, np.array([0.0]), np.array([1.0]), alpha=0.0, n=1
-        )
-    for bad in (1.0, 1.3, -0.2):
-        with pytest.raises(ValueError):
-            gradient_tradeoff_diagnostic(
-                loss, loss, np.array([0.0]), np.array([1.0]), alpha=bad, n=1
-            )
-    with pytest.raises(ValueError):
-        gradient_tradeoff_diagnostic(
-            loss, loss, np.array([0.0]), np.array([1.0]), alpha=0.5, n=0
-        )
-
-
-def test_tradeoff_new_term_grows_as_alpha_approaches_one():
-    loss_old = QuadraticLoss(center=np.array([1.0]), curvature=np.asarray(1.0))
-    loss_new = QuadraticLoss(center=np.array([-1.0]), curvature=np.asarray(1.0))
-    theta0 = np.array([0.0])
-    student = np.array([0.5])
-    mags = []
-    for alpha in (0.9, 0.99, 0.999):
-        report = gradient_tradeoff_diagnostic(
-            loss_old, loss_new, theta0, student, alpha=alpha, n=1
-        )
-        mags.append(abs(report.rhs_new_term[0]))
-    assert mags[0] < mags[1] < mags[2]
-    # The scaling is exactly 1/(1-alpha).
-    assert mags[1] / mags[0] == pytest.approx(10.0, rel=1e-9)

@@ -9,9 +9,7 @@ from boundary_distill.distill import (
     FuseConfig,
     LabelAssignment,
     NoiseSpec,
-    classify_inner_outer,
     distillation_loss,
-    fuse_labels,
     fuse_labels_batch,
     inner_mask,
     perturb_inputs,
@@ -27,26 +25,31 @@ from boundary_distill.network import (
 LITERAL = FuseConfig()
 
 
+def fuse_one(y, p, config):
+    """Fuse one label with one teacher prediction, as a one-row batch."""
+    return fuse_labels_batch(np.array([y]), np.array([p]), config)[0]
+
+
 def test_fuse_literal_frozen_examples():
-    got = fuse_labels(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]), LITERAL)
+    got = fuse_one(np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.3, 0.2]), LITERAL)
     np.testing.assert_allclose(got, [0.75, 0.15, 0.10], atol=1e-15)
-    got = fuse_labels(np.array([1.0, 0.0]), np.array([0.5, 0.5]), LITERAL)
+    got = fuse_one(np.array([1.0, 0.0]), np.array([0.5, 0.5]), LITERAL)
     np.testing.assert_allclose(got, [0.75, 0.25], atol=1e-15)
 
 
 def test_fuse_literal_tau_cancels():
     y = np.array([0.0, 1.0, 0.0])
     p = np.array([0.2, 0.5, 0.3])
-    base = fuse_labels(y, p, FuseConfig(tau=1.0))
+    base = fuse_one(y, p, FuseConfig(tau=1.0))
     for tau in (0.1, 2.0, 17.0):
-        np.testing.assert_array_equal(fuse_labels(y, p, FuseConfig(tau=tau)), base)
+        np.testing.assert_array_equal(fuse_one(y, p, FuseConfig(tau=tau)), base)
 
 
 def test_fuse_tempered_softmax_depends_on_tau():
     y = np.array([1.0, 0.0, 0.0])
     p = np.array([0.5, 0.3, 0.2])
-    cold = fuse_labels(y, p, FuseConfig(tau=0.5, variant="tempered_softmax"))
-    hot = fuse_labels(y, p, FuseConfig(tau=50.0, variant="tempered_softmax"))
+    cold = fuse_one(y, p, FuseConfig(tau=0.5, variant="tempered_softmax"))
+    hot = fuse_one(y, p, FuseConfig(tau=50.0, variant="tempered_softmax"))
     assert not np.allclose(cold, hot)
     # Large tau flattens toward uniform.
     np.testing.assert_allclose(hot, 1.0 / 3.0, atol=0.01)
@@ -64,7 +67,7 @@ def test_fuse_invariants_bulk():
         y = np.zeros(k)
         y[label] = 1.0
         p = rng.dirichlet(np.ones(k))
-        fused = fuse_labels(y, p, LITERAL)
+        fused = fuse_one(y, p, LITERAL)
 
         assert abs(fused.sum() - 1.0) < 1e-9
         assert np.all(fused >= -1e-9)
@@ -81,9 +84,9 @@ def test_fuse_invariants_bulk():
 
 def test_fuse_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        fuse_labels(np.array([0.5, 0.5]), np.array([0.5, 0.5]), LITERAL)
+        fuse_labels_batch(np.array([1.0, 0.0]), np.array([0.5, 0.5]), LITERAL)
     with pytest.raises(ValueError):
-        fuse_labels(np.array([1.0, 0.0]), np.array([0.8, 0.8]), LITERAL)
+        fuse_labels_batch(np.eye(2), np.full((2, 3), 1.0 / 3.0), LITERAL)
     with pytest.raises(ValueError):
         FuseConfig(tau=0.0)
     with pytest.raises(ValueError):
@@ -97,7 +100,8 @@ def test_fuse_batch_matches_rowwise():
     p = rng.dirichlet(np.ones(4), size=8)
     batch = fuse_labels_batch(y, p, LITERAL)
     for i in range(8):
-        np.testing.assert_allclose(batch[i], fuse_labels(y[i], p[i], LITERAL), atol=1e-12)
+        np.testing.assert_array_equal(batch[i], fuse_one(y[i], p[i], LITERAL))
+    np.testing.assert_allclose(batch, (y + p) / 2.0, atol=1e-15)
 
 
 def _stats(dim):
@@ -138,10 +142,10 @@ def test_perturb_zero_std_warns_and_substitutes():
 
 
 def test_classify_inner_outer():
-    assert classify_inner_outer(np.array([0.7, 0.2, 0.1]), np.array([1.0, 0.0, 0.0])) == "inner"
-    assert classify_inner_outer(np.array([0.1, 0.2, 0.7]), np.array([1.0, 0.0, 0.0])) == "outer"
+    teacher = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+    np.testing.assert_array_equal(inner_mask(teacher, np.array([0, 0])), [True, False])
     # Tie resolves to the lowest index, which is not the labeled class 1.
-    assert classify_inner_outer(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == "outer"
+    np.testing.assert_array_equal(inner_mask(np.array([[0.5, 0.5]]), np.array([1])), [False])
     mask = inner_mask(np.array([[0.7, 0.3], [0.3, 0.7]]), np.array([0, 0]))
     np.testing.assert_array_equal(mask, [True, False])
 

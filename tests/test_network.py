@@ -11,14 +11,11 @@ from boundary_distill.network import (
     cross_entropy_rows,
     forward,
     init_network,
-    is_distribution,
     loss_and_grad,
     one_hot,
     sgd_step,
-    soft_cross_entropy,
     softmax,
     unpack_params,
-    validate_distribution,
 )
 
 
@@ -83,7 +80,7 @@ def test_forward_row_independence_and_promotion():
         row_probs, _ = forward(params, spec, batch[i])
         # Not bitwise: BLAS picks different kernels for 1-row matmuls.
         np.testing.assert_allclose(row_probs[0], probs[i], rtol=1e-12, atol=0)
-    assert is_distribution(probs[0])
+    assert probs[0].sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         forward(params, spec, np.zeros((2, 4)))
 
@@ -98,24 +95,29 @@ def test_forward_finite_for_large_inputs():
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def _ce(target, predicted):
+    """Soft cross-entropy of one distribution pair, as a one-row batch."""
+    return float(cross_entropy_rows(np.array([target]), np.array([predicted]))[0])
+
+
 def test_soft_cross_entropy_frozen_values():
     # One-hot target against p_target=0.75 is exactly -ln(0.75).
-    got = soft_cross_entropy(np.array([1.0, 0.0, 0.0]), np.array([0.75, 0.15, 0.10]))
+    got = _ce([1.0, 0.0, 0.0], [0.75, 0.15, 0.10])
     assert got == pytest.approx(0.2876820724517809, abs=1e-15)
     # Uniform two-class prediction against a one-hot target: ln 2.
-    got = soft_cross_entropy(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    got = _ce([1.0, 0.0], [0.5, 0.5])
     assert got == pytest.approx(0.6931471805599453, abs=1e-15)
     # Self-CE equals the entropy of the distribution.
-    q = np.array([0.3, 0.7])
-    assert soft_cross_entropy(q, q) == pytest.approx(0.6108643020548935, abs=1e-15)
+    q = [0.3, 0.7]
+    assert _ce(q, q) == pytest.approx(0.6108643020548935, abs=1e-15)
 
 
 def test_soft_cross_entropy_clamps_zero_probs():
-    val = soft_cross_entropy(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    val = _ce([1.0, 0.0], [0.0, 1.0])
     assert np.isfinite(val)
     assert val == pytest.approx(-np.log(PROB_FLOOR), abs=1e-9)
     with pytest.raises(ValueError):
-        soft_cross_entropy(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
+        _ce([1.0, 0.0], [0.5, 0.25, 0.25])
 
 
 def test_cross_entropy_rows_matches_scalar():
@@ -124,7 +126,8 @@ def test_cross_entropy_rows_matches_scalar():
     p = rng.dirichlet(np.ones(4), size=6)
     rows = cross_entropy_rows(t, p)
     for i in range(6):
-        assert rows[i] == pytest.approx(soft_cross_entropy(t[i], p[i]), abs=1e-12)
+        assert rows[i] == pytest.approx(-(t[i] * np.log(p[i])).sum(), abs=1e-12)
+        assert rows[i] == _ce(t[i], p[i])
 
 
 def _fd_gradient(params, spec, batch, targets, h=1e-5):
@@ -267,12 +270,12 @@ def test_one_hot_and_validation():
     np.testing.assert_array_equal(
         oh, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
     )
-    validate_distribution(np.array([0.25, 0.75]))
     with pytest.raises(ValueError):
-        validate_distribution(np.array([0.5, 0.6]))
+        one_hot(np.array([0, 3]), 3)
     with pytest.raises(ValueError):
-        validate_distribution(np.array([1.1, -0.1]))
-    assert not is_distribution(np.array([0.5, 0.4]))
+        one_hot(np.array([-1, 0]), 3)
+    with pytest.raises(ValueError):
+        one_hot(np.array([[0, 1]]), 3)
 
 
 def test_forward_bitwise_deterministic():

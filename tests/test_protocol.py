@@ -75,10 +75,11 @@ def _drift_bench(seed=0, phases=2):
 
 
 def _ctx(bench, config, phase_index):
-    model_space, stats = standardized_benchmark(bench)
+    """Standardized benchmark and phase context, built as setup_seed builds them."""
+    model_space = standardized_benchmark(bench)
     return model_space, PhaseContext(
         net_spec=config.network_spec(model_space.base.dim, model_space.num_classes),
-        norm_stats=stats,
+        norm_stats=compute_norm_stats(model_space.base),
         test_set=model_space.test,
         base_set=model_space.base,
         phase_index=phase_index,
@@ -231,7 +232,7 @@ class TestTrainBase:
     def test_separable_blobs_learned(self):
         accs = []
         for seed in range(5):
-            bench, _ = standardized_benchmark(_blob_bench(seed=seed))
+            bench = standardized_benchmark(_blob_bench(seed=seed))
             config = RunConfig(strategy="fine_tune", seed=seed)
             model = train_base(bench, config)
             spec = config.network_spec(2, 2)
@@ -241,14 +242,14 @@ class TestTrainBase:
         assert statistics.median(accs) > 0.95
 
     def test_zero_epochs_returns_init(self):
-        bench, _ = standardized_benchmark(_blob_bench())
+        bench = standardized_benchmark(_blob_bench())
         config = RunConfig(seed=5)
         model = train_base(bench, config, epochs=0)
         expected = init_network(config.network_spec(2, 2), derive_seed(5, "init"))
         np.testing.assert_array_equal(model, expected)
 
     def test_deterministic(self):
-        bench, _ = standardized_benchmark(_blob_bench())
+        bench = standardized_benchmark(_blob_bench())
         config = RunConfig(seed=1, epochs_per_phase=5)
         np.testing.assert_array_equal(train_base(bench, config), train_base(bench, config))
 
@@ -568,18 +569,17 @@ class TestSeedSetup:
 class TestStandardizedBenchmark:
     def test_base_split_is_centered(self):
         bench = _drift_bench(seed=0)
-        model_space, stats = standardized_benchmark(bench)
+        model_space = standardized_benchmark(bench)
         np.testing.assert_allclose(model_space.base.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(model_space.base.features.std(axis=0), 1.0, atol=1e-12)
-        raw_stats = compute_norm_stats(bench.base)
-        np.testing.assert_array_equal(stats.mean, raw_stats.mean)
-        np.testing.assert_array_equal(stats.std, raw_stats.std)
 
     def test_all_splits_share_base_stats(self):
         bench = _drift_bench(seed=1)
-        model_space, stats = standardized_benchmark(bench)
+        model_space = standardized_benchmark(bench)
+        stats = compute_norm_stats(bench.base)
         for raw, cooked in zip(
-            [bench.test, *bench.phases], [model_space.test, *model_space.phases]
+            [bench.base, bench.test, *bench.phases],
+            [model_space.base, model_space.test, *model_space.phases],
         ):
             np.testing.assert_array_equal(cooked.features, standardize(raw.features, stats))
             np.testing.assert_array_equal(cooked.labels, raw.labels)
