@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, check_unique, dump_config, load_config
-from .data import save_csv
-from .protocol import STRATEGIES, SeedSetup, run_phase_boundary_distill, run_phases, setup_seed
+from .data import save_csv, write_atomic
+from .protocol import STRATEGIES, SeedSetup, _boundary_distill_stack, run_phases, setup_seed
 from .reporting import (
     export_boundary_grid,
     export_report,
@@ -165,7 +165,7 @@ def _run_cell(config: ExperimentConfig, seed: int, out_str: str) -> list[dict]:
 
 
 def _run_cell_failed(exc: Exception, config: ExperimentConfig, seed: int, _out: str) -> list[dict]:
-    """Outcomes of a run cell that failed as a whole; call inside the handler."""
+    """Outcomes of a run cell that failed as a whole."""
     return [_failure(exc, strategy=s, seed=seed) for s in config.strategies]
 
 
@@ -202,9 +202,9 @@ def _run_strategy(config: ExperimentConfig, setup: SeedSetup, strategy: str, out
 
 
 def _failure(exc: Exception, **cell) -> dict:
-    """Outcome of a failed (strategy or value, seed); call inside the handler."""
+    """Outcome of a failed (strategy or value, seed)."""
     return {**cell, "status": "failed", "error": f"{type(exc).__name__}: {exc}",
-            "trace": traceback.format_exc()}
+            "trace": "".join(traceback.format_exception(exc))}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -220,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(dump_config(config))
+    write_atomic(out / "config.resolved", dump_config(config))
 
     # with no strategies there is nothing to set a seed up for
     argtuples = [(config, seed, str(out)) for seed in config.seeds if config.strategies]
@@ -285,34 +285,47 @@ def _sweep_cell(
     config: ExperimentConfig, knob: str, values: tuple[float, ...], seed: int
 ) -> list[dict]:
     """Phase-1-only sensitivity runs of every value on one seed, all from
-    one shared setup. Returns one outcome per value."""
+    one shared setup: the values with distill weight > 0 train as one
+    stack, any weight-0 values as another. Returns one outcome per value,
+    in value order; a failing value fails only its own (value, seed)."""
     try:
         bench = config.build_benchmark(seed)
         setup = setup_seed(bench, config.run_config("boundary_distill", seed))
         ctx = setup.context(1)
     except Exception as exc:  # noqa: BLE001
         return _sweep_cell_failed(exc, config, knob, values, seed)
-    outcomes = []
+    outcomes = {}
+    stacks = {True: {}, False: {}}  # weight > 0 -> {value: its run config}
     for value in values:
         try:
             swept = replace(config, **{SWEEP_KNOBS[knob]: value})
             run_cfg = swept.run_config("boundary_distill", seed)
-            res = run_phase_boundary_distill(setup.base_model, setup.bench.phases[0], run_cfg, ctx)
-            outcomes.append({
-                "status": "ok",
-                "knob": knob,
-                "value": value,
-                "seed": seed,
-                "acc_student": res.student_acc_test,
-                "acc_teacher": res.acc_test,
-            })
+            stacks[run_cfg.distill_weight > 0][value] = run_cfg
         except Exception as exc:  # noqa: BLE001
-            outcomes.append(_failure(exc, knob=knob, value=value, seed=seed))
-    return outcomes
+            outcomes[value] = _failure(exc, knob=knob, value=value, seed=seed)
+    for stack in stacks.values():
+        try:
+            results = _boundary_distill_stack(setup.base_model, setup.bench.phases[0],
+                                              list(stack.values()), ctx) if stack else []
+        except Exception as exc:  # noqa: BLE001
+            results = [exc] * len(stack)
+        for value, res in zip(stack, results):
+            if isinstance(res, Exception):
+                outcomes[value] = _failure(res, knob=knob, value=value, seed=seed)
+            else:
+                outcomes[value] = {
+                    "status": "ok",
+                    "knob": knob,
+                    "value": value,
+                    "seed": seed,
+                    "acc_student": res.student_acc_test,
+                    "acc_teacher": res.acc_test,
+                }
+    return [outcomes[value] for value in values]
 
 
 def _sweep_cell_failed(exc: Exception, _config, knob: str, values: tuple, seed: int) -> list[dict]:
-    """Outcomes of a sweep cell that failed as a whole; call inside the handler."""
+    """Outcomes of a sweep cell that failed as a whole."""
     return [_failure(exc, knob=knob, value=value, seed=seed) for value in values]
 
 
@@ -350,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append(
             f"{o['knob']},{o['value']!r},{o['seed']},{o['acc_student']!r},{o['acc_teacher']!r}"
         )
-    detail_path.write_text("\n".join(lines) + "\n")
+    write_atomic(detail_path, "\n".join(lines) + "\n")
 
     summary_path = out / f"sweep_{args.knob}_summary.csv"
     lines = ["knob,value,n_seeds,acc_student_median,acc_teacher_median,acc_student_median_pct"]
@@ -361,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         med_s = float(np.median([o["acc_student"] for o in group]))
         med_t = float(np.median([o["acc_teacher"] for o in group]))
         lines.append(f"{args.knob},{value!r},{len(group)},{med_s!r},{med_t!r},{100 * med_s:.2f}")
-    summary_path.write_text("\n".join(lines) + "\n")
+    write_atomic(summary_path, "\n".join(lines) + "\n")
 
     print(f"wrote {detail_path} and {summary_path}")
     return 0 if not failed else 1

@@ -15,7 +15,15 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import CsvSchema, DriftSpec, SyntheticSpec, elongated_cov, load_csv, ring_means
+from .data import (
+    CsvSchema,
+    DriftSpec,
+    SyntheticSpec,
+    check_feature_cols,
+    elongated_cov,
+    load_csv,
+    ring_means,
+)
 from .protocol import (
     STRATEGIES,
     IILBenchmark,
@@ -155,6 +163,7 @@ class ExperimentConfig:
             raise ConfigError("csv source needs both csv.train_path and csv.test_path")
         else:
             check_split(self.base_fraction, self.num_phases, self.imbalance, self.dirichlet_alpha)
+            check_feature_cols(self.csv_feature_cols, self.csv_label_col, "csv.feature_cols: ")
         if self.grid_resolution < 2:
             raise ConfigError(f"grid.resolution must be >= 2, got {self.grid_resolution}")
         for strategy in self.strategies:  # RunConfig checks the name

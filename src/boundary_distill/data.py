@@ -9,9 +9,12 @@ samples the base decision boundary has never seen.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -298,6 +301,17 @@ class CsvSchema:
     label_col: str = "label"
 
 
+def check_feature_cols(feature_cols: tuple[str, ...], label_col: str, where: str) -> None:
+    """Feature columns must be distinct and must not include the label
+    column, which would leak the label into the features; `where` prefixes
+    the error."""
+    repeated = sorted({c for c in feature_cols if feature_cols.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{where}feature columns list {', '.join(repeated)} more than once")
+    if label_col in feature_cols:
+        raise ValueError(f"{where}feature columns include the label column {label_col!r}")
+
+
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Parse a labeled CSV into a Dataset.
 
@@ -313,6 +327,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         feature_cols = schema.feature_cols or tuple(
             c for c in reader.fieldnames if c != schema.label_col
         )
+        check_feature_cols(feature_cols, schema.label_col, f"{path}: ")
         for col in feature_cols:
             if col not in reader.fieldnames:
                 raise ValueError(f"{path}: feature column {col!r} not found")
@@ -349,8 +364,27 @@ def save_csv(dataset: Dataset, path: str, feature_names: tuple[str, ...] | None 
     names = feature_names or tuple(f"f{i}" for i in range(dataset.dim))
     if len(names) != dataset.dim:
         raise ValueError(f"need {dataset.dim} feature names, got {len(names)}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*names, "label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([*(repr(float(v)) for v in row), int(label)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*names, "label"])
+    for row, label in zip(dataset.features, dataset.labels):
+        writer.writerow([*(repr(float(v)) for v in row), int(label)])
+    write_atomic(path, text.getvalue())
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path as it stands (no newline translation): first to a
+    temporary file in the same directory, then os.replace puts it in place,
+    so a reader finds the old file or the whole new one, never a part. A
+    write that fails removes the temporary file and leaves the old file.
+    There is no fsync: this guards against an interrupted process, not
+    against a power cut."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

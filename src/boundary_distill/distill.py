@@ -32,15 +32,16 @@ class NoiseSpec:
     mu is the noise mean, delta its standard deviation in standardized
     feature units. delta is deliberately large compared to typical
     augmentation noise; the point is to relocate samples, not to jitter
-    them.
+    them. For a stack of models that share one draw, delta is an array of
+    their deviations, shaped (M, 1, 1) to broadcast over (M, n, d).
     """
 
     mu: float = 0.0
-    delta: float = 2.0
+    delta: float | np.ndarray = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
+        if not np.all(np.greater(self.delta, 0)):
             raise ValueError(f"delta must be positive, got {self.delta}")
 
 
@@ -98,23 +99,27 @@ class DistillLossTerms:
         return self.learn_term + self.weight * self.distill_term
 
     @classmethod
-    def from_rows(cls, losses: np.ndarray, n: int, weight: float) -> "DistillLossTerms":
+    def from_rows(
+        cls, losses: np.ndarray, n: int, weight: float | np.ndarray
+    ) -> "DistillLossTerms":
         """Terms from the per-row losses of distillation_batch's rows: n
-        clean rows, then the perturbed rows, if any."""
-        distill = float(losses[n:].mean()) if losses.size > n else 0.0
-        return cls(learn_term=float(losses[:n].mean()), distill_term=distill, weight=weight)
+        clean rows, then the perturbed rows, if any. For a stack's losses
+        (M, rows) and weights (M,), each term holds one value per model."""
+        distill = losses[..., n:].mean(axis=-1) if losses.shape[-1] > n else 0.0
+        return cls(learn_term=losses[..., :n].mean(axis=-1), distill_term=distill, weight=weight)
 
 
 def fuse_labels_batch(labels_one_hot: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
-    """Row-wise fusion of one-hot labels with teacher predictions."""
+    """Row-wise fusion of one-hot labels (B, classes) with teacher
+    predictions (B, classes), or with a stack of them (M, B, classes)."""
     y = np.asarray(labels_one_hot, dtype=np.float64)
     p = np.asarray(teacher_probs, dtype=np.float64)
-    if y.shape != p.shape or y.ndim != 2:
-        raise ValueError(f"expected matching 2-d arrays, got {y.shape} vs {p.shape}")
+    if y.ndim != 2 or p.ndim not in (2, 3) or y.shape != p.shape[-2:]:
+        raise ValueError(f"expected matching arrays of rows, got {y.shape} vs {p.shape}")
     merged = y + p
     if config.variant == "literal":
         # Both addends are distributions, so each row of `merged` sums to 2.
-        return merged / merged.sum(axis=1, keepdims=True)
+        return merged / merged.sum(axis=-1, keepdims=True)
     return softmax(merged / config.tau)
 
 
@@ -135,6 +140,9 @@ def perturb_inputs(
     `zero_noise=True` is a test hook that skips the draw entirely, so the
     output equals the normalized batch exactly. Otherwise draws come from
     `rng` when given, else from a fresh generator seeded with noise.seed.
+    The noise is mu + delta * z for one standard-normal draw z, which is
+    how Generator.normal computes it, so an array of deltas (a stack)
+    gives each model the bits it would get alone, with shape (M, n, d).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
@@ -152,14 +160,15 @@ def perturb_inputs(
         return normalized
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    return normalized + rng.normal(noise.mu, noise.delta, size=x.shape)
+    return normalized + (noise.mu + noise.delta * rng.standard_normal(x.shape))
 
 
 def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Boolean mask of rows where the teacher already predicts the label
     (inner rows); the rest are outer. Ties in the teacher's prediction
-    resolve to the lowest class index (numpy argmax convention)."""
-    return np.argmax(teacher_probs, axis=1) == np.asarray(labels)
+    resolve to the lowest class index (numpy argmax convention). A stack
+    of predictions (M, B, classes) gives one mask per model (M, B)."""
+    return np.argmax(teacher_probs, axis=-1) == np.asarray(labels)
 
 
 def _clean_targets(
@@ -181,7 +190,7 @@ def _clean_targets(
         return fused
     pick = {"one_hot": labels_hot, "teacher": teacher_clean, "fused": fused}
     mask = inner_mask(teacher_clean, labels)
-    return np.where(mask[:, None], pick[assign.inner], pick[assign.outer])
+    return np.where(mask[..., None], pick[assign.inner], pick[assign.outer])
 
 
 def distillation_batch(
@@ -192,7 +201,7 @@ def distillation_batch(
     norm_stats: NormStats,
     noise: NoiseSpec,
     fuse: FuseConfig,
-    weight: float,
+    weight: float | np.ndarray,
     assign: LabelAssignment,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -207,24 +216,41 @@ def distillation_batch(
     one-hot minibatch uses, which is what makes the fine-tuning collapse
     ablation bitwise. The noise comes from `rng`, or from noise.seed when
     rng is None (see perturb_inputs).
+
+    A stack of teachers (M, P) takes one number for all models, or arrays
+    of one value per model: noise.delta (see NoiseSpec) and weight (M,),
+    whose weights must then all be > 0. The rows, targets and scales get a
+    leading model axis where they differ between models, and each model
+    gets the bits it would get alone.
     """
-    if weight < 0:
+    per_model = isinstance(weight, np.ndarray)  # a stack's weights, all > 0
+    if not per_model and weight < 0:
         raise ValueError(f"distillation weight must be >= 0, got {weight}")
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
+    distilling = per_model or weight != 0.0
     rows = x
-    if weight != 0.0:
-        rows = np.concatenate([x, perturb_inputs(x, norm_stats, noise, rng=rng)])
+    if distilling:
+        perturbed = perturb_inputs(x, norm_stats, noise, rng=rng)
+        rows = np.empty(perturbed.shape[:-2] + (2 * n, x.shape[1]))
+        rows[..., :n, :] = x
+        rows[..., n:, :] = perturbed
     needs_clean = assign.uniform_rule != "one_hot"
     teacher = None
-    if needs_clean or weight != 0.0:
-        teacher, _ = forward(teacher_params, spec, rows if needs_clean else rows[n:])
+    if needs_clean or distilling:
+        teacher, _ = forward(teacher_params, spec, rows if needs_clean else rows[..., n:, :])
     labels_hot = one_hot(labels, spec.num_classes)
-    clean = _clean_targets(labels_hot, teacher[:n] if needs_clean else None, labels, fuse, assign)
-    if weight == 0.0:
+    clean = _clean_targets(labels_hot, teacher[..., :n, :] if needs_clean else None, labels,
+                           fuse, assign)
+    if not distilling:
         return rows, clean, 1.0 / n
-    scale = np.repeat([1.0 / n, weight / n], n)[:, None]
-    return rows, np.concatenate([clean, teacher[-n:]]), scale
+    targets = np.empty(rows.shape[:-1] + (spec.num_classes,))
+    targets[..., :n, :] = clean
+    targets[..., n:, :] = teacher[..., -n:, :]
+    scale = np.empty(rows.shape[:-1] + (1,))
+    scale[..., :n, :] = 1.0 / n
+    scale[..., n:, :] = (weight[:, None, None] if per_model else weight) / n
+    return rows, targets, scale
 
 
 def distillation_loss(

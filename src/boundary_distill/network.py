@@ -125,18 +125,19 @@ def unpack_params(params: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarra
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting the row max."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis, stabilized by subtracting the row max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _as_batch(batch: np.ndarray, spec: NetworkSpec) -> np.ndarray:
-    """The batch as 2-d float64 rows of the spec's input width."""
+    """The batch as float64 rows (B, d) of the spec's input width, or a
+    stack of them (M, B, d), one per model."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
         raise ValueError(
             f"batch shape {np.shape(batch)} does not match input dim {spec.input_dim}"
         )
@@ -189,7 +190,9 @@ def _backward_layers(
 def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for a batch, plus the cache for backward().
 
-    Rows are processed independently; each output row sums to 1.
+    Rows are processed independently; each output row sums to 1. A stack
+    of models (M, P) takes a batch (B, d) that every model sees, or one
+    batch per model (M, B, d), and gives (M, B, classes).
     """
     x = _as_batch(batch, spec)
     activations, pre_activations = _forward_layers(

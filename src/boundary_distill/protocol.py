@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .data import (
     gen_phase,
     gen_test,
     standardize,
+    write_atomic,
 )
 from .distill import DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec, distillation_batch
 from .metrics import MetricsRecord, PhaseAccuracy, accuracy, forgetting_rate, performance_promotion
@@ -536,20 +537,61 @@ def run_phase_boundary_distill(
     inputs); the teacher absorbs the student on the consolidation
     schedule. The teacher is the phase's outgoing model (the student is
     returned alongside when the schedule mode is "off", which is the
-    fine-tuning collapse ablation).
+    fine-tuning collapse ablation). This is _boundary_distill_stack on a
+    stack of one.
+    """
+    [result] = _boundary_distill_stack(model_prev, phase_data, [config], ctx)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _boundary_distill_stack(
+    model_prev: np.ndarray,
+    phase_data: Dataset,
+    configs: list[RunConfig],
+    ctx: PhaseContext,
+) -> list[PhaseResult | FloatingPointError]:
+    """run_phase_boundary_distill for each config, as one stack trained in
+    lockstep: M students and M teachers (M, P), one shuffle order per
+    epoch, one noise draw per minibatch scaled by each model's delta, one
+    teacher forward, one student step and one consolidation per event.
+    The configs may differ only in noise.delta and distill_weight, with
+    every weight > 0 or every weight 0. A stack of one trains on flat
+    vectors (P,).
+
+    Returns one entry per config: its PhaseResult, or the
+    FloatingPointError that failed it (a non-finite epoch loss, after
+    which its rows keep training but no longer count, or non-finite
+    outgoing parameters). Rows are independent, so a failing model moves
+    no bit of the others.
     """
     start = time.perf_counter()
+    config = configs[0]
+    for other in configs[1:]:
+        noise = replace(other.noise, delta=config.noise.delta)
+        if replace(other, noise=noise, distill_weight=config.distill_weight) != config:
+            raise ValueError("stacked configs may differ only in noise.delta and distill_weight")
+    if len({c.distill_weight > 0 for c in configs}) > 1:
+        raise ValueError("stacked distill weights must be all > 0 or all 0")
+    count = len(configs)
+    lead = (count,) if count > 1 else ()
     spec = ctx.net_spec
-    student = np.array(model_prev, dtype=np.float64, copy=True)
+    student = np.tile(np.asarray(model_prev, dtype=np.float64), lead + (1,))
     trainer = Trainer(student, spec)
     state = EmaState(teacher=student.copy())
     lr = config.lr_incremental_resolved
-    weight = config.distill_weight
+    weight, noise = config.distill_weight, config.noise
+    if lead:  # one noise scale and one weight > 0 per model (see distillation_batch)
+        noise = replace(noise, delta=np.array([c.noise.delta for c in configs])[:, None, None])
+        if weight > 0:
+            weight = np.array([c.distill_weight for c in configs])
     shuffle_rng = rng_for(ctx.seed, "shuffle")
     mode = config.sched.mode
     where = f"boundary_distill, phase {ctx.phase_index}"
 
-    history = []
+    histories: list[list[float]] = [[] for _ in configs]
+    errors: list[FloatingPointError | None] = [None] * count
     for epoch in range(1, config.epochs_per_phase + 1):
         order = shuffle_rng.permutation(len(phase_data))
         batch_losses = []
@@ -560,7 +602,7 @@ def run_phase_boundary_distill(
                 phase_data.features[idx],
                 phase_data.labels[idx],
                 ctx.norm_stats,
-                config.noise,
+                noise,
                 config.fuse,
                 weight,
                 config.assign,
@@ -570,13 +612,32 @@ def run_phase_boundary_distill(
             batch_losses.append(DistillLossTerms.from_rows(losses, idx.size, weight).total)
             if mode == "per_iteration":
                 state = consolidate(state, student, config.sched.alpha0, epoch=epoch)
-        history.append(_epoch_loss(batch_losses, where, epoch))
+        epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
+        for m, losses in enumerate(epoch_losses):
+            if errors[m] is None:
+                try:
+                    histories[m].append(_epoch_loss(losses, where, epoch))
+                except FloatingPointError as exc:
+                    errors[m] = exc
+        if all(errors):
+            break
         if mode == "scheduled" and should_consolidate(epoch, config.sched):
             alpha = adaptive_momentum(epoch, config.sched)
             state = consolidate(state, student, alpha, epoch=epoch)
 
-    outgoing = student if mode == "off" else state.teacher
-    return _phase_result(ctx, where, start, outgoing, student, tuple(history), state.history)
+    students = list(student.reshape(count, -1))
+    outgoing = students if mode == "off" else list(state.teacher.reshape(count, -1))
+
+    def result(m: int) -> PhaseResult | FloatingPointError:
+        if errors[m] is not None:
+            return errors[m]
+        try:
+            return _phase_result(ctx, where, start, outgoing[m], students[m],
+                                 tuple(histories[m]), state.history)
+        except FloatingPointError as exc:
+            return exc
+
+    return [result(m) for m in range(count)]
 
 
 def run_phase_fine_tune(
@@ -896,7 +957,7 @@ def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
             f"{record.strategy},{record.seed},{p.phase},{p.acc_test!r},{p.acc_base!r},"
             f"{record.pp!r},{record.forgetting!r},{record.config_digest}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -912,4 +973,4 @@ def _write_consolidation_log(results: list[PhaseResult], config: RunConfig, out_
             blocks.append(f"phase={r.phase_index}\n" + history_text(state))
     if blocks:
         path = out_dir / f"consolidation_{config.strategy}_seed{config.seed}.txt"
-        path.write_text("\n".join(blocks))
+        write_atomic(path, "\n".join(blocks))

@@ -8,11 +8,13 @@ rendered percent twin (readable, lossy) next to the exact fraction.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import write_atomic
 from .metrics import MetricsRecord, PhaseAccuracy
 from .network import NetworkSpec, forward
 
@@ -78,8 +80,7 @@ def export_boundary_grid(
         lines = ["x,y,class,prob"]
         lines += [f"{x_text[k % resolution]},{y_text[k // resolution]},{cls},{prob!r}"
                   for k, (cls, prob) in enumerate(cells)]
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+        write_atomic(path, "\r\n".join(lines) + "\r\n")
     return grid
 
 
@@ -111,24 +112,25 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
     out.mkdir(parents=True, exist_ok=True)
 
     per_phase_path = out / "per_phase.csv"
-    with open(per_phase_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "seed", "phase", "acc_test", "acc_base", "acc_test_pct", "acc_base_pct"]
-        )
-        for rec in records:
-            for p in rec.per_phase:
-                writer.writerow(
-                    [
-                        rec.strategy,
-                        rec.seed,
-                        p.phase,
-                        repr(p.acc_test),
-                        repr(p.acc_base),
-                        f"{100.0 * p.acc_test:.2f}",
-                        f"{100.0 * p.acc_base:.2f}",
-                    ]
-                )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(
+        ["strategy", "seed", "phase", "acc_test", "acc_base", "acc_test_pct", "acc_base_pct"]
+    )
+    for rec in records:
+        for p in rec.per_phase:
+            writer.writerow(
+                [
+                    rec.strategy,
+                    rec.seed,
+                    p.phase,
+                    repr(p.acc_test),
+                    repr(p.acc_base),
+                    f"{100.0 * p.acc_test:.2f}",
+                    f"{100.0 * p.acc_base:.2f}",
+                ]
+            )
+    write_atomic(per_phase_path, text.getvalue())
 
     by_strategy: dict[str, list[MetricsRecord]] = {}
     for rec in records:
@@ -150,35 +152,36 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
         group_stats[strategy] = entry
 
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(
+        [
+            "strategy", "seed", "pp", "forgetting", "config_digest",
+            "pp_pct", "forgetting_pct",
+            "pp_median_pct", "pp_mean_pct", "pp_ci95_pct",
+            "f_median_pct", "f_mean_pct", "f_ci95_pct",
+        ]
+    )
+    for rec in records:
+        g = group_stats[rec.strategy]
         writer.writerow(
             [
-                "strategy", "seed", "pp", "forgetting", "config_digest",
-                "pp_pct", "forgetting_pct",
-                "pp_median_pct", "pp_mean_pct", "pp_ci95_pct",
-                "f_median_pct", "f_mean_pct", "f_ci95_pct",
+                rec.strategy,
+                rec.seed,
+                repr(rec.pp),
+                repr(rec.forgetting),
+                rec.config_digest,
+                f"{100.0 * rec.pp:+.2f}",
+                f"{100.0 * rec.forgetting:+.2f}",
+                f"{100.0 * g['pp_median']:+.2f}",
+                f"{100.0 * g['pp_mean']:+.2f}",
+                f"{100.0 * g['pp_ci95']:.2f}",
+                f"{100.0 * g['f_median']:+.2f}",
+                f"{100.0 * g['f_mean']:+.2f}",
+                f"{100.0 * g['f_ci95']:.2f}",
             ]
         )
-        for rec in records:
-            g = group_stats[rec.strategy]
-            writer.writerow(
-                [
-                    rec.strategy,
-                    rec.seed,
-                    repr(rec.pp),
-                    repr(rec.forgetting),
-                    rec.config_digest,
-                    f"{100.0 * rec.pp:+.2f}",
-                    f"{100.0 * rec.forgetting:+.2f}",
-                    f"{100.0 * g['pp_median']:+.2f}",
-                    f"{100.0 * g['pp_mean']:+.2f}",
-                    f"{100.0 * g['pp_ci95']:.2f}",
-                    f"{100.0 * g['f_median']:+.2f}",
-                    f"{100.0 * g['f_mean']:+.2f}",
-                    f"{100.0 * g['f_ci95']:.2f}",
-                ]
-            )
+    write_atomic(summary_path, text.getvalue())
 
     manifest_path = out / "manifest.txt"
     digests = sorted({rec.config_digest for rec in records})
@@ -188,40 +191,9 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
         f"seeds={','.join(str(s) for s in sorted({r.seed for r in records}))}",
         f"config_digests={','.join(digests)}",
     ]
-    manifest_path.write_text("\n".join(lines) + "\n")
+    write_atomic(manifest_path, "\n".join(lines) + "\n")
 
     return {"per_phase": per_phase_path, "summary": summary_path, "manifest": manifest_path}
-
-
-def read_report(out_dir: str | Path) -> list[MetricsRecord]:
-    """Rebuild records from per_phase.csv + summary.csv (exact round-trip)."""
-    out = Path(out_dir)
-    phases: dict[tuple[str, int], list[PhaseAccuracy]] = {}
-    with open(out / "per_phase.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["strategy"], int(row["seed"]))
-            phases.setdefault(key, []).append(
-                PhaseAccuracy(
-                    phase=int(row["phase"]),
-                    acc_test=float(row["acc_test"]),
-                    acc_base=float(row["acc_base"]),
-                )
-            )
-    records = []
-    with open(out / "summary.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["strategy"], int(row["seed"]))
-            records.append(
-                MetricsRecord(
-                    strategy=row["strategy"],
-                    seed=int(row["seed"]),
-                    per_phase=tuple(sorted(phases[key], key=lambda p: p.phase)),
-                    pp=float(row["pp"]),
-                    forgetting=float(row["forgetting"]),
-                    config_digest=row["config_digest"],
-                )
-            )
-    return records
 
 
 def read_record_csv(path: str | Path) -> MetricsRecord:
@@ -249,14 +221,4 @@ def read_record_csv(path: str | Path) -> MetricsRecord:
 def write_manifest(path: str | Path, entries: dict[str, object]) -> None:
     """Flat key=value manifest (deterministic ordering by key)."""
     lines = [f"{k}={entries[k]}" for k in sorted(entries)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path: str | Path) -> dict[str, str]:
-    result = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        result[key.strip()] = value.strip()
-    return result
+    write_atomic(path, "\n".join(lines) + "\n")

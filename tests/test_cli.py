@@ -408,6 +408,9 @@ BAD_CSV_VALUES = [
     ("data.num_phases = 0", "num_phases must be >= 1"),
     ("data.imbalance = sorted", "unknown imbalance scheme 'sorted'"),
     ("data.dirichlet_alpha = 0", "dirichlet_alpha must be positive"),
+    ("csv.feature_cols = x,y,x", "csv.feature_cols: feature columns list x more than once"),
+    ("csv.feature_cols = x,label",
+     "csv.feature_cols: feature columns include the label column 'label'"),
 ]
 
 
@@ -481,6 +484,109 @@ def test_sweep_writes_detail_and_summary(tiny_config, tmp_path):
     summary = (out / "sweep_delta_summary.csv").read_text().splitlines()
     assert len(summary) == 3
     assert summary[1].startswith("delta,0.5,1,")
+
+
+# sweep CSV text pinned from the per-value loop that the stacks replaced
+FROZEN_SWEEPS = {
+    ("tiny", "delta", None): (
+        "knob,value,seed,acc_student,acc_teacher\n"
+        + "".join(f"delta,{v},0,1.0,1.0\n" for v in ("0.02", "0.2", "1.0", "2.0", "4.0", "10.0")),
+        "knob,value,n_seeds,acc_student_median,acc_teacher_median,acc_student_median_pct\n"
+        + "".join(f"delta,{v},1,1.0,1.0,100.00\n"
+                  for v in ("0.02", "0.2", "1.0", "2.0", "4.0", "10.0")),
+    ),
+    ("tiny", "lambda", "0,0.5,2"): (
+        "knob,value,seed,acc_student,acc_teacher\n"
+        "lambda,0.0,0,1.0,1.0\nlambda,0.5,0,1.0,1.0\nlambda,2.0,0,1.0,1.0\n",
+        "knob,value,n_seeds,acc_student_median,acc_teacher_median,acc_student_median_pct\n"
+        "lambda,0.0,1,1.0,1.0,100.00\nlambda,0.5,1,1.0,1.0,100.00\nlambda,2.0,1,1.0,1.0,100.00\n",
+    ),
+    ("default", "delta", None): (
+        "knob,value,seed,acc_student,acc_teacher\n"
+        "delta,0.02,0,0.9102272727272728,0.91\n"
+        "delta,0.2,0,0.9102272727272728,0.91\n"
+        "delta,1.0,0,0.9102272727272728,0.91\n"
+        "delta,2.0,0,0.9102272727272728,0.91\n"
+        "delta,4.0,0,0.91,0.91\n"
+        "delta,10.0,0,0.9097727272727273,0.91\n",
+        "knob,value,n_seeds,acc_student_median,acc_teacher_median,acc_student_median_pct\n"
+        "delta,0.02,1,0.9102272727272728,0.91,91.02\n"
+        "delta,0.2,1,0.9102272727272728,0.91,91.02\n"
+        "delta,1.0,1,0.9102272727272728,0.91,91.02\n"
+        "delta,2.0,1,0.9102272727272728,0.91,91.02\n"
+        "delta,4.0,1,0.91,0.91,91.00\n"
+        "delta,10.0,1,0.9097727272727273,0.91,90.98\n",
+    ),
+    ("default", "lambda", "0,0.5,2"): (
+        "knob,value,seed,acc_student,acc_teacher\n"
+        "lambda,0.0,0,0.9104545454545454,0.91\n"
+        "lambda,0.5,0,0.91,0.91\n"
+        "lambda,2.0,0,0.91,0.91\n",
+        "knob,value,n_seeds,acc_student_median,acc_teacher_median,acc_student_median_pct\n"
+        "lambda,0.0,1,0.9104545454545454,0.91,91.05\n"
+        "lambda,0.5,1,0.91,0.91,91.00\n"
+        "lambda,2.0,1,0.91,0.91,91.00\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(("config", "knob", "values"), FROZEN_SWEEPS,
+                         ids=["-".join(filter(None, key)) for key in FROZEN_SWEEPS])
+def test_sweep_csv_text_is_frozen(tiny_config, tmp_path, config, knob, values):
+    out = tmp_path / "o"
+    argv = ["sweep", "--knob", knob, "--seed", "0", "--out", str(out)]
+    argv += ["--config", str(tiny_config)] if config == "tiny" else []
+    argv += ["--values", values] if values else []
+    assert cli.main(argv) == 0
+    detail, summary = FROZEN_SWEEPS[config, knob, values]
+    assert (out / f"sweep_{knob}.csv").read_text() == detail
+    assert (out / f"sweep_{knob}_summary.csv").read_text() == summary
+
+
+def _tiny_tanh_config(tmp_path):
+    """TINY with a 2-8-8-4 tanh net and 12 epochs, consolidating every third
+    epoch after the second."""
+    path = tmp_path / "tanh.cfg"
+    path.write_text(TINY.replace("train.epochs_per_phase = 3", "train.epochs_per_phase = 12")
+                    + "model.hidden = 8,8\nmodel.activation = tanh\n"
+                    "consolidate.freeze_epochs = 2\nconsolidate.period_epochs = 3\n")
+    return load_config(path)
+
+
+@pytest.mark.parametrize(("knob", "values"), [
+    ("delta", ExperimentConfig().grid_delta),
+    ("lambda", (0.0, 0.5, 2.0)),
+])
+def test_sweep_cell_stacks_equal_solo_cells(tmp_path, knob, values):
+    config = _tiny_tanh_config(tmp_path)
+    stacked = cli._sweep_cell(config, knob, values, 0)
+    solo = [cli._sweep_cell(config, knob, (value,), 0)[0] for value in values]
+    assert stacked == solo
+    assert [o["value"] for o in stacked] == list(values)
+    assert all(o["status"] == "ok" for o in stacked)
+
+
+def test_poisoned_sweep_value_fails_alone():
+    # outcomes of the per-value loop on the default config, seed 0
+    config = ExperimentConfig()
+    for knob, values, bad, epoch in (("delta", (2.0, 1e300), 1, 7),
+                                     ("lambda", (0.0, 1.0, 1e300), 2, 1),
+                                     ("delta", (0.0, 2.0), 0, None)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = cli._sweep_cell(config, knob, values, 0)
+            solo = [cli._sweep_cell(config, knob, (value,), 0)[0] for value in values]
+        assert [o["value"] for o in outcomes] == list(values)
+        failed = outcomes[bad]
+        assert failed["status"] == "failed"
+        if epoch is None:  # the value's own check fails before any training
+            assert failed["error"] == "ValueError: delta must be positive, got 0.0"
+        else:
+            assert failed["error"] == (f"FloatingPointError: boundary_distill, phase 1, "
+                                       f"epoch {epoch}: mean loss nan is not finite")
+        assert failed["error"] == solo[bad]["error"]
+        for i, (o, alone) in enumerate(zip(outcomes, solo)):
+            if i != bad:
+                assert o == alone and o["status"] == "ok"
 
 
 def test_sweep_single_value_single_row(tiny_config, tmp_path):

@@ -411,6 +411,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="no usable rows"):
             load_csv(headers_only, CsvSchema())
 
+    def test_feature_cols_distinct_and_without_label(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        with open(path, "w") as fh:
+            fh.write("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        for cols, message in ((("f0", "f0"), "list f0 more than once"),
+                              (("f0", "label"), "include the label column 'label'")):
+            with pytest.raises(ValueError, match=f"data.csv: feature columns {message}"):
+                load_csv(path, CsvSchema(feature_cols=cols))
+        assert load_csv(path, CsvSchema(feature_cols=("f1", "f0"))).features.tolist() == [
+            [2.0, 1.0], [4.0, 3.0]]
+
     def test_save_csv_name_count_checked(self, tmp_path):
         ds = Dataset(np.ones((2, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="feature names"):

@@ -134,6 +134,23 @@ def test_perturb_not_clipped_and_seeded():
     assert np.abs(a).max() > 3.0
 
 
+def test_perturb_stacked_deltas_equal_normal_draws():
+    # one standard-normal draw scaled per model gives each model the bits
+    # of its own Generator.normal draw
+    stats = NormStats(mean=np.array([1.0, -2.0, 0.5]), std=np.array([2.0, 0.5, 3.0]))
+    batch = np.random.default_rng(1).normal(size=(7, 3))
+    deltas = np.array([0.02, 2.0, 10.0, 1e300])
+    stacked = perturb_inputs(batch, stats, NoiseSpec(mu=0.3, delta=deltas[:, None, None]),
+                             rng=np.random.default_rng(4))
+    normalized = perturb_inputs(batch, stats, NoiseSpec(), zero_noise=True)
+    assert stacked.shape == (4, 7, 3)
+    for delta, rows in zip(deltas, stacked):
+        draw = np.random.default_rng(4).normal(0.3, delta, size=batch.shape)
+        np.testing.assert_array_equal(rows, normalized + draw)
+        np.testing.assert_array_equal(rows, perturb_inputs(
+            batch, stats, NoiseSpec(mu=0.3, delta=delta), rng=np.random.default_rng(4)))
+
+
 def test_perturb_zero_std_warns_and_substitutes():
     stats = NormStats(mean=np.array([0.0, 0.0]), std=np.array([1.0, 0.0]))
     with pytest.warns(RuntimeWarning):

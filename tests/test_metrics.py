@@ -1,6 +1,7 @@
 """Metrics (accuracy, promotion, forgetting) and report files."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -17,9 +18,7 @@ from boundary_distill.network import NetworkSpec, forward
 from boundary_distill.reporting import (
     export_boundary_grid,
     export_report,
-    read_manifest,
     read_record_csv,
-    read_report,
     t_confidence_interval,
     write_manifest,
 )
@@ -188,22 +187,34 @@ def _records():
     return [rec("fine_tune", 0, 0.0), rec("fine_tune", 1, 0.01), rec("full_data", 0, 0.05)]
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestReportFiles:
     def test_round_trip_is_exact(self, tmp_path):
         records = _records()
-        export_report(records, tmp_path)
-        assert read_report(tmp_path) == records
+        paths = export_report(records, tmp_path)
+        phases = [(r.strategy, r.seed, p) for r in records for p in r.per_phase]
+        rows = _csv_rows(paths["per_phase"])
+        assert [(row["strategy"], int(row["seed"]), PhaseAccuracy(
+            int(row["phase"]), float(row["acc_test"]), float(row["acc_base"])))
+            for row in rows] == phases
+        assert [(row["strategy"], int(row["seed"]), float(row["pp"]), float(row["forgetting"]),
+                 row["config_digest"]) for row in _csv_rows(paths["summary"])] == [
+            (r.strategy, r.seed, r.pp, r.forgetting, r.config_digest) for r in records]
 
     def test_reexport_is_byte_identical(self, tmp_path):
         records = _records()
         first = export_report(records, tmp_path / "a")
-        second = export_report(read_report(tmp_path / "a"), tmp_path / "b")
+        second = export_report(records, tmp_path / "b")
         for name in ("per_phase", "summary", "manifest"):
             assert first[name].read_bytes() == second[name].read_bytes()
 
     def test_manifest_contents(self, tmp_path):
         paths = export_report(_records(), tmp_path)
-        manifest = read_manifest(paths["manifest"])
+        manifest = dict(line.split("=", 1) for line in paths["manifest"].read_text().splitlines())
         assert manifest["records"] == "3"
         assert manifest["strategies"] == "fine_tune,full_data"
         assert manifest["seeds"] == "0,1"
@@ -243,11 +254,25 @@ class TestRecordCsv:
 
 
 class TestManifestHelpers:
-    def test_round_trip_sorted_and_commented(self, tmp_path):
+    def test_sorted_key_value_lines(self, tmp_path):
         path = tmp_path / "m.txt"
         write_manifest(path, {"zeta": 1, "alpha": "two"})
-        text = path.read_text()
-        assert text.index("alpha") < text.index("zeta")
-        path.write_text(text + "# note\n\n  spaced = value \n")
-        parsed = read_manifest(path)
-        assert parsed == {"zeta": "1", "alpha": "two", "spaced": "value"}
+        assert path.read_text() == "alpha=two\nzeta=1\n"
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "manifest.txt"
+        write_manifest(path, {"run": 1})
+        old = path.read_bytes()
+        entries = {"run": 2}
+        if failure == "write":  # a lone surrogate cannot be encoded
+            entries["note"] = "\ud800"
+        else:
+            def refuse(*_args):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            write_manifest(path, entries)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.txt"]

@@ -18,7 +18,7 @@ from boundary_distill.data import (
     gen_test,
     standardize,
 )
-from boundary_distill.distill import LabelAssignment
+from boundary_distill.distill import FuseConfig, LabelAssignment, NoiseSpec
 from boundary_distill.metrics import accuracy
 from boundary_distill.network import forward, init_network
 from boundary_distill.protocol import (
@@ -376,6 +376,82 @@ class TestFullData:
             assert stacked.loss_history == alone.loss_history
             assert (stacked.acc_test, stacked.acc_base) == (alone.acc_test, alone.acc_base)
         assert record == protocol._record_from_results([results[0], *serial], config)
+
+
+# one phase of a 2-8-8-4 tanh net on the drift benchmark, consolidating
+# every third epoch after the second
+STACK_CASES = {
+    "scheduled": {},
+    "per_iteration": {"sched": ConsolidationSchedule(mode="per_iteration")},
+    "off": {"sched": ConsolidationSchedule(mode="off")},
+    "tempered_softmax": {"fuse": FuseConfig(tau=0.7, variant="tempered_softmax")},
+    "one_hot_inner_teacher_outer": {"assign": LabelAssignment(inner="one_hot", outer="teacher")},
+}
+STACK_KNOBS = {
+    "delta": ("noise", [NoiseSpec(delta=d) for d in (0.02, 0.2, 1.0, 2.0, 4.0, 10.0)]),
+    "weight": ("distill_weight", [0.1, 0.5, 2.0]),
+    "zero_weight": ("noise", [NoiseSpec(delta=d) for d in (0.5, 4.0)]),
+}
+
+
+def _stack_setup(**changes):
+    sched = ConsolidationSchedule(freeze_epochs=2, period_epochs=3)
+    config = RunConfig(epochs_per_phase=12, batch_size=16, hidden_layers=(8, 8),
+                       activation="tanh", sched=sched, seed=3)
+    config = replace(config, **changes)
+    return setup_seed(_drift_bench(seed=3), config), config
+
+
+def _assert_same_phase(stacked, alone):
+    np.testing.assert_array_equal(stacked.model, alone.model)
+    np.testing.assert_array_equal(stacked.student_model, alone.student_model)
+    assert stacked.loss_history == alone.loss_history
+    assert stacked.ema_history == alone.ema_history
+    assert (stacked.acc_test, stacked.acc_base, stacked.student_acc_test) == (
+        alone.acc_test, alone.acc_base, alone.student_acc_test)
+
+
+class TestBoundaryDistillStack:
+    @pytest.mark.parametrize("case", STACK_CASES)
+    @pytest.mark.parametrize("knob", STACK_KNOBS)
+    def test_stack_equals_stacks_of_one(self, case, knob):
+        setup, config = _stack_setup(**STACK_CASES[case],
+                                     distill_weight=0.0 if knob == "zero_weight" else 0.1)
+        field, values = STACK_KNOBS[knob]
+        configs = [replace(config, **{field: value}) for value in values]
+        ctx, phase = setup.context(1), setup.bench.phases[0]
+        stacked = protocol._boundary_distill_stack(setup.base_model, phase, configs, ctx)
+        assert len(stacked) == len(configs)
+        for res, cfg in zip(stacked, configs):
+            _assert_same_phase(res, run_phase_boundary_distill(setup.base_model, phase, cfg, ctx))
+        if case == "off":
+            assert all(res.model is res.student_model for res in stacked)
+
+    def test_configs_must_differ_only_in_delta_and_weight(self):
+        setup, config = _stack_setup()
+        ctx, phase = setup.context(1), setup.bench.phases[0]
+        for other, message in ((replace(config, lr_incremental=0.5), "may differ only"),
+                               (replace(config, noise=NoiseSpec(mu=0.5)), "may differ only"),
+                               (replace(config, distill_weight=0.0), "all > 0 or all 0")):
+            with pytest.raises(ValueError, match=message):
+                protocol._boundary_distill_stack(setup.base_model, phase, [config, other], ctx)
+
+    def test_diverging_model_fails_alone(self):
+        # a huge distillation weight makes the middle model diverge; the
+        # other two keep every bit of their lone runs
+        setup, config = _stack_setup()
+        configs = [replace(config, distill_weight=w) for w in (0.1, 1e300, 2.0)]
+        ctx, phase = setup.context(1), setup.bench.phases[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = protocol._boundary_distill_stack(setup.base_model, phase, configs, ctx)
+            with pytest.raises(FloatingPointError) as alone:
+                run_phase_boundary_distill(setup.base_model, phase, configs[1], ctx)
+        assert isinstance(stacked[1], FloatingPointError)
+        assert str(stacked[1]) == str(alone.value)
+        assert str(alone.value).startswith("boundary_distill, phase 1, epoch ")
+        for i in (0, 2):
+            _assert_same_phase(stacked[i], run_phase_boundary_distill(
+                setup.base_model, phase, configs[i], ctx))
 
 
 class TestRunBenchmark:
