@@ -9,6 +9,7 @@ or a worker process died, 2 for configuration/usage errors (before any write).
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 import traceback
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, check_unique, dump_config, load_config
 from .data import save_csv, write_atomic
-from .protocol import STRATEGIES, SeedSetup, _boundary_distill_stack, run_phases, setup_seed
+from .protocol import STRATEGIES, SeedSetup, _boundary_distill_stack, run_seed_stack, setup_seed
 from .reporting import (
     export_boundary_grid,
     export_report,
@@ -75,10 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="which knob to sweep: noise scale or loss weight")
     p_sweep.add_argument("--values", help="comma-separated values (default: config grid)")
     p_sweep.set_defaults(handler=cmd_sweep)
-    for p in (p_run, p_sweep):
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="run up to N seeds in parallel processes (at most one per "
-                       "seed and per core)")
+    p_run.add_argument("--parallel", type=int, default=1, metavar="N",
+                       help="split the seeds into up to N contiguous groups, one process "
+                       "each (at most one per seed and per core); a group trains its "
+                       "seeds as one stack")
+    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
+                         help="run up to N seeds in parallel processes (at most one per "
+                         "seed and per core)")
 
     p_report = sub.add_parser("report", help="aggregate run records into summary files")
     p_report.add_argument("results_dir", help="directory holding record CSVs")
@@ -150,31 +154,63 @@ def cmd_split(args: argparse.Namespace) -> int:
 # --- run --------------------------------------------------------------------
 
 
-def _run_cell(config: ExperimentConfig, seed: int, out_str: str) -> list[dict]:
-    """Every configured strategy on one seed, all from one shared setup.
+def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) -> list[dict]:
+    """Every configured strategy on a group of seeds: one setup per seed,
+    then each strategy's phase walks as one stack of the group's seeds.
 
     Executed possibly in a worker process. Returns one outcome per
-    strategy; a failing strategy fails only its own (strategy, seed).
+    (strategy, seed); a failing strategy fails only its own (strategy, seed).
     """
+    setups, outcomes = _group_setups(config, seeds, out_str)
+    for strategy in config.strategies:
+        outcomes += _run_strategy(config, setups, strategy, Path(out_str))
+    return outcomes
+
+
+def _group_setups(config: ExperimentConfig, seeds: tuple[int, ...],
+                  out_str: str) -> tuple[list[SeedSetup], list[dict]]:
+    """The setup of each seed, and the outcomes of the seeds whose setup
+    failed. The benchmarks are built from one shallow copy of the config,
+    which parses the CSV files once for the group and frees them on return."""
+    group_config = copy.copy(config)
+    setups, failed = [], []
+    for seed in seeds:
+        try:
+            bench = group_config.build_benchmark(seed)
+            setups.append(setup_seed(bench, config.run_config("boundary_distill", seed)))
+        except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
+            failed += _run_cell_failed(exc, config, (seed,), out_str)
+    return setups, failed
+
+
+def _run_cell_failed(exc: Exception, config: ExperimentConfig, seeds: tuple[int, ...],
+                     _out: str) -> list[dict]:
+    """Outcomes of a run cell (or one seed of it) that failed as a whole."""
+    return [_failure(exc, strategy=s, seed=seed) for s in config.strategies for seed in seeds]
+
+
+def _run_strategy(config: ExperimentConfig, setups: list[SeedSetup], strategy: str,
+                  out: Path) -> list[dict]:
+    """One strategy's phase walks (records and grids) from the setups of a
+    group of seeds, as one stack; one outcome per seed."""
+    seeds = [setup.base_config.seed for setup in setups]
     try:
-        bench = config.build_benchmark(seed)
-        setup = setup_seed(bench, config.run_config("boundary_distill", seed))
+        run_cfgs = [config.run_config(strategy, seed) for seed in seeds]
+        walks = run_seed_stack(setups, run_cfgs, out / "records")
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-        return _run_cell_failed(exc, config, seed, out_str)
-    return [_run_strategy(config, setup, s, Path(out_str)) for s in config.strategies]
+        walks = [exc] * len(setups)
+    return [_grids_and_outcome(config, setup, strategy, walk, out)
+            for setup, walk in zip(setups, walks)]
 
 
-def _run_cell_failed(exc: Exception, config: ExperimentConfig, seed: int, _out: str) -> list[dict]:
-    """Outcomes of a run cell that failed as a whole."""
-    return [_failure(exc, strategy=s, seed=seed) for s in config.strategies]
-
-
-def _run_strategy(config: ExperimentConfig, setup: SeedSetup, strategy: str, out: Path) -> dict:
-    """One strategy's phase walk (record and grids) from a seed setup."""
+def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str,
+                       walk: tuple | Exception, out: Path) -> dict:
+    """The outcome of one seed's phase walk, after exporting its grids."""
     seed = setup.base_config.seed
+    if isinstance(walk, Exception):
+        return _failure(walk, strategy=strategy, seed=seed)
     try:
-        run_cfg = config.run_config(strategy, seed)
-        results, record = run_phases(setup, run_cfg, out / "records")
+        results, record = walk
         if setup.bench.base.dim == 2:
             feats = setup.bench.test.features
             pad = 0.1 * (feats.max(axis=0) - feats.min(axis=0))
@@ -210,6 +246,7 @@ def _failure(exc: Exception, **cell) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
     workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
+    groups = _seed_groups(config.seeds, workers)
     out = _out_dir(config)
     cells = [(s, seed) for s in config.strategies for seed in config.seeds]
     if args.dry_run:
@@ -223,8 +260,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_atomic(out / "config.resolved", dump_config(config))
 
     # with no strategies there is nothing to set a seed up for
-    argtuples = [(config, seed, str(out)) for seed in config.seeds if config.strategies]
-    outcomes = _map_cells(_run_cell, argtuples, workers, _run_cell_failed)
+    argtuples = [(config, group, str(out)) for group in groups if config.strategies]
+    by_cell = {(o["strategy"], o["seed"]): o
+               for group in _map_cells(_run_cell, argtuples, workers, _run_cell_failed)
+               for o in group}
+    outcomes = [by_cell[cell] for cell in cells]
 
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in outcomes:
@@ -257,13 +297,16 @@ def _pool_size(requested: int, cells: int, cpus: int) -> int:
     return min(requested, cells, cpus)
 
 
-def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[dict]:
-    """Run the per-seed cells and return their outcomes strategy-major
-    (value-major for a sweep), the order `run` prints and `sweep` writes.
+def _seed_groups(seeds: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """The seeds split into `count` contiguous groups, larger groups first."""
+    size, extra = divmod(len(seeds), count) if count else (0, 0)
+    return [tuple(seeds[g * size + min(g, extra) : (g + 1) * size + min(g + 1, extra)])
+            for g in range(count)]
 
-    Each cell returns one outcome per strategy (or value), in the same order;
-    a cell whose worker process died gets `failed(exc, *args)` instead.
-    """
+
+def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[list[dict]]:
+    """Run the cells and return each cell's outcomes, in cell order; a
+    cell whose worker process died gets `failed(exc, *args)` instead."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, *a) for a in argtuples]
@@ -275,7 +318,7 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[dic
                     per_seed.append(failed(exc, *args))
     else:
         per_seed = [worker(*a) for a in argtuples]
-    return [outcome for group in zip(*per_seed) for outcome in group]
+    return per_seed
 
 
 # --- sweep ------------------------------------------------------------------
@@ -348,8 +391,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = _map_cells(_sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds],
+    per_seed = _map_cells(_sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds],
                           workers, _sweep_cell_failed)
+    outcomes = [outcome for group in zip(*per_seed) for outcome in group]  # value-major
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in failed:
         print(f"sweep {args.knob}={o['value']} seed={o['seed']}: FAILED ({o['error']})",

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data import (
     CsvSchema,
+    Dataset,
     DriftSpec,
     SyntheticSpec,
     check_feature_cols,
@@ -217,16 +218,24 @@ class ExperimentConfig:
             return drift_benchmark(
                 self.synthetic_spec(seed), self.num_phases, self.synth_test_per_class
             )
-        schema = CsvSchema(self.csv_feature_cols, self.csv_label_col)
+        train, test = self._csv_datasets
         return split_benchmark(
-            load_csv(self.csv_train_path, schema),
+            train,
             self.base_fraction,
             self.num_phases,
             seed=derive_seed(seed, "split"),
             imbalance=self.imbalance,
-            test=load_csv(self.csv_test_path, schema),
+            test=test,
             dirichlet_alpha=self.dirichlet_alpha,
         )
+
+    @functools.cached_property
+    def _csv_datasets(self) -> tuple[Dataset, Dataset]:
+        """The parsed train and test CSV files, read at the first
+        build_benchmark and shared by every seed built from this config
+        object and from its copies made after that read."""
+        schema = CsvSchema(self.csv_feature_cols, self.csv_label_col)
+        return load_csv(self.csv_train_path, schema), load_csv(self.csv_test_path, schema)
 
 
 def _format_value(value) -> str:

@@ -67,7 +67,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-feature population mean/std, frozen from the base-phase data."""
+    """Per-feature population mean/std, frozen from the base-phase data:
+    shaped (d,), or (S, 1, d) for the stats of a stack of S models."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -75,8 +76,9 @@ class NormStats:
     def __post_init__(self) -> None:
         m = np.asarray(self.mean, dtype=np.float64)
         s = np.asarray(self.std, dtype=np.float64)
-        if m.shape != s.shape or m.ndim != 1:
-            raise ValueError(f"mean/std must be matching 1-d arrays, got {m.shape} vs {s.shape}")
+        if m.shape != s.shape or not (m.ndim == 1 or m.ndim == 3 and m.shape[1] == 1):
+            raise ValueError(f"mean/std must be matching 1-d arrays (d,), or (S, 1, d) for "
+                             f"a stack, got {m.shape} vs {s.shape}")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
 

@@ -111,10 +111,12 @@ class DistillLossTerms:
 
 def fuse_labels_batch(labels_one_hot: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
     """Row-wise fusion of one-hot labels (B, classes) with teacher
-    predictions (B, classes), or with a stack of them (M, B, classes)."""
+    predictions (B, classes), or with a stack of them (M, B, classes); or
+    of one label batch per model (M, B, classes) with the stack's
+    predictions (M, B, classes)."""
     y = np.asarray(labels_one_hot, dtype=np.float64)
     p = np.asarray(teacher_probs, dtype=np.float64)
-    if y.ndim != 2 or p.ndim not in (2, 3) or y.shape != p.shape[-2:]:
+    if y.ndim not in (2, 3) or p.ndim not in (2, 3) or y.shape != p.shape[p.ndim - y.ndim:]:
         raise ValueError(f"expected matching arrays of rows, got {y.shape} vs {p.shape}")
     merged = y + p
     if config.variant == "literal":
@@ -127,7 +129,7 @@ def perturb_inputs(
     batch: np.ndarray,
     norm_stats: NormStats,
     noise: NoiseSpec,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
     zero_noise: bool = False,
 ) -> np.ndarray:
     """Normalize the batch and add elementwise Gaussian noise.
@@ -143,10 +145,14 @@ def perturb_inputs(
     The noise is mu + delta * z for one standard-normal draw z, which is
     how Generator.normal computes it, so an array of deltas (a stack)
     gives each model the bits it would get alone, with shape (M, n, d).
+
+    A stack of S models with one batch each takes batches (S, n, d), norm
+    stats shaped (S, 1, d) and one generator per model in `rng`; model s
+    draws its (n, d) noise from rng[s], as it would alone.
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("batch must be 2-d")
+    if x.ndim not in (2, 3):
+        raise ValueError("batch must be 2-d, or 3-d for one batch per model")
     std = np.asarray(norm_stats.std, dtype=np.float64)
     if (std == 0).any():
         warnings.warn(
@@ -160,7 +166,13 @@ def perturb_inputs(
         return normalized
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    return normalized + (noise.mu + noise.delta * rng.standard_normal(x.shape))
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(x.shape)
+    else:
+        z = np.empty(x.shape)
+        for draws, model_rng in zip(z, rng, strict=True):
+            model_rng.standard_normal(out=draws)
+    return normalized + (noise.mu + noise.delta * z)
 
 
 def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -203,7 +215,7 @@ def distillation_batch(
     fuse: FuseConfig,
     weight: float | np.ndarray,
     assign: LabelAssignment,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator | list[np.random.Generator] | None,
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Student rows, their fixed targets and per-row loss scales for one
     minibatch of n samples.
@@ -221,25 +233,28 @@ def distillation_batch(
     of one value per model: noise.delta (see NoiseSpec) and weight (M,),
     whose weights must then all be > 0. The rows, targets and scales get a
     leading model axis where they differ between models, and each model
-    gets the bits it would get alone.
+    gets the bits it would get alone. A stack may also take one minibatch
+    per model: batch (M, n, d), labels (M, n), norm stats (M, 1, d) and one
+    generator per model (see perturb_inputs).
     """
     per_model = isinstance(weight, np.ndarray)  # a stack's weights, all > 0
     if not per_model and weight < 0:
         raise ValueError(f"distillation weight must be >= 0, got {weight}")
     x = np.asarray(batch, dtype=np.float64)
-    n = x.shape[0]
+    labels = np.asarray(labels)
+    n = x.shape[-2]
     distilling = per_model or weight != 0.0
     rows = x
     if distilling:
         perturbed = perturb_inputs(x, norm_stats, noise, rng=rng)
-        rows = np.empty(perturbed.shape[:-2] + (2 * n, x.shape[1]))
+        rows = np.empty(perturbed.shape[:-2] + (2 * n, x.shape[-1]))
         rows[..., :n, :] = x
         rows[..., n:, :] = perturbed
     needs_clean = assign.uniform_rule != "one_hot"
     teacher = None
     if needs_clean or distilling:
         teacher, _ = forward(teacher_params, spec, rows if needs_clean else rows[..., n:, :])
-    labels_hot = one_hot(labels, spec.num_classes)
+    labels_hot = one_hot(labels.ravel(), spec.num_classes).reshape(labels.shape + (-1,))
     clean = _clean_targets(labels_hot, teacher[..., :n, :] if needs_clean else None, labels,
                            fuse, assign)
     if not distilling:

@@ -341,21 +341,24 @@ def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
 # --- training loops ---------------------------------------------------------
 
 
-def _minibatch_slices(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [order[i : i + batch_size] for i in range(0, order.size, batch_size)]
-
-
-def _epoch_loss(batch_losses: list[float], where: str, epoch: int) -> float:
-    """Mean minibatch loss of one epoch. A non-finite mean means training
-    diverged; it stops the run instead of letting it write a record."""
-    loss = float(np.mean(batch_losses))
-    if not np.isfinite(loss):
-        raise _diverged(where, epoch, loss)
-    return loss
-
-
 def _diverged(where: str, epoch: int, loss: float) -> FloatingPointError:
     return FloatingPointError(f"{where}, epoch {epoch}: mean loss {loss} is not finite")
+
+
+def _record_epoch(epoch_losses, histories: list[list[float]],
+                  errors: list[Exception | None], wheres: list[str], epoch: int) -> bool:
+    """Append the mean minibatch loss of the epoch, epoch_losses[m], to
+    histories[m] for each model m that has not failed. A non-finite mean
+    means the model diverged: it fails instead (errors[m], naming
+    wheres[m]) rather than writing a record. True once every model failed."""
+    for m, losses in enumerate(epoch_losses):
+        if errors[m] is None:
+            loss = float(np.mean(losses))
+            if np.isfinite(loss):
+                histories[m].append(loss)
+            else:
+                errors[m] = _diverged(wheres[m], epoch, loss)
+    return all(e is not None for e in errors)
 
 
 def _check_finite(model: np.ndarray, where: str) -> None:
@@ -363,6 +366,18 @@ def _check_finite(model: np.ndarray, where: str) -> None:
     each update, so they do not see the last one."""
     if not np.isfinite(model).all():
         raise FloatingPointError(f"{where}: outgoing parameters are not finite")
+
+
+def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of equally long datasets, one per lane,
+    concatenated: row i of lane l is row l * n + i. One dataset is
+    returned as it is."""
+    if len({len(d) for d in datasets}) > 1:
+        raise ValueError(f"stacked datasets differ in size: {[len(d) for d in datasets]}")
+    if len(datasets) == 1:
+        return datasets[0].features, datasets[0].labels
+    return (np.concatenate([d.features for d in datasets]),
+            np.concatenate([d.labels for d in datasets]))
 
 
 def _fit_from_scratch(
@@ -380,32 +395,17 @@ def _fit_from_scratch(
     """
     params = init_network(spec, derive_seed(config.seed, "init"))
     shuffle_rng = rng_for(config.seed, "base-train", "shuffle")
-    return _sgd_one_hot(params, dataset, spec, config.lr_base, epochs,
-                        config.batch_size, shuffle_rng, where)
-
-
-def _sgd_one_hot(
-    params: np.ndarray,
-    dataset: Dataset,
-    spec: NetworkSpec,
-    lr: float,
-    epochs: int,
-    batch_size: int,
-    shuffle_rng: np.random.Generator,
-    where: str,
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """One-hot SGD that updates `params` in place; `where` names the
-    strategy and phase in a divergence error."""
-    histories, error = _sgd_one_hot_stack(params[None], dataset, (len(dataset),), spec, lr,
-                                          epochs, batch_size, [shuffle_rng], [where])
-    if error is not None:
-        raise error
-    return params, histories[0]
+    histories, errors = _sgd_one_hot_stack(params[None], [dataset], (len(dataset),), spec,
+                                           config.lr_base, epochs, config.batch_size,
+                                           [shuffle_rng], [where])
+    if errors[0] is not None:
+        raise errors[0]
+    return params, tuple(histories[0])
 
 
 def _sgd_one_hot_stack(
     models: np.ndarray,
-    dataset: Dataset,
+    datasets: list[Dataset],
     sizes: tuple[int, ...],
     spec: NetworkSpec,
     lr: float,
@@ -413,69 +413,69 @@ def _sgd_one_hot_stack(
     batch_size: int,
     shuffle_rngs: list[np.random.Generator],
     wheres: list[str],
-) -> tuple[list[tuple[float, ...]], FloatingPointError | None]:
+) -> tuple[list[list[float]], list[FloatingPointError | None]]:
     """One-hot SGD of the models stacked in `models` (M, P), in place and
-    in lockstep: model m trains on the first sizes[m] rows of `dataset`,
-    drawing its epoch orders from shuffle_rngs[m].
+    in lockstep: model m trains on the first sizes[m] rows of datasets[m],
+    drawing its epoch orders from shuffle_rngs[m]. The datasets are equally
+    long; models may share one.
 
     Each model runs exactly the steps it would run alone. sizes must not
-    increase, so the models that have a full batch at a given step are a
-    slice of the stack, and step together; a model that steps alone (a
-    single model, or a short last batch) steps on its flat vector.
+    increase, so the models that take the same rows of their data at a
+    given step are a slice of the stack, and step together; a model that
+    steps alone steps on its flat vector.
 
-    Returns the epoch losses of each model, and None. Once an epoch's mean
-    loss is not finite for some models, the last of them in the stack and
-    every model before it stop training, and their parameters mean
-    nothing: the losses then cover only the models after it, and the error
-    is its FloatingPointError (naming wheres[m]).
+    Returns each model's epoch losses and its error: None, or the
+    FloatingPointError (naming wheres[m]) of its first epoch whose mean
+    loss is not finite. A failed model keeps stepping, but no longer
+    counts, until every model has failed; rows are independent, so it
+    moves no bit of the others, and its parameters mean nothing.
     """
     count = len(models)
     if any(a < b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"model row counts must not increase, got {sizes}")
-    features = dataset.features
-    targets = one_hot(dataset.labels[: sizes[0]], spec.num_classes)
+    lanes = list({id(d): d for d in datasets}.values())  # distinct, in order of first use
+    first_row = {id(d): lane * len(d) for lane, d in enumerate(lanes)}
+    features, labels = _stacked(lanes)
+    targets = one_hot(labels, spec.num_classes)
     orders = np.empty((count, sizes[0]), dtype=np.intp)
+    # per step k, the spans (first, end, stop) of models that step together
+    # on rows k * batch_size..stop-1 of their order
+    plan: list[list[list[int]]] = []
+    for k in range(-(-sizes[0] // batch_size)):
+        spans: list[list[int]] = []
+        for m, n in enumerate(sizes):
+            stop = min(n, (k + 1) * batch_size)
+            if stop <= k * batch_size:
+                break
+            if spans and spans[-1][2] == stop:
+                spans[-1][1] = m + 1
+            else:
+                spans.append([m, m + 1, stop])
+        plan.append(spans)
     steps = [-(-n // batch_size) for n in sizes]
-    # per step k: the first full[k] models have a full batch, the first
-    # rows[k] have any rows
-    full = [sum(n >= (k + 1) * batch_size for n in sizes) for k in range(steps[0])]
-    rows = [sum(n > k * batch_size for n in sizes) for k in range(steps[0])]
     trainers: dict[tuple[int, int], Trainer] = {}
-    batch_losses = np.empty((count, steps[0]))
+    batch_losses = np.empty((count, len(plan)))
     histories: list[list[float]] = [[] for _ in range(count)]
-    live, error = 0, None  # models before `live` have stopped
-
-    def step(first: int, end: int, k: int, stop: int) -> None:
-        """Step models first..end-1 on their rows k * batch_size..stop-1."""
-        key = (first, end)
-        if key not in trainers:
-            trainers[key] = Trainer(models[first] if end - first == 1 else models[first:end], spec)
-        start = k * batch_size
-        idx = orders[first, start:stop] if end - first == 1 else orders[first:end, start:stop]
-        losses = trainers[key].step(features[idx], targets[idx], 1.0 / (stop - start), lr)
-        batch_losses[first:end, k] = losses.mean(axis=-1)
+    errors: list[FloatingPointError | None] = [None] * count
 
     for epoch in range(1, epochs + 1):
-        for m in range(live, count):
-            orders[m, : sizes[m]] = shuffle_rngs[m].permutation(sizes[m])
-        for k in range(steps[live]):
-            end = max(live, full[k])
-            if end > live:
-                step(live, end, k, (k + 1) * batch_size)
-            for m in range(end, rows[k]):
-                step(m, m + 1, k, sizes[m])
-        failed = None
-        for m in range(live, count):
-            loss = float(np.mean(batch_losses[m, : steps[m]]))
-            if np.isfinite(loss):
-                histories[m].append(loss)
-            else:
-                failed, error = m, _diverged(wheres[m], epoch, loss)
-        if failed is not None:
-            live = failed + 1
-            if live == count:
-                break
-    return [tuple(h) for h in histories[live:]], error
+        for m in range(count):
+            np.add(shuffle_rngs[m].permutation(sizes[m]), first_row[id(datasets[m])],
+                   out=orders[m, : sizes[m]])
+        for k, spans in enumerate(plan):
+            start = k * batch_size
+            for first, end, stop in spans:
+                key = (first, end)
+                if key not in trainers:
+                    trainers[key] = Trainer(models[first] if end - first == 1 else models[first:end],
+                                            spec)
+                idx = orders[first, start:stop] if end - first == 1 else orders[first:end, start:stop]
+                losses = trainers[key].step(features[idx], targets[idx], 1.0 / (stop - start), lr)
+                batch_losses[first:end, k] = losses.mean(axis=-1)
+        if _record_epoch((batch_losses[m, : steps[m]] for m in range(count)), histories, errors,
+                         wheres, epoch):
+            break
+    return histories, errors
 
 
 def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None) -> np.ndarray:
@@ -523,6 +523,39 @@ def _phase_result(
     )
 
 
+def _stack_results(
+    ctxs: list[PhaseContext],
+    where: str,
+    start: float,
+    outgoing: list[np.ndarray],
+    students: list[np.ndarray],
+    histories: list[list[float]],
+    errors: list[Exception | None],
+    ema_history: tuple[tuple[int, float], ...],
+) -> list[PhaseResult | FloatingPointError]:
+    """One entry per model m of a stack, evaluated in ctxs[m]: errors[m]
+    when it failed, else its PhaseResult, or the FloatingPointError of its
+    non-finite outgoing parameters."""
+    results: list[PhaseResult | FloatingPointError] = []
+    for m, ctx in enumerate(ctxs):
+        try:
+            if errors[m] is not None:
+                raise errors[m]
+            results.append(_phase_result(ctx, where, start, outgoing[m], students[m],
+                                         tuple(histories[m]), ema_history))
+        except FloatingPointError as exc:
+            results.append(exc)
+    return results
+
+
+def _one(results: list[PhaseResult | FloatingPointError]) -> PhaseResult:
+    """The result of a stack of one, raising its error."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def run_phase_boundary_distill(
     model_prev: np.ndarray,
     phase_data: Dataset,
@@ -537,13 +570,10 @@ def run_phase_boundary_distill(
     inputs); the teacher absorbs the student on the consolidation
     schedule. The teacher is the phase's outgoing model (the student is
     returned alongside when the schedule mode is "off", which is the
-    fine-tuning collapse ablation). This is _boundary_distill_stack on a
+    fine-tuning collapse ablation). This is _boundary_distill_lanes on a
     stack of one.
     """
-    [result] = _boundary_distill_stack(model_prev, phase_data, [config], ctx)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _one(_boundary_distill_lanes([model_prev], [phase_data], [config], [ctx]))
 
 
 def _boundary_distill_stack(
@@ -552,15 +582,31 @@ def _boundary_distill_stack(
     configs: list[RunConfig],
     ctx: PhaseContext,
 ) -> list[PhaseResult | FloatingPointError]:
-    """run_phase_boundary_distill for each config, as one stack trained in
-    lockstep: M students and M teachers (M, P), one shuffle order per
-    epoch, one noise draw per minibatch scaled by each model's delta, one
-    teacher forward, one student step and one consolidation per event.
-    The configs may differ only in noise.delta and distill_weight, with
-    every weight > 0 or every weight 0. A stack of one trains on flat
-    vectors (P,).
+    """run_phase_boundary_distill for each config on one seed's phase, as
+    one stack (see _boundary_distill_lanes): one shuffle order per epoch
+    and one noise draw per minibatch, scaled by each model's delta."""
+    return _boundary_distill_lanes([model_prev], [phase_data], configs, [ctx])
 
-    Returns one entry per config: its PhaseResult, or the
+
+def _boundary_distill_lanes(
+    models_prev: list[np.ndarray],
+    phase_datas: list[Dataset],
+    configs: list[RunConfig],
+    ctxs: list[PhaseContext],
+) -> list[PhaseResult | FloatingPointError]:
+    """run_phase_boundary_distill for each config, as one stack trained in
+    lockstep: M students and M teachers (M, P), one teacher forward, one
+    student step and one consolidation per event. A lane is one incoming
+    model, phase data and context, with its shuffle and noise streams and
+    norm stats. Either every model shares one lane, and then the configs
+    may differ in noise.delta and distill_weight, with every weight > 0 or
+    every weight 0: each epoch has one shuffle order and each minibatch one
+    noise draw, scaled by each model's delta. Or each model has its own
+    lane (the seeds of a group), with equally long phase data: each lane
+    draws its own orders and noise, exactly as it would alone. A stack of
+    one trains on flat vectors (P,).
+
+    Returns one entry per model: its PhaseResult, or the
     FloatingPointError that failed it (a non-finite epoch loss, after
     which its rows keep training but no longer count, or non-finite
     outgoing parameters). Rows are independent, so a failing model moves
@@ -574,10 +620,14 @@ def _boundary_distill_stack(
             raise ValueError("stacked configs may differ only in noise.delta and distill_weight")
     if len({c.distill_weight > 0 for c in configs}) > 1:
         raise ValueError("stacked distill weights must be all > 0 or all 0")
-    count = len(configs)
+    count, lanes = len(configs), len(ctxs)
+    if lanes not in (1, count):
+        raise ValueError(f"{count} stacked models need 1 or {count} lanes, got {lanes}")
     lead = (count,) if count > 1 else ()
+    ctx = ctxs[0]
     spec = ctx.net_spec
-    student = np.tile(np.asarray(model_prev, dtype=np.float64), lead + (1,))
+    incoming = np.asarray(models_prev, dtype=np.float64)
+    student = np.array(np.broadcast_to(incoming, (count, spec.num_params))).reshape(lead + (-1,))
     trainer = Trainer(student, spec)
     state = EmaState(teacher=student.copy())
     lr = config.lr_incremental_resolved
@@ -586,40 +636,46 @@ def _boundary_distill_stack(
         noise = replace(noise, delta=np.array([c.noise.delta for c in configs])[:, None, None])
         if weight > 0:
             weight = np.array([c.distill_weight for c in configs])
-    shuffle_rng = rng_for(ctx.seed, "shuffle")
+    features, labels = _stacked(phase_datas)
+    norm_stats = ctx.norm_stats
+    if lanes > 1:
+        norm_stats = NormStats(np.stack([c.norm_stats.mean for c in ctxs])[:, None],
+                               np.stack([c.norm_stats.std for c in ctxs])[:, None])
+    n = len(phase_datas[0])
+    shuffle_rngs = [rng_for(c.seed, "shuffle") for c in ctxs]
     mode = config.sched.mode
     where = f"boundary_distill, phase {ctx.phase_index}"
 
     histories: list[list[float]] = [[] for _ in configs]
     errors: list[FloatingPointError | None] = [None] * count
     for epoch in range(1, config.epochs_per_phase + 1):
-        order = shuffle_rng.permutation(len(phase_data))
+        # one order per lane, moved to the lane's rows (see _stacked)
+        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        orders += n * np.arange(lanes)[:, None]
+        if lanes == 1:
+            orders = orders[0]
         batch_losses = []
-        for bi, idx in enumerate(_minibatch_slices(order, config.batch_size)):
+        for bi, first in enumerate(range(0, n, config.batch_size)):
+            idx = orders[..., first : first + config.batch_size]
+            rngs = [np.random.default_rng(derive_seed(c.seed, "noise", epoch, bi)) for c in ctxs]
             rows, targets, scale = distillation_batch(
                 state.teacher,
                 spec,
-                phase_data.features[idx],
-                phase_data.labels[idx],
-                ctx.norm_stats,
+                features[idx],
+                labels[idx],
+                norm_stats,
                 noise,
                 config.fuse,
                 weight,
                 config.assign,
-                np.random.default_rng(derive_seed(ctx.seed, "noise", epoch, bi)),
+                rngs[0] if lanes == 1 else rngs,
             )
             losses = trainer.step(rows, targets, scale, lr)
-            batch_losses.append(DistillLossTerms.from_rows(losses, idx.size, weight).total)
+            batch_losses.append(DistillLossTerms.from_rows(losses, idx.shape[-1], weight).total)
             if mode == "per_iteration":
                 state = consolidate(state, student, config.sched.alpha0, epoch=epoch)
         epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
-        for m, losses in enumerate(epoch_losses):
-            if errors[m] is None:
-                try:
-                    histories[m].append(_epoch_loss(losses, where, epoch))
-                except FloatingPointError as exc:
-                    errors[m] = exc
-        if all(errors):
+        if _record_epoch(epoch_losses, histories, errors, [where] * count, epoch):
             break
         if mode == "scheduled" and should_consolidate(epoch, config.sched):
             alpha = adaptive_momentum(epoch, config.sched)
@@ -627,17 +683,8 @@ def _boundary_distill_stack(
 
     students = list(student.reshape(count, -1))
     outgoing = students if mode == "off" else list(state.teacher.reshape(count, -1))
-
-    def result(m: int) -> PhaseResult | FloatingPointError:
-        if errors[m] is not None:
-            return errors[m]
-        try:
-            return _phase_result(ctx, where, start, outgoing[m], students[m],
-                                 tuple(histories[m]), state.history)
-        except FloatingPointError as exc:
-            return exc
-
-    return [result(m) for m in range(count)]
+    return _stack_results(ctxs * (count // lanes), where, start, outgoing, students, histories,
+                          errors, state.history)
 
 
 def run_phase_fine_tune(
@@ -648,24 +695,39 @@ def run_phase_fine_tune(
     epochs: int | None = None,
 ) -> PhaseResult:
     """Baseline: short one-hot training of the incoming model at the
-    incremental rate. epochs=0 returns the incoming model evaluated."""
-    start = time.perf_counter()
+    incremental rate. epochs=0 returns the incoming model evaluated. This
+    is _fine_tune_seeds on a stack of one."""
     resolved = config.fine_tune_epochs if epochs is None else epochs
-    if resolved < 0:
-        raise ValueError(f"epochs must be >= 0, got {resolved}")
-    params = np.array(model_prev, dtype=np.float64, copy=True)
-    where = f"fine_tune, phase {ctx.phase_index}"
-    params, history = _sgd_one_hot(
+    return _one(_fine_tune_seeds([model_prev], [phase_data], config, [ctx], resolved))
+
+
+def _fine_tune_seeds(
+    models_prev: list[np.ndarray],
+    phase_datas: list[Dataset],
+    config: RunConfig,
+    ctxs: list[PhaseContext],
+    epochs: int,
+) -> list[PhaseResult | FloatingPointError]:
+    """run_phase_fine_tune for each seed of a group, as one stack (see
+    _sgd_one_hot_stack); returns one PhaseResult or error per seed."""
+    start = time.perf_counter()
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    params = np.array(models_prev, dtype=np.float64)
+    where = f"fine_tune, phase {ctxs[0].phase_index}"
+    histories, errors = _sgd_one_hot_stack(
         params,
-        phase_data,
-        ctx.net_spec,
+        phase_datas,
+        tuple(len(d) for d in phase_datas),
+        ctxs[0].net_spec,
         config.lr_incremental_resolved,
-        resolved,
+        epochs,
         config.batch_size,
-        rng_for(ctx.seed, "shuffle"),
-        where,
+        [rng_for(c.seed, "shuffle") for c in ctxs],
+        [where] * len(ctxs),
     )
-    return _phase_result(ctx, where, start, params, params, history, ())
+    models = list(params)
+    return _stack_results(ctxs, where, start, models, models, histories, errors, ())
 
 
 def run_phase_vanilla_distill(
@@ -679,62 +741,86 @@ def run_phase_vanilla_distill(
     A seeded 10% subset of the phase pool is scored once by the frozen
     incoming model; every batch is half exemplars (matched against those
     scores) and half fresh samples (one-hot). The student is the outgoing
-    model; nothing is consolidated.
+    model; nothing is consolidated. This is _vanilla_distill_seeds on a
+    stack of one.
     """
+    return _one(_vanilla_distill_seeds([model_prev], [phase_data], config, [ctx]))
+
+
+def _vanilla_distill_seeds(
+    models_prev: list[np.ndarray],
+    phase_datas: list[Dataset],
+    config: RunConfig,
+    ctxs: list[PhaseContext],
+) -> list[PhaseResult | FloatingPointError]:
+    """run_phase_vanilla_distill for each seed of a group, as one stack
+    trained in lockstep on equally long phase data: each seed draws its
+    own exemplars and orders, exactly as it would alone, and one student
+    step serves the stack. A stack of one trains on flat vectors (P,).
+    Returns one PhaseResult or error per seed."""
     start = time.perf_counter()
-    spec = ctx.net_spec
-    teacher = np.asarray(model_prev, dtype=np.float64)
-    student = np.array(model_prev, dtype=np.float64, copy=True)
-    n = len(phase_data)
+    spec = ctxs[0].net_spec
+    count = len(ctxs)
+    lead = (count,) if count > 1 else ()
+    teacher = np.asarray(models_prev, dtype=np.float64).reshape(lead + (-1,))
+    student = teacher.copy()
+    features, labels = _stacked(phase_datas)
+    n = len(phase_datas[0])
     ex_count = round(config.exemplar_fraction * n)
-    ex_rng = rng_for(ctx.seed, "exemplars")
-    ex_idx = ex_rng.choice(n, size=ex_count, replace=False) if ex_count else np.empty(0, np.int64)
-    rem_mask = np.ones(n, dtype=bool)
-    rem_mask[ex_idx] = False
-    rem_idx = np.flatnonzero(rem_mask)
-
-    teacher_scores = (
-        forward(teacher, spec, phase_data.features[ex_idx])[0] if ex_count else None
-    )
-    onehot_all = one_hot(phase_data.labels, spec.num_classes)
+    # per seed (rows of these arrays): exemplar rows and the other rows, in
+    # the concatenated features (see _stacked)
+    ex_rows = np.empty((count, ex_count), dtype=np.intp)
+    rem_rows = np.empty((count, n - ex_count), dtype=np.intp)
+    for s, ctx in enumerate(ctxs):
+        if ex_count:
+            ex_rows[s] = rng_for(ctx.seed, "exemplars").choice(n, size=ex_count, replace=False)
+        rem_mask = np.ones(n, dtype=bool)
+        rem_mask[ex_rows[s]] = False
+        rem_rows[s] = np.flatnonzero(rem_mask)
+    lanes = np.arange(count)[:, None]
+    ex_rows += n * lanes
+    rem_rows += n * lanes
+    # targets by row: the one-hot rows, then the teacher's exemplar scores
+    scores = forward(teacher, spec, features[ex_rows.reshape(lead + (-1,))])[0]
+    target_table = np.concatenate([one_hot(labels, spec.num_classes),
+                                   scores.reshape(-1, spec.num_classes)])
+    ex_targets = count * n + np.arange(count * ex_count).reshape(count, ex_count)
     lr = config.lr_incremental_resolved
-    shuffle_rng = rng_for(ctx.seed, "shuffle")
-    ex_order_rng = rng_for(ctx.seed, "exemplar-shuffle")
+    shuffle_rngs = [rng_for(ctx.seed, "shuffle") for ctx in ctxs]
+    ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
 
-    half_ex = config.batch_size // 2 if rem_idx.size else config.batch_size
+    rem = n - ex_count
+    half_ex = config.batch_size // 2 if rem else config.batch_size
     rem_per_batch = max(config.batch_size - half_ex, 1)
+    num_batches = -(-rem // rem_per_batch) if rem else -(-ex_count // config.batch_size)
 
     trainer = Trainer(student, spec)
-    where = f"vanilla_distill, phase {ctx.phase_index}"
-    history = []
+    where = f"vanilla_distill, phase {ctxs[0].phase_index}"
+    histories: list[list[float]] = [[] for _ in ctxs]
+    errors: list[FloatingPointError | None] = [None] * count
     for epoch in range(1, config.epochs_per_phase + 1):
+        rem_order = np.stack([rng.permutation(rem) if rem else np.empty(0, np.intp)
+                              for rng in shuffle_rngs])
+        ex_order = np.stack([_cycled_order(ex_count, half_ex * num_batches, rng)
+                             for rng in ex_order_rngs])
+        rem_perm = rem_rows[lanes, rem_order].reshape(lead + (-1,))
+        ex_perm = ex_rows[lanes, ex_order].reshape(lead + (-1,))
+        ex_perm_targets = ex_targets[lanes, ex_order].reshape(lead + (-1,))
         batch_losses = []
-        if rem_idx.size:
-            rem_order = shuffle_rng.permutation(rem_idx.size)
-            rem_batches = _minibatch_slices(rem_order, rem_per_batch)
-        else:
-            num_batches = -(-ex_count // config.batch_size)
-            rem_batches = [np.empty(0, np.int64)] * num_batches
-        ex_stream = _cycled_order(ex_count, half_ex * len(rem_batches), ex_order_rng)
-        cursor = 0
-        for rem_pos in rem_batches:
-            feats = []
-            targets = []
-            if ex_count:
-                take = ex_stream[cursor : cursor + half_ex]
-                cursor += half_ex
-                feats.append(phase_data.features[ex_idx[take]])
-                targets.append(teacher_scores[take])
-            if rem_pos.size:
-                rows = rem_idx[rem_pos]
-                feats.append(phase_data.features[rows])
-                targets.append(onehot_all[rows])
-            batch = np.concatenate(feats)
-            losses = trainer.step(batch, np.concatenate(targets), 1.0 / batch.shape[0], lr)
-            batch_losses.append(losses.mean())
-        history.append(_epoch_loss(batch_losses, where, epoch))
+        for b in range(num_batches):
+            ex_part = slice(b * half_ex, (b + 1) * half_ex)
+            rem_part = rem_perm[..., b * rem_per_batch : (b + 1) * rem_per_batch]
+            rows = np.concatenate([ex_perm[..., ex_part], rem_part], axis=-1)
+            target_rows = np.concatenate([ex_perm_targets[..., ex_part], rem_part], axis=-1)
+            losses = trainer.step(features[rows], target_table[target_rows],
+                                  1.0 / rows.shape[-1], lr)
+            batch_losses.append(losses.mean(axis=-1))
+        epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
+        if _record_epoch(epoch_losses, histories, errors, [where] * count, epoch):
+            break
 
-    return _phase_result(ctx, where, start, student, student, tuple(history), ())
+    students = list(student.reshape(count, -1))
+    return _stack_results(ctxs, where, start, students, students, histories, errors, ())
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
@@ -767,36 +853,53 @@ def run_phase_full_data(
     return _phase_result(ctx, where, start, params, params, history, ())
 
 
-def _run_full_data_stack(setup: SeedSetup, config: RunConfig, results: list[PhaseResult]) -> None:
-    """Every full_data phase of a seed as one stack: the model of phase t is
-    run_phase_full_data on the base split plus phases 1..t, a prefix of
-    their concatenation, and all of them start from the same init and
-    shuffle streams, so they train in lockstep (see _sgd_one_hot_stack).
+def _full_data_stack(
+    setups: list[SeedSetup],
+    configs: list[RunConfig],
+    results: list[list[PhaseResult]],
+    errors: list[Exception | None],
+) -> None:
+    """Every full_data phase of every seed of a group as one stack: the
+    model of phase t is run_phase_full_data on the seed's base split plus
+    phases 1..t, a prefix of their concatenation. A seed's phase models all
+    start from the same init and shuffle streams, and every seed has the
+    same row counts, so they all train in lockstep (see
+    _sgd_one_hot_stack), phase-major from the last phase down.
 
-    Appends the phase results in phase order, each timed from the start of
-    the stack. A failed phase raises its error after the phases before it
-    are appended; later phases are dropped.
+    Appends each seed's phase results to results[s] in phase order, each
+    timed from the start of the stack, up to its first failed phase, whose
+    error goes to errors[s]; the seed's later phases are dropped.
     """
-    bench = setup.bench
+    bench = setups[0].bench
     if not bench.num_phases:
         return
     start = time.perf_counter()
     phases = range(bench.num_phases, 0, -1)  # largest row count first
-    sizes = tuple(len(bench.base) + sum(len(p) for p in bench.phases[:t]) for t in phases)
-    init = init_network(setup.net_spec, derive_seed(config.seed, "init"))
-    models = np.tile(init, (len(sizes), 1))
-    histories, error = _sgd_one_hot_stack(
-        models, Dataset.concat([bench.base, *bench.phases]), sizes, setup.net_spec,
-        config.lr_base, config.epochs_per_phase, config.batch_size,
-        [rng_for(config.seed, "base-train", "shuffle") for _ in phases],
-        [f"full_data, phase {t}" for t in phases],
+    seeds = range(len(setups))
+    datasets = [Dataset.concat([s.bench.base, *s.bench.phases]) for s in setups]
+    sizes = [len(bench.base) + sum(len(p) for p in bench.phases[:t]) for t in phases]
+    spec = setups[0].net_spec
+    inits = [init_network(spec, derive_seed(c.seed, "init")) for c in configs]
+    models = np.array([inits[s] for _ in phases for s in seeds])
+    histories, model_errors = _sgd_one_hot_stack(
+        models, [datasets[s] for _ in phases for s in seeds],
+        tuple(size for size in sizes for _ in seeds), spec,
+        configs[0].lr_base, configs[0].epochs_per_phase, configs[0].batch_size,
+        [rng_for(configs[s].seed, "base-train", "shuffle") for _ in phases for s in seeds],
+        [f"full_data, phase {t}" for t in phases for _ in seeds],
     )
-    # the models that trained to the end are those of phases 1..len(histories)
-    for t, model, history in zip(range(1, len(histories) + 1), models[::-1], histories[::-1]):
-        results.append(_phase_result(setup.context(t), f"full_data, phase {t}", start,
-                                     model, model, history, ()))
-    if error is not None:
-        raise error
+    for s in seeds:
+        for t in range(1, bench.num_phases + 1):
+            m = (bench.num_phases - t) * len(setups) + s
+            model = models[m]
+            try:
+                if model_errors[m] is not None:
+                    raise model_errors[m]
+                results[s].append(_phase_result(setups[s].context(t), f"full_data, phase {t}",
+                                                start, model, model, tuple(histories[m]), ()))
+            except FloatingPointError as exc:
+                errors[s] = exc
+                break
 
 
 # --- orchestration ----------------------------------------------------------
@@ -867,39 +970,108 @@ def run_phases(
     model-space benchmark plus the stats of its base split, so the
     perturbation op's contract holds verbatim. On a phase failure the
     partial record is flushed to out_dir (when given) before the exception
-    propagates; a complete record replaces the partial one of an earlier run.
+    propagates; a complete record replaces the partial one of an earlier
+    run. This is run_seed_stack on a group of one.
     """
-    differing = [f for f in _BASE_FIELDS if getattr(config, f) != getattr(setup.base_config, f)]
-    if differing:
-        raise ValueError(f"config differs from the seed setup's in {differing}")
-    bench = setup.bench
-    model = setup.base_model
-    # phase 0 is timed from the start of base training
-    start = time.perf_counter() - setup.base_seconds
-    results = [_phase_result(setup.context(0), "base training, phase 0", start, model, model,
-                             (), ())]
+    [walk] = run_seed_stack([setup], [config], out_dir)
+    if isinstance(walk, Exception):
+        raise walk
+    return walk
 
-    try:
-        if config.strategy == "full_data":
-            _run_full_data_stack(setup, config, results)
-        else:
-            for t in range(1, bench.num_phases + 1):
-                ctx = setup.context(t)
-                phase_data = bench.phases[t - 1]
-                if config.strategy == "boundary_distill":
-                    res = run_phase_boundary_distill(model, phase_data, config, ctx)
-                elif config.strategy == "fine_tune":
-                    res = run_phase_fine_tune(model, phase_data, config, ctx)
-                else:
-                    res = run_phase_vanilla_distill(model, phase_data, config, ctx)
-                results.append(res)
-                model = res.model
-    except Exception:
+
+def run_seed_stack(
+    setups: list[SeedSetup],
+    configs: list[RunConfig],
+    out_dir: str | Path | None,
+) -> list[tuple[list[PhaseResult], MetricsRecord] | Exception]:
+    """run_phases for each seed of a group: setups[s] with configs[s],
+    configs that differ only in the seed. The seeds whose splits have
+    equal sizes walk their phases as one stack: one stacked phase per step
+    for boundary_distill, fine_tune and vanilla_distill, one stack of every
+    seed's phases for full_data. Each seed keeps its own data, norm stats
+    and streams, so it gets the bits it would get alone.
+
+    Returns one entry per seed: (phase results, record), or the exception
+    that failed it, after its partial record is flushed to out_dir. A
+    seed that fails drops out of its stack and fails alone.
+    """
+    for setup, config in zip(setups, configs, strict=True):
+        differing = [f for f in _BASE_FIELDS
+                     if getattr(config, f) != getattr(setup.base_config, f)]
+        if differing:
+            raise ValueError(f"config differs from the seed setup's in {differing}")
+        if replace(config, seed=configs[0].seed) != configs[0]:
+            raise ValueError("the configs of a seed stack may differ only in the seed")
+    # phase 0 is the base model, timed from the start of base training
+    results = [[_phase_result(setup.context(0), "base training, phase 0",
+                              time.perf_counter() - setup.base_seconds, setup.base_model,
+                              setup.base_model, (), ())] for setup in setups]
+    errors: list[Exception | None] = [None] * len(setups)
+    stacks: dict[tuple, list[int]] = {}
+    for s, setup in enumerate(setups):
+        sizes = (setup.net_spec, len(setup.bench.base), *(len(p) for p in setup.bench.phases))
+        stacks.setdefault(sizes, []).append(s)
+    for members in stacks.values():
+        member_results = [results[s] for s in members]
+        member_errors: list[Exception | None] = [None] * len(members)
+        try:
+            if configs[0].strategy == "full_data":
+                _full_data_stack([setups[s] for s in members], [configs[s] for s in members],
+                                 member_results, member_errors)
+            else:
+                _walk_stack([setups[s] for s in members], configs[0], member_results,
+                            member_errors)
+        except Exception as exc:  # noqa: BLE001 - fails every seed of the stack
+            member_errors = [e or exc for e in member_errors]
+        for s, error in zip(members, member_errors):
+            errors[s] = error
+    return [_finish(res, config, error, out_dir)
+            for res, config, error in zip(results, configs, errors)]
+
+
+def _walk_stack(
+    setups: list[SeedSetup],
+    config: RunConfig,
+    results: list[list[PhaseResult]],
+    errors: list[Exception | None],
+) -> None:
+    """Walk the incremental phases of config.strategy for a stack of seeds,
+    appending each seed's phase results to results[s]. A seed whose phase
+    fails (errors[s]) leaves the stack."""
+    phase_stack = {
+        "boundary_distill": lambda models, datas, cfg, ctxs: _boundary_distill_lanes(
+            models, datas, [cfg] * len(ctxs), ctxs),
+        "fine_tune": lambda *args: _fine_tune_seeds(*args, config.fine_tune_epochs),
+        "vanilla_distill": _vanilla_distill_seeds,
+    }[config.strategy]
+    models = [setup.base_model for setup in setups]
+    for t in range(1, setups[0].bench.num_phases + 1):
+        live = [s for s, error in enumerate(errors) if error is None]
+        if not live:
+            break
+        outcomes = phase_stack([models[s] for s in live],
+                               [setups[s].bench.phases[t - 1] for s in live], config,
+                               [setups[s].context(t) for s in live])
+        for s, outcome in zip(live, outcomes):
+            if isinstance(outcome, Exception):
+                errors[s] = outcome
+            else:
+                results[s].append(outcome)
+                models[s] = outcome.model
+
+
+def _finish(
+    results: list[PhaseResult],
+    config: RunConfig,
+    error: Exception | None,
+    out_dir: str | Path | None,
+) -> tuple[list[PhaseResult], MetricsRecord] | Exception:
+    """Write one seed's record (its partial record when `error` is set,
+    which is returned instead)."""
+    if error is not None:
         if out_dir is not None:
-            partial = _record_from_results(results, config, partial=True)
-            write_record_csv(partial, Path(out_dir))
-        raise
-
+            write_record_csv(_record_from_results(results, config, partial=True), Path(out_dir))
+        return error
     record = _record_from_results(results, config)
     if out_dir is not None:
         write_record_csv(record, Path(out_dir))

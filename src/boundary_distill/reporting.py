@@ -86,14 +86,15 @@ def export_boundary_grid(
 
 def t_confidence_interval(values: "list[float] | np.ndarray", confidence: float = 0.95) -> tuple[float, float]:
     """(mean, halfwidth) of the Student-t interval over independent runs."""
-    # imported here so that only `report` pays for loading SciPy
-    from scipy import stats as scipy_stats
+    # imported here so that only `report` pays for loading SciPy; stdtrit
+    # is the function scipy.stats.t.ppf calls, without loading scipy.stats
+    from scipy.special import stdtrit
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         raise ValueError(f"need at least two values for an interval, got {v.size}")
     mean = float(v.mean())
     sem = float(v.std(ddof=1) / np.sqrt(v.size))
-    quantile = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=v.size - 1))
+    quantile = float(stdtrit(v.size - 1, 0.5 + confidence / 2.0))
     return mean, quantile * sem
 
 

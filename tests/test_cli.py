@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import pytest
 
 import boundary_distill
 from boundary_distill import cli, protocol
+from boundary_distill import config as config_module
 from boundary_distill.config import ExperimentConfig, dump_config, load_config
+from boundary_distill.data import Dataset, save_csv
 from boundary_distill.reporting import read_record_csv
 
 TINY = """\
@@ -139,7 +142,7 @@ def test_run_failure_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     def boom(*_args, **_kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_phases", boom)
+    monkeypatch.setattr(cli, "run_seed_stack", boom)
     rc = cli.main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "FAILED" in capsys.readouterr().err
@@ -205,7 +208,7 @@ def test_failing_strategy_fails_only_its_own_cell(tiny_config, tmp_path, monkeyp
     def boom(*_args, **_kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(protocol, "run_phase_boundary_distill", boom)
+    monkeypatch.setattr(protocol, "_boundary_distill_lanes", boom)
     out = tmp_path / "o"
     rc = cli.main(["run", "--config", str(tiny_config), "--out", str(out),
                    "--strategy", "boundary_distill", "--strategy", "fine_tune"])
@@ -267,6 +270,97 @@ def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, ca
     assert detail[0] == "knob,value,seed,acc_student,acc_teacher"
     assert not [row for row in detail[1:] if row.split(",")[2] == "1"]
     assert (sweep_out / "sweep_delta_summary.csv").exists()
+
+
+def test_parallel_splits_seeds_into_contiguous_groups():
+    assert cli._seed_groups((0, 1, 2), 2) == [(0, 1), (2,)]
+    assert cli._seed_groups((0, 1, 2, 3, 4), 1) == [(0, 1, 2, 3, 4)]
+    assert cli._seed_groups((0, 1, 2, 3, 4), 3) == [(0, 1), (2, 3), (4,)]
+    assert cli._seed_groups((5, 7), 2) == [(5,), (7,)]
+    assert cli._seed_groups((), 0) == []
+
+
+def test_serial_run_is_one_group(tmp_path, monkeypatch):
+    cells = []
+    real = cli._run_cell
+
+    def spy(config, seeds, out):
+        cells.append(seeds)
+        return real(config, seeds, out)
+
+    monkeypatch.setattr(cli, "_run_cell", spy)
+    config = tmp_path / "three_seeds.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert cells == [(0, 1, 2)]
+
+
+def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
+    # --parallel 2 on 3 seeds: groups (0, 1) and (2,). The worker of (2,)
+    # dies once seed 1's last grid is written, so group (0, 1) completes.
+    config = tmp_path / "three_seeds.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
+    out = tmp_path / "o"
+    last_grid = out / "grids" / "fine_tune_seed1_phase02.csv"
+    real = cli.setup_seed
+
+    def dies_on_seed_two(bench, run_config):
+        if run_config.seed == 2:
+            deadline = time.monotonic() + 60
+            while not last_grid.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)
+            os._exit(3)
+        return real(bench, run_config)
+
+    monkeypatch.setattr(cli, "setup_seed", dies_on_seed_two)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc = cli.main(["run", "--config", str(config), "--out", str(out), "--parallel", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "fine_tune seed=2: FAILED (BrokenProcessPool" in err
+    assert "seed=0: FAILED" not in err and "seed=1: FAILED" not in err
+    assert sorted(p.name for p in (out / "records").iterdir()) == [
+        "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
+    assert "completed=2" in (out / "manifest.txt").read_text()
+
+
+def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    for name, rows in (("train.csv", 600), ("test.csv", 120)):
+        labels = np.arange(rows) % 3
+        features = 3.0 * labels[:, None] + rng.standard_normal((rows, 2))
+        save_csv(Dataset(features, labels), str(tmp_path / name))
+    config = tmp_path / "csv.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1").replace("num_phases = 2",
+                                                                      "num_phases = 10")
+                      + f"data.source = csv\ncsv.train_path = {tmp_path / 'train.csv'}\n"
+                      f"csv.test_path = {tmp_path / 'test.csv'}\n")
+    parsed = []
+    real = config_module.load_csv
+
+    def counted(path, schema):
+        parsed.append(Path(path).name)
+        return real(path, schema)
+
+    monkeypatch.setattr(config_module, "load_csv", counted)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(parsed) == ["test.csv", "train.csv"]
+    assert len(list((tmp_path / "o" / "records").glob("record_*.csv"))) == 2
+
+
+def test_report_does_not_load_scipy_stats(two_seed_config, tmp_path):
+    # two records per strategy, so report computes its t intervals
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(two_seed_config), "--out", str(out)]) == 0
+    src = Path(boundary_distill.__file__).resolve().parents[1]
+    probe = ("import sys; from boundary_distill import cli; "
+             f"assert cli.main(['report', {str(out)!r}]) == 0; "
+             "print(sorted({m for m in sys.modules if m.startswith('scipy.')} "
+             "& {'scipy.special', 'scipy.stats'}))")
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip().splitlines()[-1] == "['scipy.special']"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -164,6 +164,16 @@ class TestConfidenceInterval:
         assert mean == 0.5
         assert half == 0.0
 
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_quantile_is_scipy_stats_t_ppf(self, confidence):
+        from scipy import stats
+
+        for df in range(1, 101):
+            values = np.arange(df + 1) ** 1.5
+            sem = float(values.std(ddof=1) / np.sqrt(values.size))
+            quantile = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            assert t_confidence_interval(values, confidence)[1] == quantile * sem
+
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least two"):
             t_confidence_interval([1.0])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boundary_distill import network
 from boundary_distill.network import (
     PROB_FLOOR,
     NetworkSpec,
@@ -61,6 +62,33 @@ def test_softmax_stability_and_rows():
     np.testing.assert_allclose(p[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     # Shift invariance: softmax(z + c) == softmax(z).
     np.testing.assert_allclose(softmax(logits + 123.456), p, atol=1e-12)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 7, 8, 10])
+@pytest.mark.parametrize("lead", [(64,), (300,), (2, 64), (5, 64)],
+                         ids=["flat64", "flat300", "stacked2", "stacked5"])
+def test_class_axis_reductions_match_numpy(classes, lead):
+    # below 8 classes and from 256 rows on, the row max and the row sums go
+    # one class column at a time; that must give NumPy's bits, over
+    # magnitudes from 1e-3 to 1e3
+    rng = np.random.default_rng(classes)
+    logits = rng.standard_normal(lead + (classes,)) * 10.0 ** rng.integers(-3, 4, lead + (1,))
+    np.testing.assert_array_equal(network._row_reduce(np.maximum, logits),
+                                  logits.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(network._row_reduce(np.add, logits),
+                                  logits.sum(axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    total = np.exp(shifted).sum(axis=-1, keepdims=True)
+    probs = np.exp(shifted) / total
+    np.testing.assert_array_equal(softmax(logits), probs)
+    targets = rng.dirichlet(np.ones(classes), size=lead)
+    # an identity layer passes the logits through unchanged
+    identity = np.concatenate([np.eye(classes).ravel(), np.zeros(classes)])
+    trainer = Trainer(np.tile(identity, lead[:-1] + (1,)), NetworkSpec((classes, classes)))
+    log_probs = np.where(probs < PROB_FLOOR, shifted - np.log(total),
+                         np.log(np.maximum(probs, PROB_FLOOR)))
+    np.testing.assert_array_equal(trainer.loss_rows(logits, targets, 1.0),
+                                  -(targets * log_probs).sum(axis=-1))
 
 
 def test_forward_uniform_for_zero_params():

@@ -403,6 +403,8 @@ def _stack_setup(**changes):
 
 
 def _assert_same_phase(stacked, alone):
+    # the student is evaluated apart only when it is another array
+    assert (stacked.student_model is stacked.model) == (alone.student_model is alone.model)
     np.testing.assert_array_equal(stacked.model, alone.model)
     np.testing.assert_array_equal(stacked.student_model, alone.student_model)
     assert stacked.loss_history == alone.loss_history
@@ -452,6 +454,118 @@ class TestBoundaryDistillStack:
         for i in (0, 2):
             _assert_same_phase(stacked[i], run_phase_boundary_distill(
                 setup.base_model, phase, configs[i], ctx))
+
+
+def _uniform_csv_bench(seed=0):
+    """One 4-class mixture in 3 features, the same rows for every seed,
+    split like the CSV route under uniform_random: equal split sizes."""
+    rng = np.random.default_rng(11)
+    means = 2.0 * rng.standard_normal((4, 3))
+
+    def mixture(rows):
+        labels = np.arange(rows) % 4
+        return Dataset(means[labels] + rng.standard_normal((rows, 3)), labels)
+
+    train, test = mixture(900), mixture(200)
+    return split_benchmark(train, 0.5, 10, seed=seed, test=test)
+
+
+SEED_BENCHES = {
+    "drift": lambda seed: _drift_bench(seed=seed, phases=3),
+    "uniform_csv": _uniform_csv_bench,
+}
+
+
+def _seed_configs(strategy, seeds):
+    # 24-row batches leave a short last batch on every split; the teacher
+    # consolidates at epochs 2 and 4
+    sched = ConsolidationSchedule(freeze_epochs=1, period_epochs=2)
+    return [RunConfig(strategy=strategy, epochs_per_phase=4, fine_tune_epochs=3, batch_size=24,
+                      sched=sched, seed=seed) for seed in seeds]
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestSeedStack:
+    @pytest.mark.parametrize("bench", SEED_BENCHES)
+    @pytest.mark.parametrize("seeds", [(0, 1), (2, 3, 4)], ids=["S2", "S3"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stack_equals_stacks_of_one(self, strategy, seeds, bench, tmp_path):
+        configs = _seed_configs(strategy, seeds)
+        setups = [setup_seed(SEED_BENCHES[bench](seed), config)
+                  for seed, config in zip(seeds, configs)]
+        stacked = protocol.run_seed_stack(setups, configs, tmp_path / "stack")
+        for (results, record), setup, config in zip(stacked, setups, configs):
+            alone, alone_record = run_phases(setup, config, tmp_path / "alone")
+            assert record == alone_record
+            assert len(results) == len(alone) == setup.bench.num_phases + 1
+            for res, res_alone in zip(results, alone):
+                _assert_same_phase(res, res_alone)
+        assert _files(tmp_path / "stack") == _files(tmp_path / "alone")
+
+    def test_seeds_stack_by_split_sizes(self, monkeypatch):
+        # dirichlet phases differ in size from seed to seed, so those seeds
+        # train alone; the two drift seeds share sizes and stack
+        stack_sizes = []
+        real = protocol._fine_tune_seeds
+
+        def spy(models_prev, phase_datas, config, ctxs, epochs):
+            stack_sizes.append((ctxs[0].phase_index, len(ctxs)))
+            return real(models_prev, phase_datas, config, ctxs, epochs)
+
+        monkeypatch.setattr(protocol, "_fine_tune_seeds", spy)
+        configs = _seed_configs("fine_tune", (0, 1, 2, 3))
+        benches = [_dirichlet_csv_bench(0), _drift_bench(1, phases=3), _dirichlet_csv_bench(2),
+                   _drift_bench(3, phases=3)]
+        assert len(benches[0].phases[0]) != len(benches[2].phases[0])
+        setups = [setup_seed(b, c) for b, c in zip(benches, configs)]
+        stacked = protocol.run_seed_stack(setups, configs, None)
+        assert sorted(stack_sizes) == sorted([(t, 1) for t in range(1, 11)] * 2
+                                             + [(t, 2) for t in (1, 2, 3)])
+        monkeypatch.undo()
+        for (results, record), setup, config in zip(stacked, setups, configs):
+            alone, alone_record = run_phases(setup, config, None)
+            assert record == alone_record
+            for res, res_alone in zip(results, alone):
+                _assert_same_phase(res, res_alone)
+
+    def test_configs_must_differ_only_in_the_seed(self):
+        configs = _seed_configs("fine_tune", (0, 1))
+        setups = [setup_seed(_drift_bench(s), c) for s, c in zip((0, 1), configs)]
+        with pytest.raises(ValueError, match="differ only in the seed"):
+            protocol.run_seed_stack(setups, [configs[0], replace(configs[1], lr_incremental=0.5)],
+                                    None)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_poisoned_seed_fails_alone(self, strategy, tmp_path):
+        # a phase-2 row of seed 1 scaled to -1e200 makes that seed diverge;
+        # seed 0 keeps every bit of its lone run
+        configs = _seed_configs(strategy, (0, 1))
+        bench = _drift_bench(seed=1, phases=3)
+        second = bench.phases[1]
+        features = second.features.copy()
+        features[2] *= -1e200
+        poisoned = replace(bench, phases=(bench.phases[0], Dataset(features, second.labels),
+                                          bench.phases[2]))
+        setups = [setup_seed(_drift_bench(seed=0, phases=3), configs[0]),
+                  setup_seed(poisoned, configs[1])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            (results, record), failed = protocol.run_seed_stack(setups, configs,
+                                                                 tmp_path / "stack")
+            alone, alone_record = run_phases(setups[0], configs[0], tmp_path / "alone")
+            with pytest.raises(FloatingPointError) as alone_failed:
+                run_phases(setups[1], configs[1], tmp_path / "alone")
+        assert isinstance(failed, FloatingPointError)
+        assert str(failed) == str(alone_failed.value)
+        assert str(failed).startswith(f"{strategy}, phase 2")
+        assert record == alone_record
+        for res, res_alone in zip(results, alone):
+            _assert_same_phase(res, res_alone)
+        files = _files(tmp_path / "stack")
+        assert files == _files(tmp_path / "alone")
+        assert f"record_{strategy}_partial_seed1.csv" in files
 
 
 class TestRunBenchmark:
@@ -507,14 +621,14 @@ class TestRunBenchmark:
         config = RunConfig(strategy="fine_tune", epochs_per_phase=3, seed=0)
         import boundary_distill.protocol as protocol
 
-        real = protocol.run_phase_fine_tune
+        real = protocol._fine_tune_seeds
 
-        def explode_on_phase_two(model_prev, phase_data, cfg, ctx, epochs=None):
-            if ctx.phase_index == 2:
+        def explode_on_phase_two(models_prev, phase_datas, cfg, ctxs, epochs):
+            if ctxs[0].phase_index == 2:
                 raise RuntimeError("injected failure")
-            return real(model_prev, phase_data, cfg, ctx, epochs)
+            return real(models_prev, phase_datas, cfg, ctxs, epochs)
 
-        monkeypatch.setattr(protocol, "run_phase_fine_tune", explode_on_phase_two)
+        monkeypatch.setattr(protocol, "_fine_tune_seeds", explode_on_phase_two)
         with pytest.raises(RuntimeError, match="injected"):
             run_benchmark(bench, config, out_dir=tmp_path)
         partial = read_record_csv(tmp_path / "record_fine_tune_partial_seed0.csv")
