@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, check_unique, dump_config, load_config
 from .data import save_csv, write_atomic
-from .protocol import STRATEGIES, SeedSetup, _boundary_distill_stack, run_seed_stack, setup_seed
+from .protocol import STRATEGIES, SeedSetup, _boundary_distill_lanes, run_seed_stack, setup_seeds
 from .reporting import (
     export_boundary_grid,
     export_report,
@@ -81,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "each (at most one per seed and per core); a group trains its "
                        "seeds as one stack")
     p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="run up to N seeds in parallel processes (at most one per "
-                         "seed and per core)")
+                         help="split the seeds into up to N contiguous groups, one process "
+                         "each (at most one per seed and per core); a group trains its "
+                         "base models as one stack")
 
     p_report = sub.add_parser("report", help="aggregate run records into summary files")
     p_report.add_argument("results_dir", help="directory holding record CSVs")
@@ -134,19 +135,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     for t, phase in enumerate(bench.phases, start=1):
         save_csv(phase, str(out / f"phase_{t:02d}.csv"))
     save_csv(bench.test, str(out / "test.csv"))
-    write_manifest(
-        out / "split_manifest.txt",
-        {
-            "seed": seed,
-            "source": config.data_source,
-            "num_classes": bench.num_classes,
-            "num_phases": bench.num_phases,
-            "base_size": len(bench.base),
-            "phase_sizes": ",".join(str(len(p)) for p in bench.phases),
-            "test_size": len(bench.test),
-            "version": __version__,
-        },
-    )
+    write_manifest(out / "split_manifest.txt", {
+        "seed": seed, "source": config.data_source, "num_classes": bench.num_classes,
+        "num_phases": bench.num_phases, "base_size": len(bench.base),
+        "phase_sizes": ",".join(str(len(p)) for p in bench.phases),
+        "test_size": len(bench.test), "version": __version__})
     print(f"wrote {2 + bench.num_phases} split files to {out}")
     return 0
 
@@ -161,26 +154,38 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
     Executed possibly in a worker process. Returns one outcome per
     (strategy, seed); a failing strategy fails only its own (strategy, seed).
     """
-    setups, outcomes = _group_setups(config, seeds, out_str)
+    setups, outcomes = [], []
+    for seed, setup in zip(seeds, _group_setups(config, seeds)):
+        if isinstance(setup, Exception):
+            outcomes += _run_cell_failed(setup, config, (seed,), out_str)
+        else:
+            setups.append(setup)
     for strategy in config.strategies:
         outcomes += _run_strategy(config, setups, strategy, Path(out_str))
     return outcomes
 
 
-def _group_setups(config: ExperimentConfig, seeds: tuple[int, ...],
-                  out_str: str) -> tuple[list[SeedSetup], list[dict]]:
-    """The setup of each seed, and the outcomes of the seeds whose setup
-    failed. The benchmarks are built from one shallow copy of the config,
-    which parses the CSV files once for the group and frees them on return."""
+def _group_setups(config: ExperimentConfig,
+                  seeds: tuple[int, ...]) -> list[SeedSetup | Exception]:
+    """The setup of each seed of a group, or the exception that failed it.
+    The benchmarks are built from one shallow copy of the config, which
+    parses the CSV files once for the group and frees them on return; the
+    base models train as one stack (see setup_seeds)."""
     group_config = copy.copy(config)
-    setups, failed = [], []
+    setups: dict[int, SeedSetup | Exception] = {}
+    benches = {}
     for seed in seeds:
         try:
-            bench = group_config.build_benchmark(seed)
-            setups.append(setup_seed(bench, config.run_config("boundary_distill", seed)))
-        except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-            failed += _run_cell_failed(exc, config, (seed,), out_str)
-    return setups, failed
+            benches[seed] = group_config.build_benchmark(seed)
+        except Exception as exc:  # noqa: BLE001 - fails only this seed
+            setups[seed] = exc
+    try:
+        built = setup_seeds(list(benches.values()),
+                            [config.run_config("boundary_distill", seed) for seed in benches])
+    except Exception as exc:  # noqa: BLE001 - fails every seed of the group
+        built = [exc] * len(benches)
+    setups.update(zip(benches, built))
+    return [setups[seed] for seed in seeds]
 
 
 def _run_cell_failed(exc: Exception, config: ExperimentConfig, seeds: tuple[int, ...],
@@ -219,20 +224,11 @@ def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str
             grid_dir.mkdir(parents=True, exist_ok=True)
             for res in results:
                 export_boundary_grid(
-                    res.model,
-                    setup.net_spec,
-                    (float(lo[0]), float(hi[0])),
-                    (float(lo[1]), float(hi[1])),
-                    config.grid_resolution,
-                    path=grid_dir / f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv",
-                )
-        return {
-            "strategy": strategy,
-            "seed": seed,
-            "status": "ok",
-            "pp": record.pp,
-            "forgetting": record.forgetting,
-        }
+                    res.model, setup.net_spec, (float(lo[0]), float(hi[0])),
+                    (float(lo[1]), float(hi[1])), config.grid_resolution,
+                    path=grid_dir / f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv")
+        return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
+                "forgetting": record.forgetting}
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
         return _failure(exc, strategy=strategy, seed=seed)
 
@@ -325,18 +321,29 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[lis
 
 
 def _sweep_cell(
-    config: ExperimentConfig, knob: str, values: tuple[float, ...], seed: int
+    config: ExperimentConfig, knob: str, values: tuple[float, ...], *seeds: int
 ) -> list[dict]:
-    """Phase-1-only sensitivity runs of every value on one seed, all from
-    one shared setup: the values with distill weight > 0 train as one
-    stack, any weight-0 values as another. Returns one outcome per value,
-    in value order; a failing value fails only its own (value, seed)."""
-    try:
-        bench = config.build_benchmark(seed)
-        setup = setup_seed(bench, config.run_config("boundary_distill", seed))
-        ctx = setup.context(1)
-    except Exception as exc:  # noqa: BLE001
-        return _sweep_cell_failed(exc, config, knob, values, seed)
+    """Phase-1-only sensitivity runs of every value on a group of seeds,
+    each seed's values from its own setup (see _group_setups). Returns one
+    outcome per (seed, value), seed-major and in value order; a seed whose
+    setup failed fails only its own values."""
+    outcomes = []
+    for seed, setup in zip(seeds, _group_setups(config, seeds)):
+        if isinstance(setup, Exception):
+            outcomes += _sweep_cell_failed(setup, config, knob, values, seed)
+        else:
+            outcomes += _sweep_seed(config, knob, values, setup)
+    return outcomes
+
+
+def _sweep_seed(config: ExperimentConfig, knob: str, values: tuple[float, ...],
+                setup: SeedSetup) -> list[dict]:
+    """Every value on one seed's setup: the values with distill weight > 0
+    train as one stack, any weight-0 values as another. Returns one outcome
+    per value, in value order; a failing value fails only its own (value,
+    seed)."""
+    seed = setup.base_config.seed
+    ctx = setup.context(1)
     outcomes = {}
     stacks = {True: {}, False: {}}  # weight > 0 -> {value: its run config}
     for value in values:
@@ -348,28 +355,24 @@ def _sweep_cell(
             outcomes[value] = _failure(exc, knob=knob, value=value, seed=seed)
     for stack in stacks.values():
         try:
-            results = _boundary_distill_stack(setup.base_model, setup.bench.phases[0],
-                                              list(stack.values()), ctx) if stack else []
+            results = _boundary_distill_lanes([setup.base_model], [setup.bench.phases[0]],
+                                              list(stack.values()), [ctx]) if stack else []
         except Exception as exc:  # noqa: BLE001
             results = [exc] * len(stack)
         for value, res in zip(stack, results):
             if isinstance(res, Exception):
                 outcomes[value] = _failure(res, knob=knob, value=value, seed=seed)
             else:
-                outcomes[value] = {
-                    "status": "ok",
-                    "knob": knob,
-                    "value": value,
-                    "seed": seed,
-                    "acc_student": res.student_acc_test,
-                    "acc_teacher": res.acc_test,
-                }
+                outcomes[value] = {"status": "ok", "knob": knob, "value": value, "seed": seed,
+                                   "acc_student": res.student_acc_test, "acc_teacher": res.acc_test}
     return [outcomes[value] for value in values]
 
 
-def _sweep_cell_failed(exc: Exception, _config, knob: str, values: tuple, seed: int) -> list[dict]:
-    """Outcomes of a sweep cell that failed as a whole."""
-    return [_failure(exc, knob=knob, value=value, seed=seed) for value in values]
+def _sweep_cell_failed(exc: Exception, _config, knob: str, values: tuple,
+                       *seeds: int) -> list[dict]:
+    """Outcomes of a sweep cell (or one seed of it) that failed as a whole."""
+    return [_failure(exc, knob=knob, value=value, seed=seed)
+            for seed in seeds for value in values]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -391,9 +394,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
-    per_seed = _map_cells(_sweep_cell, [(config, args.knob, values, seed) for seed in config.seeds],
-                          workers, _sweep_cell_failed)
-    outcomes = [outcome for group in zip(*per_seed) for outcome in group]  # value-major
+    argtuples = [(config, args.knob, values, *group)
+                 for group in _seed_groups(config.seeds, workers)]
+    per_group = _map_cells(_sweep_cell, argtuples, workers, _sweep_cell_failed)
+    seed_major = [outcome for group in per_group for outcome in group]
+    outcomes = [o for v in range(len(values)) for o in seed_major[v::len(values)]]  # value-major
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in failed:
         print(f"sweep {args.knob}={o['value']} seed={o['seed']}: FAILED ({o['error']})",

@@ -247,19 +247,13 @@ def split_benchmark(
 
     rng = rng_for(seed, "split")
     perm = rng.permutation(n)
-    guaranteed: list[int] = []
-    rest: list[int] = []
-    seen: set[int] = set()
-    for idx in perm:
-        label = int(dataset.labels[idx])
-        if label not in seen:
-            seen.add(label)
-            guaranteed.append(int(idx))
-        else:
-            rest.append(int(idx))
-    fill = base_size - len(guaranteed)
-    base_idx = np.array(guaranteed + rest[:fill], dtype=np.int64)
-    remainder = np.array(rest[fill:], dtype=np.int64)
+    # the first sample of each class in perm order is guaranteed a base slot
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(dataset.labels[perm], return_index=True)[1]] = True
+    rest = perm[~first]
+    fill = base_size - num_classes
+    base_idx = np.concatenate([perm[first], rest[:fill]])
+    remainder = rest[fill:]
 
     if imbalance == "uniform_random":
         phase_parts = [p for p in np.array_split(remainder, num_phases)]
@@ -328,14 +322,9 @@ def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
     def _tx(ds: Dataset) -> Dataset:
         return Dataset(standardize(ds.features, stats), ds.labels.copy())
 
-    transformed = IILBenchmark(
-        base=_tx(bench.base),
-        phases=tuple(_tx(p) for p in bench.phases),
-        test=_tx(bench.test),
-        num_classes=bench.num_classes,
-        max_phase_fraction=bench.max_phase_fraction,
-    )
-    return transformed
+    return IILBenchmark(base=_tx(bench.base), phases=tuple(_tx(p) for p in bench.phases),
+                        test=_tx(bench.test), num_classes=bench.num_classes,
+                        max_phase_fraction=bench.max_phase_fraction)
 
 
 # --- training loops ---------------------------------------------------------
@@ -381,26 +370,28 @@ def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_from_scratch(
-    dataset: Dataset,
+    datasets: list[Dataset],
+    sizes: tuple[int, ...],
     spec: NetworkSpec,
-    config: RunConfig,
+    configs: list[RunConfig],
     epochs: int,
-    where: str,
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Fresh init + one-hot cross-entropy SGD at the base learning rate.
+    wheres: list[str],
+) -> tuple[np.ndarray, list[list[float]], list[FloatingPointError | None]]:
+    """Fresh init + one-hot cross-entropy SGD at the base learning rate, as
+    one stack (see _sgd_one_hot_stack): model m trains on the first
+    sizes[m] rows of datasets[m] from the init and shuffle streams of
+    configs[m].seed. Returns the models (M, P), their epoch losses and
+    their errors.
 
-    Used for the base model and for every full-data retrain; both pull
+    Used for the base models and for every full-data retrain; both pull
     from the same derived streams, so retraining on the base pool alone
     reproduces the base model bit for bit.
     """
-    params = init_network(spec, derive_seed(config.seed, "init"))
-    shuffle_rng = rng_for(config.seed, "base-train", "shuffle")
-    histories, errors = _sgd_one_hot_stack(params[None], [dataset], (len(dataset),), spec,
-                                           config.lr_base, epochs, config.batch_size,
-                                           [shuffle_rng], [where])
-    if errors[0] is not None:
-        raise errors[0]
-    return params, tuple(histories[0])
+    models = np.array([init_network(spec, derive_seed(c.seed, "init")) for c in configs])
+    histories, errors = _sgd_one_hot_stack(
+        models, datasets, sizes, spec, configs[0].lr_base, epochs, configs[0].batch_size,
+        [rng_for(c.seed, "base-train", "shuffle") for c in configs], wheres)
+    return models, histories, errors
 
 
 def _sgd_one_hot_stack(
@@ -481,16 +472,50 @@ def _sgd_one_hot_stack(
 def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None) -> np.ndarray:
     """Base model: from-scratch one-hot training on the base split.
 
-    epochs=0 returns the untouched initialization (loop-bound edge).
+    epochs=0 returns the untouched initialization (loop-bound edge). This
+    is _train_bases on a group of one.
     """
-    resolved = config.epochs_per_phase if epochs is None else epochs
-    if resolved < 0:
-        raise ValueError(f"epochs must be >= 0, got {resolved}")
-    spec = config.network_spec(bench.base.dim, bench.num_classes)
+    [(model, _)] = _train_bases([bench], [config], epochs)
+    return _one([model])
+
+
+def _train_bases(
+    benches: list[IILBenchmark],
+    configs: list[RunConfig],
+    epochs: int | None = None,
+) -> list[tuple[np.ndarray | FloatingPointError, float]]:
+    """train_base for each seed of a group, with configs that differ only
+    in the seed. The seeds whose networks and base splits have equal sizes
+    train as one stack, each from its own data, init and shuffle streams,
+    so it gets the bits it would get alone. Returns per seed its base model
+    or the FloatingPointError that failed it, and the seconds of its stack.
+    """
+    if any(replace(c, seed=configs[0].seed) != configs[0] for c in configs[1:]):
+        raise ValueError("the configs of a seed group may differ only in the seed")
+    if epochs is not None and epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     where = "base training, phase 0"
-    params, _ = _fit_from_scratch(bench.base, spec, config, resolved, where)
-    _check_finite(params, where)
-    return params
+    stacks: dict[tuple[NetworkSpec, int], list[int]] = {}
+    for s, (bench, config) in enumerate(zip(benches, configs, strict=True)):
+        key = (config.network_spec(bench.base.dim, bench.num_classes), len(bench.base))
+        stacks.setdefault(key, []).append(s)
+    trained: list[tuple[np.ndarray | FloatingPointError, float]] = [None] * len(benches)
+    for (spec, size), members in stacks.items():
+        start = time.perf_counter()
+        resolved = configs[0].epochs_per_phase if epochs is None else epochs
+        models, _, errors = _fit_from_scratch(
+            [benches[s].base for s in members], (size,) * len(members), spec,
+            [configs[s] for s in members], resolved, [where] * len(members))
+        seconds = time.perf_counter() - start
+        for s, model, error in zip(members, models, errors):
+            try:
+                if error is not None:
+                    raise error
+                _check_finite(model, where)
+                trained[s] = (model, seconds)
+            except FloatingPointError as exc:
+                trained[s] = (exc, seconds)
+    return trained
 
 
 def _phase_result(
@@ -508,19 +533,11 @@ def _phase_result(
     _check_finite(model, where)
     acc_test = accuracy(model, ctx.net_spec, ctx.test_set)
     acc_base = accuracy(model, ctx.net_spec, ctx.base_set)
-    return PhaseResult(
-        phase_index=ctx.phase_index,
-        model=model,
-        acc_test=acc_test,
-        acc_base=acc_base,
-        wall_time=time.perf_counter() - start,
-        student_model=student,
-        student_acc_test=(
-            acc_test if student is model else accuracy(student, ctx.net_spec, ctx.test_set)
-        ),
-        loss_history=loss_history,
-        ema_history=ema_history,
-    )
+    student_acc = acc_test if student is model else accuracy(student, ctx.net_spec, ctx.test_set)
+    return PhaseResult(phase_index=ctx.phase_index, model=model, acc_test=acc_test,
+                       acc_base=acc_base, wall_time=time.perf_counter() - start,
+                       student_model=student, student_acc_test=student_acc,
+                       loss_history=loss_history, ema_history=ema_history)
 
 
 def _stack_results(
@@ -548,8 +565,8 @@ def _stack_results(
     return results
 
 
-def _one(results: list[PhaseResult | FloatingPointError]) -> PhaseResult:
-    """The result of a stack of one, raising its error."""
+def _one(results: list):
+    """The result of a stack or group of one, raising it when it is an exception."""
     [result] = results
     if isinstance(result, Exception):
         raise result
@@ -574,18 +591,6 @@ def run_phase_boundary_distill(
     stack of one.
     """
     return _one(_boundary_distill_lanes([model_prev], [phase_data], [config], [ctx]))
-
-
-def _boundary_distill_stack(
-    model_prev: np.ndarray,
-    phase_data: Dataset,
-    configs: list[RunConfig],
-    ctx: PhaseContext,
-) -> list[PhaseResult | FloatingPointError]:
-    """run_phase_boundary_distill for each config on one seed's phase, as
-    one stack (see _boundary_distill_lanes): one shuffle order per epoch
-    and one noise draw per minibatch, scaled by each model's delta."""
-    return _boundary_distill_lanes([model_prev], [phase_data], configs, [ctx])
 
 
 def _boundary_distill_lanes(
@@ -847,10 +852,12 @@ def run_phase_full_data(
     """
     start = time.perf_counter()
     where = f"full_data, phase {ctx.phase_index}"
-    params, history = _fit_from_scratch(
-        accumulated, ctx.net_spec, config, config.epochs_per_phase, where
-    )
-    return _phase_result(ctx, where, start, params, params, history, ())
+    [params], [history], [error] = _fit_from_scratch(
+        [accumulated], (len(accumulated),), ctx.net_spec, [config], config.epochs_per_phase,
+        [where])
+    if error is not None:
+        raise error
+    return _phase_result(ctx, where, start, params, params, tuple(history), ())
 
 
 def _full_data_stack(
@@ -878,16 +885,10 @@ def _full_data_stack(
     seeds = range(len(setups))
     datasets = [Dataset.concat([s.bench.base, *s.bench.phases]) for s in setups]
     sizes = [len(bench.base) + sum(len(p) for p in bench.phases[:t]) for t in phases]
-    spec = setups[0].net_spec
-    inits = [init_network(spec, derive_seed(c.seed, "init")) for c in configs]
-    models = np.array([inits[s] for _ in phases for s in seeds])
-    histories, model_errors = _sgd_one_hot_stack(
-        models, [datasets[s] for _ in phases for s in seeds],
-        tuple(size for size in sizes for _ in seeds), spec,
-        configs[0].lr_base, configs[0].epochs_per_phase, configs[0].batch_size,
-        [rng_for(configs[s].seed, "base-train", "shuffle") for _ in phases for s in seeds],
-        [f"full_data, phase {t}" for t in phases for _ in seeds],
-    )
+    models, histories, model_errors = _fit_from_scratch(
+        [datasets[s] for _ in phases for s in seeds], tuple(size for size in sizes for _ in seeds),
+        setups[0].net_spec, [configs[s] for _ in phases for s in seeds],
+        configs[0].epochs_per_phase, [f"full_data, phase {t}" for t in phases for _ in seeds])
     for s in seeds:
         for t in range(1, bench.num_phases + 1):
             m = (bench.num_phases - t) * len(setups) + s
@@ -920,7 +921,8 @@ class SeedSetup:
     batch_size, and on nothing else: not on the strategy, not on any
     distillation knob. Every RunConfig that agrees with base_config on those
     fields therefore runs from the same setup. The base model is read-only;
-    phase runners start from copies of it.
+    phase runners start from copies of it. base_seconds is the time of the
+    stack that trained it (see setup_seeds).
     """
 
     bench: IILBenchmark
@@ -943,20 +945,30 @@ class SeedSetup:
 
 def setup_seed(bench: IILBenchmark, config: RunConfig) -> SeedSetup:
     """Standardize the benchmark once (base-split statistics) and train the
-    base model for config.seed."""
-    model_space = standardized_benchmark(bench)
-    start = time.perf_counter()
-    base_model = train_base(model_space, config)
-    base_seconds = time.perf_counter() - start
-    base_model.setflags(write=False)
-    return SeedSetup(
-        bench=model_space,
-        norm_stats=compute_norm_stats(model_space.base),
-        net_spec=config.network_spec(model_space.base.dim, model_space.num_classes),
-        base_model=base_model,
-        base_config=config,
-        base_seconds=base_seconds,
-    )
+    base model for config.seed. This is setup_seeds on a group of one."""
+    return _one(setup_seeds([bench], [config]))
+
+
+def setup_seeds(
+    benches: list[IILBenchmark],
+    configs: list[RunConfig],
+) -> list[SeedSetup | FloatingPointError]:
+    """setup_seed for each seed of a group, with configs that differ only
+    in the seed: each benchmark is standardized by its own base split, then
+    the base models train as stacks (see _train_bases). Returns per seed
+    its SeedSetup, or the FloatingPointError that failed its base training,
+    which is the one it gets alone."""
+    spaces = [standardized_benchmark(bench) for bench in benches]
+    setups: list[SeedSetup | FloatingPointError] = []
+    for space, config, (model, seconds) in zip(spaces, configs, _train_bases(spaces, configs)):
+        if isinstance(model, Exception):
+            setups.append(model)
+            continue
+        model.setflags(write=False)
+        setups.append(SeedSetup(bench=space, norm_stats=compute_norm_stats(space.base),
+                                net_spec=config.network_spec(space.base.dim, space.num_classes),
+                                base_model=model, base_config=config, base_seconds=seconds))
+    return setups
 
 
 def run_phases(
@@ -973,10 +985,7 @@ def run_phases(
     propagates; a complete record replaces the partial one of an earlier
     run. This is run_seed_stack on a group of one.
     """
-    [walk] = run_seed_stack([setup], [config], out_dir)
-    if isinstance(walk, Exception):
-        raise walk
-    return walk
+    return _one(run_seed_stack([setup], [config], out_dir))
 
 
 def run_seed_stack(
@@ -1102,21 +1111,13 @@ def _record_from_results(
         PhaseAccuracy(phase=r.phase_index, acc_test=r.acc_test, acc_base=r.acc_base)
         for r in results
     )
+    pp = forgetting = float("nan")
     if len(per_phase) >= 2:
         pp = performance_promotion([p.acc_test for p in per_phase])
         forgetting = forgetting_rate(per_phase[-1].acc_base, per_phase[0].acc_base)
-    else:
-        pp = float("nan")
-        forgetting = float("nan")
     strategy = config.strategy + ("(partial)" if partial else "")
-    return MetricsRecord(
-        strategy=strategy,
-        seed=config.seed,
-        per_phase=per_phase,
-        pp=pp,
-        forgetting=forgetting,
-        config_digest=config.digest(),
-    )
+    return MetricsRecord(strategy=strategy, seed=config.seed, per_phase=per_phase, pp=pp,
+                         forgetting=forgetting, config_digest=config.digest())
 
 
 def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:

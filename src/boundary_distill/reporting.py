@@ -138,19 +138,12 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
         by_strategy.setdefault(rec.strategy, []).append(rec)
     group_stats: dict[str, dict[str, float]] = {}
     for strategy, group in by_strategy.items():
-        pps = [r.pp for r in group]
-        fs = [r.forgetting for r in group]
-        entry = {
-            "pp_median": float(np.median(pps)),
-            "f_median": float(np.median(fs)),
-        }
-        if len(group) >= 2:
-            entry["pp_mean"], entry["pp_ci95"] = t_confidence_interval(pps)
-            entry["f_mean"], entry["f_ci95"] = t_confidence_interval(fs)
-        else:
-            entry["pp_mean"], entry["pp_ci95"] = float(pps[0]), float("nan")
-            entry["f_mean"], entry["f_ci95"] = float(fs[0]), float("nan")
-        group_stats[strategy] = entry
+        entry = group_stats[strategy] = {}
+        for name, values in (("pp", [r.pp for r in group]), ("f", [r.forgetting for r in group])):
+            entry[f"{name}_median"] = float(np.median(values))
+            entry[f"{name}_mean"], entry[f"{name}_ci95"] = (
+                t_confidence_interval(values) if len(group) >= 2
+                else (float(values[0]), float("nan")))
 
     summary_path = out / "summary.csv"
     text = io.StringIO()

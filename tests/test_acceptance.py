@@ -39,7 +39,7 @@ from boundary_distill.distill import (
 )
 from boundary_distill.metrics import forgetting_rate, performance_promotion
 from boundary_distill.network import NetworkSpec, loss_and_grad, one_hot
-from boundary_distill.protocol import run_benchmark
+from boundary_distill.protocol import run_benchmark, run_seed_stack, setup_seeds
 
 SEEDS = (0, 1, 2, 3, 4)
 med = statistics.median
@@ -60,28 +60,46 @@ def benchmarks(config):
     return {seed: config.build_benchmark(seed) for seed in SEEDS}
 
 
+def _raise_failures(items: list) -> list:
+    """The items, unless one of them is an exception, which is raised."""
+    for item in items:
+        if isinstance(item, Exception):
+            raise item
+    return items
+
+
 @pytest.fixture(scope="module")
-def reference_runs(config, benchmarks):
+def setups(config, benchmarks):
+    """One setup per seed, the base models trained once, as one stack; every
+    strategy below walks from them, as `run` does."""
+    return _raise_failures(setup_seeds([benchmarks[seed] for seed in SEEDS],
+                                       [config.run_config("boundary_distill", seed)
+                                        for seed in SEEDS]))
+
+
+def _seed_runs(setups, run_configs) -> list:
+    """(results, record) per seed of SEEDS, the seeds walked as one stack."""
+    return _raise_failures(run_seed_stack(setups, run_configs, None))
+
+
+@pytest.fixture(scope="module")
+def reference_runs(config, setups):
     """(results, record) per (strategy, seed) for the compared strategies."""
     out = {}
     for strategy in ("full_data", "boundary_distill", "fine_tune"):
-        for seed in SEEDS:
-            out[strategy, seed] = run_benchmark(
-                benchmarks[seed], config.run_config(strategy, seed)
-            )
+        runs = _seed_runs(setups, [config.run_config(strategy, seed) for seed in SEEDS])
+        out.update({(strategy, seed): run for seed, run in zip(SEEDS, runs)})
     return out
 
 
 @pytest.fixture(scope="module")
-def per_iteration_finals(config, benchmarks):
+def per_iteration_finals(config, setups):
     """Final teacher test accuracy when the EMA fires every minibatch."""
-    finals = []
+    run_configs = []
     for seed in SEEDS:
         rc = config.run_config("boundary_distill", seed)
-        rc = replace(rc, sched=with_mode(rc.sched, "per_iteration"))
-        _, record = run_benchmark(benchmarks[seed], rc)
-        finals.append(record.per_phase[-1].acc_test)
-    return finals
+        run_configs.append(replace(rc, sched=with_mode(rc.sched, "per_iteration")))
+    return [record.per_phase[-1].acc_test for _, record in _seed_runs(setups, run_configs)]
 
 
 # --- 1: gradients -----------------------------------------------------------

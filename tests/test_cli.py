@@ -16,6 +16,7 @@ from boundary_distill import config as config_module
 from boundary_distill.config import ExperimentConfig, dump_config, load_config
 from boundary_distill.data import Dataset, save_csv
 from boundary_distill.reporting import read_record_csv
+from boundary_distill.seeding import derive_seed
 
 TINY = """\
 # small end-to-end exercise config
@@ -138,6 +139,19 @@ def test_run_parallel_matches_serial(tiny_config, tmp_path):
         assert serial == parallel
 
 
+def test_sweep_parallel_matches_serial(tiny_config, tmp_path, monkeypatch):
+    # 3 seeds and --parallel 2: the groups (0, 1) and (2,), one per worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg3 = tmp_path / "three_seeds.cfg"
+    cfg3.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
+    for out, extra in (("s", []), ("p", ["--parallel", "2"])):
+        assert cli.main(["sweep", "--config", str(cfg3), "--knob", "delta", "--values",
+                         "0.5,2.0", "--out", str(tmp_path / out), *extra]) == 0
+    for fname in ("sweep_delta.csv", "sweep_delta_summary.csv"):
+        assert (tmp_path / "s" / fname).read_bytes() == (tmp_path / "p" / fname).read_bytes()
+    assert len((tmp_path / "s" / "sweep_delta.csv").read_text().splitlines()) == 7
+
+
 def test_run_failure_exits_one(tiny_config, tmp_path, monkeypatch, capsys):
     def boom(*_args, **_kwargs):
         raise RuntimeError("synthetic failure")
@@ -163,6 +177,52 @@ def test_diverged_base_training_fails_without_records(tmp_path, capsys):
     assert "failed=4" in (out / "manifest.txt").read_text()
 
 
+def _failed_lines(err: str, seed: int) -> list[str]:
+    return [line for line in err.splitlines() if f"seed={seed}: FAILED" in line]
+
+
+def _files_but_seed_one(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and "seed1" not in p.name and p.name != "config.resolved"}
+
+
+@pytest.mark.parametrize("command", [["run", "--strategy", "all"],
+                                     ["sweep", "--knob", "delta", "--values", "0.5,2.0"]],
+                         ids=["run", "sweep"])
+def test_diverging_base_training_fails_only_its_seed(command, tmp_path, monkeypatch, capsys):
+    # seed 1 starts from 1e300 times its initialization, so its base training
+    # diverges in epoch 1, inside the stack of the group (0, 1, 2)
+    config = tmp_path / "three_seeds.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
+    argv = [*command, "--config", str(config)]
+    assert cli.main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    real = protocol.init_network
+    poisoned = derive_seed(1, "init")
+    monkeypatch.setattr(protocol, "init_network", lambda spec, seed: real(spec, seed) * (
+        1e300 if seed == poisoned else 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([*argv, "--out", str(tmp_path / "group")]) == 1
+        err = capsys.readouterr().err
+        assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "alone")]) == 1
+        alone = capsys.readouterr().err
+    assert _failed_lines(err, 1) == _failed_lines(alone, 1)
+    assert "FAILED (FloatingPointError: base training, phase 0, epoch 1: " in err
+    assert not _failed_lines(err, 0) and not _failed_lines(err, 2)
+    # the other seeds' files, and their rows of the sweep CSV, do not change
+    group = _files_but_seed_one(tmp_path / "group")
+    clean = _files_but_seed_one(tmp_path / "clean")
+    if command[0] == "run":
+        assert "failed=4" in group.pop("manifest.txt").decode()
+        clean.pop("manifest.txt")
+        assert group == clean
+    else:
+        kept = [row for row in clean["sweep_delta.csv"].decode().splitlines()
+                if row.split(",")[2] != "1"]
+        assert group["sweep_delta.csv"].decode().splitlines() == kept
+        assert len(kept) == 5
+
+
 @pytest.fixture()
 def two_seed_config(tmp_path):
     path = tmp_path / "two_seeds.cfg"
@@ -172,15 +232,16 @@ def two_seed_config(tmp_path):
 
 @pytest.fixture()
 def base_trainings(monkeypatch):
-    """Count protocol.train_base calls (one per base model trained)."""
+    """Seeds of the configs passed to cli.setup_seeds (one per base model
+    trained)."""
     calls = []
-    real = protocol.train_base
+    real = cli.setup_seeds
 
-    def counted(bench, config, *args, **kwargs):
-        calls.append(config.seed)
-        return real(bench, config, *args, **kwargs)
+    def counted(benches, configs):
+        calls.extend(config.seed for config in configs)
+        return real(benches, configs)
 
-    monkeypatch.setattr(protocol, "train_base", counted)
+    monkeypatch.setattr(cli, "setup_seeds", counted)
     return calls
 
 
@@ -243,16 +304,16 @@ def test_parallel_below_one_exits_two(tiny_config, tmp_path, capsys):
 
 
 def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, capsys):
-    real = cli.setup_seed
+    real = cli.setup_seeds
 
-    def dies_on_seed_one(bench, config):
-        if config.seed == 1:
+    def dies_on_seed_one(benches, configs):
+        if any(config.seed == 1 for config in configs):
             os._exit(3)
-        return real(bench, config)
+        return real(benches, configs)
 
     # forked workers inherit the patched module attribute; two reported cores
     # keep the cells in a 2-worker pool, never in this process
-    monkeypatch.setattr(cli, "setup_seed", dies_on_seed_one)
+    monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_one)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
     rc = cli.main(["run", "--config", str(two_seed_config), "--out", str(run_out),
@@ -302,18 +363,18 @@ def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
     config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
     out = tmp_path / "o"
     last_grid = out / "grids" / "fine_tune_seed1_phase02.csv"
-    real = cli.setup_seed
+    real = cli.setup_seeds
 
-    def dies_on_seed_two(bench, run_config):
-        if run_config.seed == 2:
+    def dies_on_seed_two(benches, run_configs):
+        if any(run_config.seed == 2 for run_config in run_configs):
             deadline = time.monotonic() + 60
             while not last_grid.exists() and time.monotonic() < deadline:
                 time.sleep(0.05)
             time.sleep(0.5)
             os._exit(3)
-        return real(bench, run_config)
+        return real(benches, run_configs)
 
-    monkeypatch.setattr(cli, "setup_seed", dies_on_seed_two)
+    monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rc = cli.main(["run", "--config", str(config), "--out", str(out), "--parallel", "2"])
     assert rc == 1
@@ -347,6 +408,12 @@ def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     assert sorted(parsed) == ["test.csv", "train.csv"]
     assert len(list((tmp_path / "o" / "records").glob("record_*.csv"))) == 2
+
+    parsed.clear()
+    assert cli.main(["sweep", "--config", str(config), "--knob", "delta", "--values", "0.5,2.0",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert sorted(parsed) == ["test.csv", "train.csv"]
+    assert len((tmp_path / "s" / "sweep_delta.csv").read_text().splitlines()) == 5
 
 
 def test_report_does_not_load_scipy_stats(two_seed_config, tmp_path):

@@ -33,6 +33,7 @@ from boundary_distill.protocol import (
     run_phase_vanilla_distill,
     run_phases,
     setup_seed,
+    setup_seeds,
     split_benchmark,
     standardized_benchmark,
     train_base,
@@ -327,9 +328,9 @@ class TestVanillaDistill:
         assert statistics.median(margins) >= 0.0
 
 
-def _dirichlet_csv_bench(seed=0):
+def _dirichlet_csv_bench(seed=0, rows=900):
     """A 4-class mixture in 3 features split like the CSV route, with
-    class-imbalanced phases of unequal sizes."""
+    class-imbalanced phases of unequal sizes and a base split of rows / 2."""
     rng = np.random.default_rng(seed)
     means = 2.0 * rng.standard_normal((4, 3))
 
@@ -337,7 +338,7 @@ def _dirichlet_csv_bench(seed=0):
         labels = np.arange(rows) % 4
         return Dataset(means[labels] + rng.standard_normal((rows, 3)), labels)
 
-    return split_benchmark(mixture(900), 0.5, 10, seed=seed, imbalance="dirichlet",
+    return split_benchmark(mixture(rows), 0.5, 10, seed=seed, imbalance="dirichlet",
                            test=mixture(200))
 
 
@@ -422,7 +423,7 @@ class TestBoundaryDistillStack:
         field, values = STACK_KNOBS[knob]
         configs = [replace(config, **{field: value}) for value in values]
         ctx, phase = setup.context(1), setup.bench.phases[0]
-        stacked = protocol._boundary_distill_stack(setup.base_model, phase, configs, ctx)
+        stacked = protocol._boundary_distill_lanes([setup.base_model], [phase], configs, [ctx])
         assert len(stacked) == len(configs)
         for res, cfg in zip(stacked, configs):
             _assert_same_phase(res, run_phase_boundary_distill(setup.base_model, phase, cfg, ctx))
@@ -436,7 +437,8 @@ class TestBoundaryDistillStack:
                                (replace(config, noise=NoiseSpec(mu=0.5)), "may differ only"),
                                (replace(config, distill_weight=0.0), "all > 0 or all 0")):
             with pytest.raises(ValueError, match=message):
-                protocol._boundary_distill_stack(setup.base_model, phase, [config, other], ctx)
+                protocol._boundary_distill_lanes([setup.base_model], [phase], [config, other],
+                                                 [ctx])
 
     def test_diverging_model_fails_alone(self):
         # a huge distillation weight makes the middle model diverge; the
@@ -445,7 +447,7 @@ class TestBoundaryDistillStack:
         configs = [replace(config, distill_weight=w) for w in (0.1, 1e300, 2.0)]
         ctx, phase = setup.context(1), setup.bench.phases[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = protocol._boundary_distill_stack(setup.base_model, phase, configs, ctx)
+            stacked = protocol._boundary_distill_lanes([setup.base_model], [phase], configs, [ctx])
             with pytest.raises(FloatingPointError) as alone:
                 run_phase_boundary_distill(setup.base_model, phase, configs[1], ctx)
         assert isinstance(stacked[1], FloatingPointError)
@@ -754,6 +756,78 @@ class TestSeedSetup:
                         RunConfig(epochs_per_phase=2, lr_base=0.1, seed=0)):
             with pytest.raises(ValueError, match="seed setup"):
                 run_phases(setup, changed, None)
+
+
+def _assert_same_setup(stacked, alone):
+    for split_a, split_b in zip((stacked.bench.base, stacked.bench.test, *stacked.bench.phases),
+                                (alone.bench.base, alone.bench.test, *alone.bench.phases)):
+        np.testing.assert_array_equal(split_a.features, split_b.features)
+        np.testing.assert_array_equal(split_a.labels, split_b.labels)
+    np.testing.assert_array_equal(stacked.norm_stats.mean, alone.norm_stats.mean)
+    np.testing.assert_array_equal(stacked.norm_stats.std, alone.norm_stats.std)
+    np.testing.assert_array_equal(stacked.base_model, alone.base_model)
+    assert (stacked.net_spec, stacked.base_config) == (alone.net_spec, alone.base_config)
+    assert not stacked.base_model.flags.writeable
+
+
+class TestSeedGroupSetup:
+    @pytest.mark.parametrize("bench", SEED_BENCHES)
+    def test_stack_equals_setups_of_one(self, bench):
+        seeds = (0, 1, 2)
+        configs = _seed_configs("boundary_distill", seeds)
+        benches = [SEED_BENCHES[bench](seed) for seed in seeds]
+        setups = setup_seeds(benches, configs)
+        for setup, b, config in zip(setups, benches, configs):
+            _assert_same_setup(setup, setup_seed(b, config))
+        # one stack: every seed carries its time
+        assert len({setup.base_seconds for setup in setups}) == 1
+
+    def test_seeds_stack_by_base_size(self, monkeypatch):
+        # the dirichlet CSV splits of 900 rows share a 450-row base split and
+        # stack; the one of 800 rows and the 2-feature drift seed train alone
+        stack_seeds = []
+        real = protocol._fit_from_scratch
+
+        def spy(datasets, sizes, spec, configs, epochs, wheres):
+            stack_seeds.append(tuple(c.seed for c in configs))
+            return real(datasets, sizes, spec, configs, epochs, wheres)
+
+        monkeypatch.setattr(protocol, "_fit_from_scratch", spy)
+        configs = _seed_configs("boundary_distill", (0, 1, 2, 3))
+        benches = [_dirichlet_csv_bench(0), _dirichlet_csv_bench(1, rows=800),
+                   _dirichlet_csv_bench(2), _drift_bench(3)]
+        setups = setup_seeds(benches, configs)
+        assert stack_seeds == [(0, 2), (1,), (3,)]
+        assert setups[0].base_seconds == setups[2].base_seconds
+        monkeypatch.undo()
+        for setup, bench, config in zip(setups, benches, configs):
+            _assert_same_setup(setup, setup_seed(bench, config))
+
+    def test_diverging_seed_fails_alone(self, monkeypatch):
+        # seed 1 starts from 1e300 times its initialization, so its base
+        # training diverges in epoch 1; seeds 0 and 2 keep every bit
+        configs = _seed_configs("boundary_distill", (0, 1, 2))
+        benches = [_drift_bench(seed) for seed in (0, 1, 2)]
+        clean = setup_seeds(benches, configs)
+        real = protocol.init_network
+        poisoned = derive_seed(1, "init")
+        monkeypatch.setattr(protocol, "init_network", lambda spec, seed: real(spec, seed) * (
+            1e300 if seed == poisoned else 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            setups = setup_seeds(benches, configs)
+            with pytest.raises(FloatingPointError) as alone:
+                setup_seed(benches[1], configs[1])
+        assert isinstance(setups[1], FloatingPointError)
+        assert str(setups[1]) == str(alone.value)
+        assert str(alone.value).startswith("base training, phase 0, epoch 1: ")
+        for s in (0, 2):
+            _assert_same_setup(setups[s], clean[s])
+
+    def test_configs_must_differ_only_in_the_seed(self):
+        configs = _seed_configs("boundary_distill", (0, 1))
+        benches = [_drift_bench(0), _drift_bench(1)]
+        with pytest.raises(ValueError, match="differ only in the seed"):
+            setup_seeds(benches, [configs[0], replace(configs[1], lr_base=0.5)])
 
 
 class TestStandardizedBenchmark:
