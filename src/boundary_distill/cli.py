@@ -13,8 +13,6 @@ import copy
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -304,6 +302,9 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[lis
     """Run the cells and return each cell's outcomes, in cell order; a
     cell whose worker process died gets `failed(exc, *args)` instead."""
     if workers > 1:
+        # imported here so that a serial command loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, *a) for a in argtuples]
             per_seed = []

@@ -318,7 +318,9 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Parse a labeled CSV into a Dataset.
 
     Rows with non-finite features are skipped; one warning reporting the
-    skip count is emitted. Labels must parse as integers.
+    skip count is emitted. Labels must parse as integers. A row whose field
+    count differs from the header's, or whose value does not parse, raises
+    ValueError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -339,15 +341,25 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         feats: list[list[float]] = []
         labels: list[int] = []
         skipped = 0
-        for line_no, row in enumerate(reader, start=2):
-            values = [float(row[c]) for c in feature_cols]
-            if not all(math.isfinite(v) for v in values):
-                skipped += 1
-                continue
-            raw_label = row[schema.label_col]
-            label = float(raw_label)
-            if label != int(label):
-                raise ValueError(f"{path}:{line_no}: label {raw_label!r} is not an integer")
+        width, last = len(reader.fieldnames), reader.fieldnames[-1]
+        for row in reader:
+            # DictReader keeps extra fields under the key None, and fills
+            # missing (trailing) ones with None
+            if None in row or row[last] is None:
+                fields = width + len(row.get(None, ())) - list(row.values()).count(None)
+                raise ValueError(f"{path}:{reader.line_num}: {fields} fields, "
+                                 f"the header has {width}")
+            try:
+                values = [float(row[c]) for c in feature_cols]
+                if not all(math.isfinite(v) for v in values):
+                    skipped += 1
+                    continue
+                raw_label = row[schema.label_col]
+                label = float(raw_label)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            if not math.isfinite(label) or label != int(label):
+                raise ValueError(f"{path}:{reader.line_num}: label {raw_label!r} is not an integer")
             feats.append(values)
             labels.append(int(label))
     if skipped:

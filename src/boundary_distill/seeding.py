@@ -8,6 +8,7 @@ seed and the label path, never on call order or platform.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -15,12 +16,18 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+@functools.cache
+def _label_token(label: str) -> int:
+    """The token of a string path part, hashed once per label."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def _token(part: int | str) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
+        return _label_token(part)
     raise TypeError(f"seed path parts must be int or str, got {type(part).__name__}")
 
 

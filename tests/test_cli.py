@@ -416,27 +416,93 @@ def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
     assert len((tmp_path / "s" / "sweep_delta.csv").read_text().splitlines()) == 5
 
 
+def _probe(code: str) -> list[str]:
+    """The lines a fresh interpreter prints running `code` on this package."""
+    src = Path(boundary_distill.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True, timeout=60)
+    return result.stdout.strip().splitlines()
+
+
 def test_report_does_not_load_scipy_stats(two_seed_config, tmp_path):
-    # two records per strategy, so report computes its t intervals
+    # two records per strategy, so report computes its t intervals, from the
+    # table of 95 % quantiles without loading any SciPy module
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(two_seed_config), "--out", str(out)]) == 0
-    src = Path(boundary_distill.__file__).resolve().parents[1]
-    probe = ("import sys; from boundary_distill import cli; "
-             f"assert cli.main(['report', {str(out)!r}]) == 0; "
-             "print(sorted({m for m in sys.modules if m.startswith('scipy.')} "
-             "& {'scipy.special', 'scipy.stats'}))")
-    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                            capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.strip().splitlines()[-1] == "['scipy.special']"
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['report', {str(out)!r}]) == 0; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert printed[-1] == "[]"
+
+
+@pytest.mark.parametrize(("records", "loaded"), [(101, "[]"), (102, "['scipy.special']")])
+def test_report_loads_scipy_special_past_the_quantile_table(tmp_path, records, loaded):
+    # 101 records is the table's last degree of freedom (100); 102 needs stdtrit
+    for seed in range(records):
+        (tmp_path / f"record_fine_tune_seed{seed}.csv").write_text(
+            "strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest\n"
+            f"fine_tune,{seed},0,0.5,0.5,{seed / 1000!r},{-seed / 3000!r},d\n")
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['report', {str(tmp_path)!r}]) == 0; "
+                     "print(sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'} "
+                     "& {'scipy.special', 'scipy.stats'}))")
+    assert printed[-1] == loaded
+    summary = (tmp_path / "report" / "summary.csv").read_text().splitlines()
+    assert len(summary) == records + 1 and "nan" not in summary[1]
 
 
 def test_cli_import_does_not_load_scipy():
-    src = Path(boundary_distill.__file__).resolve().parents[1]
-    probe = ("import sys, boundary_distill.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                            capture_output=True, text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    assert _probe("import sys, boundary_distill.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == ["[]"]
+
+
+def test_serial_commands_load_no_process_pool(tiny_config, tmp_path):
+    pool_modules = ("print(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] in ('concurrent', 'multiprocessing'))); ")
+    printed = _probe(
+        f"import sys, boundary_distill.cli as cli; {pool_modules}"
+        f"assert cli.main(['run', '--config', {str(tiny_config)!r}, '--out', "
+        f"{str(tmp_path / 'r')!r}]) == 0; {pool_modules}"
+        f"assert cli.main(['sweep', '--config', {str(tiny_config)!r}, '--knob', 'delta', "
+        f"'--values', '0.5,2.0', '--out', {str(tmp_path / 's')!r}]) == 0; {pool_modules}")
+    # after the import, the run and the sweep
+    assert [line for line in printed if line.startswith("[")] == ["[]", "[]", "[]"]
+
+
+def _csv_config(tmp_path, train_text: str) -> Path:
+    """TINY on the CSV route, with train.csv holding `train_text`."""
+    (tmp_path / "train.csv").write_text(train_text)
+    (tmp_path / "test.csv").write_text("f0,f1,label\n1.0,2.0,0\n")
+    config = tmp_path / "csv.cfg"
+    config.write_text(TINY + f"data.source = csv\ncsv.train_path = {tmp_path / 'train.csv'}\n"
+                      f"csv.test_path = {tmp_path / 'test.csv'}\n")
+    return config
+
+
+def test_short_csv_row_fails_with_its_file_and_line(tmp_path, capsys):
+    config = _csv_config(tmp_path, "f0,f1,label\n1.0,2.0,0\n0.5,2\n")
+    where = f"{tmp_path / 'train.csv'}:3: 2 fields, the header has 3"
+    assert cli.main(["split", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {where}\n"
+    assert not (tmp_path / "o").exists()
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert f"fine_tune seed=0: FAILED (ValueError: {where})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("strategy,seed,phase,acc_test,acc_base,forgetting,config_digest\n"
+     "fine_tune,0,0,0.5,0.5,0.0,d\n", "missing column(s) pp"),
+    ("strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest\n"
+     "fine_tune,0,0,0.5,0.5,x,0.0,d\n", "could not convert string to float: 'x'"),
+    ("strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest\n"
+     "fine_tune,0,0,0.5,0.5,0.0,0.0,d\nfine_tune,0,1,0.5\n", "float() argument"),
+], ids=["missing_column", "bad_value", "short_row"])
+def test_malformed_record_fails_report_with_exit_two(tmp_path, capsys, text, message):
+    record = tmp_path / "record_fine_tune_seed0.csv"
+    record.write_text(text)
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {record}: {message}")
+    assert not (tmp_path / "report").exists()
 
 
 def test_strategy_flag_expands_and_validates(tiny_config, tmp_path, capsys):

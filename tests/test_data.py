@@ -1,6 +1,7 @@
 """Synthetic drift generators, normalization stats, CSV ingestion."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -384,6 +385,19 @@ class TestCsv:
         with open(path, "w") as fh:
             fh.write("x,label\n1.0,0\n2.0,1.5\n")
         with pytest.raises(ValueError, match=r":3: label '1.5'"):
+            load_csv(path, CsvSchema())
+
+    @pytest.mark.parametrize(("row", "message"), [
+        ("0.5,x,1", "could not convert string to float: 'x'"),
+        ("0.5,2", "2 fields, the header has 3"),
+        ("0.5,2,1,9", "4 fields, the header has 3"),
+        ("0.5,2,inf", "label 'inf' is not an integer"),
+    ], ids=["bad_value", "short_row", "long_row", "infinite_label"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(f"f0,f1,label\n1.0,2.0,0\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
             load_csv(path, CsvSchema())
 
     def test_integer_valued_float_labels_accepted(self, tmp_path):

@@ -1,5 +1,6 @@
 """Benchmark assembly, training strategies, orchestration."""
 
+import hashlib
 import math
 import statistics
 from dataclasses import replace
@@ -102,6 +103,26 @@ class TestSeeding:
         y = rng_for(7, "noise").standard_normal(4)
         assert not np.allclose(x, y)
         np.testing.assert_array_equal(x, rng_for(7, "shuffle").standard_normal(4))
+
+    def test_a_repeated_label_is_hashed_once(self, monkeypatch):
+        from boundary_distill import seeding
+
+        real = hashlib.sha256
+        hashed = []
+        monkeypatch.setattr(seeding.hashlib, "sha256",
+                            lambda data: hashed.append(data) or real(data))
+        seeding._label_token.cache_clear()
+        label = "a label only this test uses"
+        token = int.from_bytes(real(label.encode("utf-8")).digest()[:8], "little")
+        entropy = (5, token, 3)
+        expected = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+        assert [derive_seed(5, label, 3) for _ in range(3)] == [expected] * 3
+        np.testing.assert_array_equal(
+            rng_for(5, label, 3).random(4),
+            np.random.default_rng(np.random.SeedSequence(entropy)).random(4))
+        assert hashed == [label.encode("utf-8")]
+        derive_seed(2**70, 7, np.int64(-1))  # int parts are not cached
+        assert seeding._label_token.cache_info().currsize == 1
 
     def test_path_part_types(self):
         assert seed_sequence(0, 3).entropy == seed_sequence(0, np.int64(3)).entropy
