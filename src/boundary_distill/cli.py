@@ -158,8 +158,9 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
             outcomes += _run_cell_failed(setup, config, (seed,), out_str)
         else:
             setups.append(setup)
+    phase0_grids: dict[int, Path] = {}
     for strategy in config.strategies:
-        outcomes += _run_strategy(config, setups, strategy, Path(out_str))
+        outcomes += _run_strategy(config, setups, strategy, Path(out_str), phase0_grids)
     return outcomes
 
 
@@ -193,22 +194,26 @@ def _run_cell_failed(exc: Exception, config: ExperimentConfig, seeds: tuple[int,
 
 
 def _run_strategy(config: ExperimentConfig, setups: list[SeedSetup], strategy: str,
-                  out: Path) -> list[dict]:
+                  out: Path, phase0_grids: dict[int, Path]) -> list[dict]:
     """One strategy's phase walks (records and grids) from the setups of a
-    group of seeds, as one stack; one outcome per seed."""
+    group of seeds, as one stack; one outcome per seed. phase0_grids holds
+    the phase-0 grid file of each seed once a strategy has written it."""
     seeds = [setup.base_config.seed for setup in setups]
     try:
         run_cfgs = [config.run_config(strategy, seed) for seed in seeds]
         walks = run_seed_stack(setups, run_cfgs, out / "records")
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
         walks = [exc] * len(setups)
-    return [_grids_and_outcome(config, setup, strategy, walk, out)
+    return [_grids_and_outcome(config, setup, strategy, walk, out, phase0_grids)
             for setup, walk in zip(setups, walks)]
 
 
 def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str,
-                       walk: tuple | Exception, out: Path) -> dict:
-    """The outcome of one seed's phase walk, after exporting its grids."""
+                       walk: tuple | Exception, out: Path, phase0_grids: dict[int, Path]) -> dict:
+    """The outcome of one seed's phase walk, after exporting its grids. The
+    phase-0 grid is the base model's, the same for every strategy, so it is
+    computed for the first one and its bytes copied for the others from
+    that file (phase0_grids[seed]), which holds no text in memory."""
     seed = setup.base_config.seed
     if isinstance(walk, Exception):
         return _failure(walk, strategy=strategy, seed=seed)
@@ -221,10 +226,15 @@ def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str
             grid_dir = out / "grids"
             grid_dir.mkdir(parents=True, exist_ok=True)
             for res in results:
+                path = grid_dir / f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv"
+                if res.phase_index == 0 and seed in phase0_grids:
+                    write_atomic(path, phase0_grids[seed].read_bytes().decode())
+                    continue
                 export_boundary_grid(
                     res.model, setup.net_spec, (float(lo[0]), float(hi[0])),
-                    (float(lo[1]), float(hi[1])), config.grid_resolution,
-                    path=grid_dir / f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv")
+                    (float(lo[1]), float(hi[1])), config.grid_resolution, path=path)
+                if res.phase_index == 0:
+                    phase0_grids[seed] = path
         return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
                 "forgetting": record.forgetting}
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix

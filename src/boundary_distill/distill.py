@@ -102,11 +102,16 @@ class DistillLossTerms:
     def from_rows(
         cls, losses: np.ndarray, n: int, weight: float | np.ndarray
     ) -> "DistillLossTerms":
-        """Terms from the per-row losses of distillation_batch's rows: n
+        """Terms from the per-row losses of DistillBatches.build's rows: n
         clean rows, then the perturbed rows, if any. For a stack's losses
-        (M, rows) and weights (M,), each term holds one value per model."""
-        distill = losses[..., n:].mean(axis=-1) if losses.shape[-1] > n else 0.0
-        return cls(learn_term=losses[..., :n].mean(axis=-1), distill_term=distill, weight=weight)
+        (M, rows) and weights (M,), each term holds one value per model.
+        Each mean is the sum over the rows divided by their count, the
+        arithmetic of ndarray.mean without its dispatch."""
+        distill = 0.0
+        if losses.shape[-1] > n:
+            distill = np.add.reduce(losses[..., n:], axis=-1) / (losses.shape[-1] - n)
+        return cls(learn_term=np.add.reduce(losses[..., :n], axis=-1) / n, distill_term=distill,
+                   weight=weight)
 
 
 def fuse_labels_batch(labels_one_hot: np.ndarray, teacher_probs: np.ndarray, config: FuseConfig) -> np.ndarray:
@@ -153,26 +158,42 @@ def perturb_inputs(
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError("batch must be 2-d, or 3-d for one batch per model")
+    normalized = _normalized(x, norm_stats)
+    if zero_noise:
+        return normalized
+    return normalized + _noise(x.shape, noise, rng)
+
+
+def _normalized(x: np.ndarray, norm_stats: NormStats) -> np.ndarray:
+    """(x - mean) / std, with 1.0 for (and a warning about) any zero std."""
     std = np.asarray(norm_stats.std, dtype=np.float64)
     if (std == 0).any():
         warnings.warn(
             f"{int((std == 0).sum())} feature(s) have zero std; using 1.0 for them",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         std = np.where(std == 0, 1.0, std)
-    normalized = (x - np.asarray(norm_stats.mean, dtype=np.float64)) / std
-    if zero_noise:
-        return normalized
+    return (x - np.asarray(norm_stats.mean, dtype=np.float64)) / std
+
+
+def _noise(
+    shape: tuple[int, ...],
+    noise: NoiseSpec,
+    rng: np.random.Generator | list[np.random.Generator] | None,
+) -> np.ndarray:
+    """mu + delta * z for a standard-normal draw z of `shape`: from `rng`,
+    from noise.seed when rng is None, or, for a shape (S, n, d), from one
+    generator per model (see perturb_inputs)."""
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal(x.shape)
+        z = rng.standard_normal(shape)
     else:
-        z = np.empty(x.shape)
+        z = np.empty(shape)
         for draws, model_rng in zip(z, rng, strict=True):
             model_rng.standard_normal(out=draws)
-    return normalized + (noise.mu + noise.delta * z)
+    return noise.mu + noise.delta * z
 
 
 def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -183,42 +204,16 @@ def inner_mask(teacher_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.argmax(teacher_probs, axis=-1) == np.asarray(labels)
 
 
-def _clean_targets(
-    labels_hot: np.ndarray,
-    teacher_clean: np.ndarray | None,
-    labels: np.ndarray,
-    fuse: FuseConfig,
-    assign: LabelAssignment,
-) -> np.ndarray:
-    """Learning targets of the clean rows (teacher_clean is None only for
-    the one-hot rule, which needs no teacher)."""
-    rule = assign.uniform_rule
-    if rule == "one_hot":
-        return labels_hot
-    if rule == "teacher":
-        return teacher_clean
-    fused = fuse_labels_batch(labels_hot, teacher_clean, fuse)
-    if rule == "fused":
-        return fused
-    pick = {"one_hot": labels_hot, "teacher": teacher_clean, "fused": fused}
-    mask = inner_mask(teacher_clean, labels)
-    return np.where(mask[..., None], pick[assign.inner], pick[assign.outer])
+class DistillBatches:
+    """Student rows, their fixed targets and per-row loss scales for the
+    minibatches of one phase: the inputs that do not change within it are
+    built once, here, and `build` fills in one minibatch.
 
-
-def distillation_batch(
-    teacher_params: np.ndarray,
-    spec: NetworkSpec,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    norm_stats: NormStats,
-    noise: NoiseSpec,
-    fuse: FuseConfig,
-    weight: float | np.ndarray,
-    assign: LabelAssignment,
-    rng: np.random.Generator | list[np.random.Generator] | None,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Student rows, their fixed targets and per-row loss scales for one
-    minibatch of n samples.
+    `features` (R, d) and `labels` (R,) are the rows of every lane (see
+    protocol._stacked); a minibatch takes rows idx (n,) of one lane, or
+    idx (S, n), one row of indices per lane. The norm stats are (d,), or
+    (S, 1, d) for S lanes of equal length, and the phase is normalized and
+    its labels one-hot encoded once.
 
     The clean rows come first, with scale 1/n. With weight > 0 the
     noise-perturbed rows follow, with scale weight/n and the teacher's
@@ -233,39 +228,98 @@ def distillation_batch(
     of one value per model: noise.delta (see NoiseSpec) and weight (M,),
     whose weights must then all be > 0. The rows, targets and scales get a
     leading model axis where they differ between models, and each model
-    gets the bits it would get alone. A stack may also take one minibatch
-    per model: batch (M, n, d), labels (M, n), norm stats (M, 1, d) and one
-    generator per model (see perturb_inputs).
+    gets the bits it would get alone. With weight > 0 they live in buffers
+    allocated once per batch width and refilled by every `build`, so they
+    are valid until the next one.
     """
-    per_model = isinstance(weight, np.ndarray)  # a stack's weights, all > 0
-    if not per_model and weight < 0:
-        raise ValueError(f"distillation weight must be >= 0, got {weight}")
-    x = np.asarray(batch, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = x.shape[-2]
-    distilling = per_model or weight != 0.0
-    rows = x
-    if distilling:
-        perturbed = perturb_inputs(x, norm_stats, noise, rng=rng)
-        rows = np.empty(perturbed.shape[:-2] + (2 * n, x.shape[-1]))
+
+    def __init__(
+        self,
+        spec: NetworkSpec,
+        features: np.ndarray,
+        labels: np.ndarray,
+        norm_stats: NormStats,
+        noise: NoiseSpec,
+        fuse: FuseConfig,
+        weight: float | np.ndarray,
+        assign: LabelAssignment,
+    ):
+        per_model = isinstance(weight, np.ndarray)  # a stack's weights, all > 0
+        if not per_model and weight < 0:
+            raise ValueError(f"distillation weight must be >= 0, got {weight}")
+        self.spec, self.noise, self.fuse, self.assign = spec, noise, fuse, assign
+        self.weight = weight
+        self.features = np.asarray(features, dtype=np.float64)
+        self.labels = np.asarray(labels)
+        self.labels_hot = one_hot(self.labels, spec.num_classes)
+        self.distilling = per_model or weight != 0.0
+        self.needs_clean = assign.uniform_rule != "one_hot"
+        self.normalized = None
+        if self.distilling:
+            lanes = np.shape(norm_stats.mean)[:-2] or (1,)
+            by_lane = self.features.reshape(lanes + (-1, self.features.shape[-1]))
+            self.normalized = _normalized(by_lane, norm_stats).reshape(self.features.shape)
+        self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def build(
+        self,
+        teacher_params: np.ndarray,
+        idx: np.ndarray,
+        rng: np.random.Generator | list[np.random.Generator] | None,
+    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+        """Rows, targets and scales of the minibatch of rows `idx`, with the
+        teacher `teacher_params` and the noise of `rng` (one generator per
+        lane for idx (S, n))."""
+        n = idx.shape[-1]
+        x = self.features[idx]
+        if not self.distilling:
+            teacher = forward(teacher_params, self.spec, x)[0] if self.needs_clean else None
+            return x, self._clean_targets(idx, teacher), 1.0 / n
+        shape = idx.shape + (x.shape[-1],)
+        noise = _noise(shape, self.noise, rng)
+        rows, targets, scale = self._buffers_for(noise.shape[:-2] + (n,))
         rows[..., :n, :] = x
-        rows[..., n:, :] = perturbed
-    needs_clean = assign.uniform_rule != "one_hot"
-    teacher = None
-    if needs_clean or distilling:
-        teacher, _ = forward(teacher_params, spec, rows if needs_clean else rows[..., n:, :])
-    labels_hot = one_hot(labels.ravel(), spec.num_classes).reshape(labels.shape + (-1,))
-    clean = _clean_targets(labels_hot, teacher[..., :n, :] if needs_clean else None, labels,
-                           fuse, assign)
-    if not distilling:
-        return rows, clean, 1.0 / n
-    targets = np.empty(rows.shape[:-1] + (spec.num_classes,))
-    targets[..., :n, :] = clean
-    targets[..., n:, :] = teacher[..., -n:, :]
-    scale = np.empty(rows.shape[:-1] + (1,))
-    scale[..., :n, :] = 1.0 / n
-    scale[..., n:, :] = (weight[:, None, None] if per_model else weight) / n
-    return rows, targets, scale
+        np.add(self.normalized[idx], noise, out=rows[..., n:, :])
+        if self.needs_clean:
+            teacher = forward(teacher_params, self.spec, rows)[0]
+            targets[..., :n, :] = self._clean_targets(idx, teacher[..., :n, :])
+        else:
+            teacher = forward(teacher_params, self.spec, rows[..., n:, :])[0]
+            targets[..., :n, :] = self._clean_targets(idx, None)
+        targets[..., n:, :] = teacher[..., -n:, :]
+        return rows, targets, scale
+
+    def _clean_targets(self, idx: np.ndarray, teacher_clean: np.ndarray | None) -> np.ndarray:
+        """Learning targets of the clean rows idx (teacher_clean is None
+        only for the one-hot rule, which needs no teacher)."""
+        labels_hot = self.labels_hot[idx]
+        rule = self.assign.uniform_rule
+        if rule == "one_hot":
+            return labels_hot
+        if rule == "teacher":
+            return teacher_clean
+        fused = fuse_labels_batch(labels_hot, teacher_clean, self.fuse)
+        if rule == "fused":
+            return fused
+        pick = {"one_hot": labels_hot, "teacher": teacher_clean, "fused": fused}
+        mask = inner_mask(teacher_clean, self.labels[idx])
+        return np.where(mask[..., None], pick[self.assign.inner], pick[self.assign.outer])
+
+    def _buffers_for(self, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows, targets and scale buffers of minibatches of n rows
+        with leading axes `lead`, for key lead + (n,); the scale column is
+        filled here, once."""
+        if key not in self._buffers:
+            *lead, n = key
+            rows = np.empty((*lead, 2 * n, self.features.shape[-1]))
+            targets = np.empty((*lead, 2 * n, self.spec.num_classes))
+            scale = np.empty((*lead, 2 * n, 1))
+            scale[..., :n, :] = 1.0 / n
+            weight = self.weight
+            scale[..., n:, :] = (weight[:, None, None] if isinstance(weight, np.ndarray)
+                                 else weight) / n
+            self._buffers[key] = rows, targets, scale
+        return self._buffers[key]
 
 
 def distillation_loss(
@@ -293,12 +347,11 @@ def distillation_loss(
     length and no component for teacher parameters. When weight is 0 the
     perturbed pass is skipped entirely (no noise is drawn), which is what
     makes the fine-tuning collapse ablation exact. The phase loop trains
-    through the same distillation_batch and Trainer.loss_rows.
+    through the same DistillBatches and Trainer.loss_rows.
     """
-    rows, targets, scale = distillation_batch(
-        teacher_params, spec, batch, labels, norm_stats, noise, fuse, weight,
-        assign or LabelAssignment(), rng,
-    )
+    batches = DistillBatches(spec, batch, labels, norm_stats, noise, fuse, weight,
+                             assign or LabelAssignment())
+    rows, targets, scale = batches.build(teacher_params, np.arange(len(labels)), rng)
     trainer = Trainer(np.asarray(student_params, dtype=np.float64), spec)
     losses = trainer.loss_rows(rows, targets, scale)
     return DistillLossTerms.from_rows(losses, len(labels), weight), trainer.grad

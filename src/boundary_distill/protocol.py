@@ -20,6 +20,7 @@ Strategies:
 
 from __future__ import annotations
 
+import functools
 import json
 import hashlib
 import time
@@ -47,10 +48,10 @@ from .data import (
     standardize,
     write_atomic,
 )
-from .distill import DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec, distillation_batch
+from .distill import DistillBatches, DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec
 from .metrics import MetricsRecord, PhaseAccuracy, accuracy, forgetting_rate, performance_promotion
 from .network import NetworkSpec, Trainer, forward, init_network, one_hot
-from .seeding import derive_seed, rng_for
+from .seeding import PhaseStreams, derive_seed, rng_for
 
 STRATEGIES = ("boundary_distill", "fine_tune", "vanilla_distill", "full_data")
 
@@ -342,7 +343,7 @@ def _record_epoch(epoch_losses, histories: list[list[float]],
     wheres[m]) rather than writing a record. True once every model failed."""
     for m, losses in enumerate(epoch_losses):
         if errors[m] is None:
-            loss = float(np.mean(losses))
+            loss = float(np.add.reduce(losses) / len(losses))
             if np.isfinite(loss):
                 histories[m].append(loss)
             else:
@@ -462,7 +463,7 @@ def _sgd_one_hot_stack(
                                             spec)
                 idx = orders[first, start:stop] if end - first == 1 else orders[first:end, start:stop]
                 losses = trainers[key].step(features[idx], targets[idx], 1.0 / (stop - start), lr)
-                batch_losses[first:end, k] = losses.mean(axis=-1)
+                batch_losses[first:end, k] = np.add.reduce(losses, axis=-1) / (stop - start)
         if _record_epoch((batch_losses[m, : steps[m]] for m in range(count)), histories, errors,
                          wheres, epoch):
             break
@@ -637,7 +638,7 @@ def _boundary_distill_lanes(
     state = EmaState(teacher=student.copy())
     lr = config.lr_incremental_resolved
     weight, noise = config.distill_weight, config.noise
-    if lead:  # one noise scale and one weight > 0 per model (see distillation_batch)
+    if lead:  # one noise scale and one weight > 0 per model (see DistillBatches)
         noise = replace(noise, delta=np.array([c.noise.delta for c in configs])[:, None, None])
         if weight > 0:
             weight = np.array([c.distill_weight for c in configs])
@@ -646,7 +647,14 @@ def _boundary_distill_lanes(
     if lanes > 1:
         norm_stats = NormStats(np.stack([c.norm_stats.mean for c in ctxs])[:, None],
                                np.stack([c.norm_stats.std for c in ctxs])[:, None])
+    batches = DistillBatches(spec, features, labels, norm_stats, noise, config.fuse, weight,
+                             config.assign)
     n = len(phase_datas[0])
+    starts = range(0, n, config.batch_size)
+    streams = None
+    if batches.distilling:  # every (lane, epoch, minibatch) noise stream, derived at once
+        streams = PhaseStreams([c.seed for c in ctxs], "noise", config.epochs_per_phase,
+                               len(starts))
     shuffle_rngs = [rng_for(c.seed, "shuffle") for c in ctxs]
     mode = config.sched.mode
     where = f"boundary_distill, phase {ctx.phase_index}"
@@ -660,21 +668,13 @@ def _boundary_distill_lanes(
         if lanes == 1:
             orders = orders[0]
         batch_losses = []
-        for bi, first in enumerate(range(0, n, config.batch_size)):
+        for bi, first in enumerate(starts):
             idx = orders[..., first : first + config.batch_size]
-            rngs = [np.random.default_rng(derive_seed(c.seed, "noise", epoch, bi)) for c in ctxs]
-            rows, targets, scale = distillation_batch(
-                state.teacher,
-                spec,
-                features[idx],
-                labels[idx],
-                norm_stats,
-                noise,
-                config.fuse,
-                weight,
-                config.assign,
-                rngs[0] if lanes == 1 else rngs,
-            )
+            rng = None
+            if streams is not None:
+                rngs = streams.at(epoch, bi)
+                rng = rngs[0] if lanes == 1 else rngs
+            rows, targets, scale = batches.build(state.teacher, idx, rng)
             losses = trainer.step(rows, targets, scale, lr)
             batch_losses.append(DistillLossTerms.from_rows(losses, idx.shape[-1], weight).total)
             if mode == "per_iteration":
@@ -819,7 +819,7 @@ def _vanilla_distill_seeds(
             target_rows = np.concatenate([ex_perm_targets[..., ex_part], rem_part], axis=-1)
             losses = trainer.step(features[rows], target_table[target_rows],
                                   1.0 / rows.shape[-1], lr)
-            batch_losses.append(losses.mean(axis=-1))
+            batch_losses.append(np.add.reduce(losses, axis=-1) / rows.shape[-1])
         epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
         if _record_epoch(epoch_losses, histories, errors, [where] * count, epoch):
             break
@@ -932,6 +932,14 @@ class SeedSetup:
     base_config: RunConfig
     base_seconds: float
 
+    @functools.cached_property
+    def base_result(self) -> PhaseResult:
+        """Phase 0 of every strategy: the base model, evaluated once, on
+        first use, and timed from the start of base training."""
+        return _phase_result(self.context(0), "base training, phase 0",
+                             time.perf_counter() - self.base_seconds, self.base_model,
+                             self.base_model, (), ())
+
     def context(self, phase_index: int) -> PhaseContext:
         """Surroundings of phase t; phases t >= 1 draw from their own
         derived seed, the base phase from the root seed."""
@@ -1011,10 +1019,7 @@ def run_seed_stack(
             raise ValueError(f"config differs from the seed setup's in {differing}")
         if replace(config, seed=configs[0].seed) != configs[0]:
             raise ValueError("the configs of a seed stack may differ only in the seed")
-    # phase 0 is the base model, timed from the start of base training
-    results = [[_phase_result(setup.context(0), "base training, phase 0",
-                              time.perf_counter() - setup.base_seconds, setup.base_model,
-                              setup.base_model, (), ())] for setup in setups]
+    results = [[setup.base_result] for setup in setups]
     errors: list[Exception | None] = [None] * len(setups)
     stacks: dict[tuple, list[int]] = {}
     for s, setup in enumerate(setups):

@@ -8,6 +8,7 @@ rendered percent twin (readable, lossy) next to the exact fraction.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,31 +58,42 @@ def export_boundary_grid(
         )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    xs = np.linspace(x_range[0], x_range[1], resolution)
-    ys = np.linspace(y_range[0], y_range[1], resolution)
-    xx, yy = np.meshgrid(xs, ys)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
+    x_range = (float(x_range[0]), float(x_range[1]))
+    y_range = (float(y_range[0]), float(y_range[1]))
+    points, prefixes = _grid_layout(x_range, y_range, resolution)
     probs, _ = forward(model, spec, points)
     classes = np.argmax(probs, axis=1)
     confidence = probs[np.arange(points.shape[0]), classes]
     grid = BoundaryGrid(
-        x_range=(float(x_range[0]), float(x_range[1])),
-        y_range=(float(y_range[0]), float(y_range[1])),
+        x_range=x_range,
+        y_range=y_range,
         resolution=resolution,
         classes=classes.reshape(resolution, resolution),
         probs=confidence.reshape(resolution, resolution),
     )
     if path is not None:
-        # The same bytes as csv.writer gives (repr'd floats need no quoting),
-        # with each axis coordinate formatted once.
-        x_text = [repr(v) for v in xs.tolist()]
-        y_text = [repr(v) for v in ys.tolist()]
-        cells = zip(classes.tolist(), confidence.tolist())
-        lines = ["x,y,class,prob"]
-        lines += [f"{x_text[k % resolution]},{y_text[k // resolution]},{cls},{prob!r}"
-                  for k, (cls, prob) in enumerate(cells)]
-        write_atomic(path, "\r\n".join(lines) + "\r\n")
+        # the same bytes as csv.writer gives (repr'd floats need no quoting)
+        cells = zip(prefixes, classes.tolist(), confidence.tolist())
+        write_atomic(path, "x,y,class,prob\r\n" + "".join([f"{xy}{cls},{prob!r}\r\n"
+                                                            for xy, cls, prob in cells]))
     return grid
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_layout(
+    x_range: tuple[float, float], y_range: tuple[float, float], resolution: int
+) -> tuple[np.ndarray, list[str]]:
+    """The cell centers (resolution**2, 2) of a grid, y-major, and the
+    `x,y,` text that starts each of their CSV lines, built once for the
+    grids over the same ranges that follow one another (a run exports one
+    seed's phase grids together)."""
+    xs = np.linspace(x_range[0], x_range[1], resolution)
+    ys = np.linspace(y_range[0], y_range[1], resolution)
+    xx, yy = np.meshgrid(xs, ys)
+    points = np.column_stack([xx.ravel(), yy.ravel()])
+    points.setflags(write=False)
+    x_text = [repr(v) for v in xs.tolist()]
+    return points, [f"{x},{y}," for y in (repr(v) for v in ys.tolist()) for x in x_text]
 
 
 # The 97.5 % Student-t quantiles for df = 1..100, exactly as

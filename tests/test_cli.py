@@ -253,6 +253,29 @@ def test_run_trains_one_base_model_per_seed(two_seed_config, tmp_path, base_trai
     assert len(list((tmp_path / "o" / "records").glob("record_*.csv"))) == 8
 
 
+def test_phase0_grid_is_computed_once_per_seed(two_seed_config, tmp_path, monkeypatch):
+    # every strategy's phase 0 is the seed's base model: its grid is
+    # computed for the first strategy and its bytes written for all four
+    computed = []
+    real = cli.export_boundary_grid
+
+    def counted(model, *args, **kwargs):
+        computed.append(kwargs["path"].name)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "export_boundary_grid", counted)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", str(out)]) == 0
+    for seed in (0, 1):
+        # 4 strategies x 2 phases, plus one phase-0 grid
+        assert len([name for name in computed if f"_seed{seed}_" in name]) == 4 * 2 + 1
+        phase0 = {(out / "grids" / f"{s}_seed{seed}_phase00.csv").read_bytes()
+                  for s in protocol.STRATEGIES}
+        assert len(phase0) == 1
+    assert len(list((out / "grids").iterdir())) == 2 * 4 * 3
+
+
 def test_sweep_trains_one_base_model_per_seed(two_seed_config, tmp_path, base_trainings):
     rc = cli.main(["sweep", "--config", str(two_seed_config), "--knob", "delta",
                    "--values", "0.5,2.0", "--out", str(tmp_path / "o")])

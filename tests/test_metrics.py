@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from boundary_distill import reporting
 from boundary_distill.data import Dataset
 from boundary_distill.metrics import (
     MetricsRecord,
@@ -141,6 +142,18 @@ class TestBoundaryGrid:
                 writer.writerow([repr(float(point[0])), repr(float(point[1])), cls,
                                  repr(float(row[cls]))])
         assert path.read_bytes() == reference.read_bytes()
+
+    def test_grids_over_the_same_ranges_share_one_layout(self, tmp_path):
+        # the points and the x,y column of the CSV are built once per
+        # (ranges, resolution)
+        reporting._grid_layout.cache_clear()
+        params, spec = _band_model()
+        for i, scale in enumerate((1.0, -2.0)):
+            export_boundary_grid(params * scale, spec, (-1.3, 0.7), (-2.25, -0.1), 7,
+                                 path=tmp_path / f"g{i}.csv")
+        assert reporting._grid_layout.cache_info().misses == 1
+        export_boundary_grid(params, spec, (-1.3, 0.7), (-2.25, 0.0), 7)
+        assert reporting._grid_layout.cache_info().misses == 2
 
     def test_input_validation(self):
         params, spec = _band_model()

@@ -479,6 +479,95 @@ class TestBoundaryDistillStack:
                 setup.base_model, phase, configs[i], ctx))
 
 
+# two phases of a 2-8-4 net on the drift benchmark (80-row phases, 16-row
+# batches), consolidating at epochs 2, 4 and 6
+PINNED_SCHED = ConsolidationSchedule(freeze_epochs=1, period_epochs=2)
+PINNED_CASES = {
+    "fused": {},
+    "one_hot": {"assign": LabelAssignment(inner="one_hot", outer="one_hot")},
+    "teacher": {"assign": LabelAssignment(inner="teacher", outer="teacher")},
+    "mixed": {"assign": LabelAssignment(inner="teacher", outer="fused")},
+    "zero_weight": {"distill_weight": 0.0},
+    "tempered_softmax": {"fuse": FuseConfig(tau=0.7, variant="tempered_softmax")},
+    "noise_mu": {"noise": NoiseSpec(mu=0.3)},
+    "per_iteration": {"sched": replace(PINNED_SCHED, mode="per_iteration")},
+    "off": {"sched": replace(PINNED_SCHED, mode="off")},
+    "zero_std": {},
+    "short_last_batch": {"batch_size": 24},
+}
+# sha256 of every phase's outgoing teacher and student parameters and loss
+# history, frozen from the per-minibatch generators of
+# default_rng(derive_seed(seed, "noise", epoch, batch))
+PINNED_DIGESTS = {
+    "fused-seeds": "d6f772bda2f75fb3e94b94cb84ca38c2cbed86b4f6ca5e89a273dfcd4a1b722a",
+    "fused-values": "cdab6dd4d0c94def11596f000785956dd0c40b4c2e5dbdae7c1604fb26660d36",
+    "one_hot-seeds": "cb4b90c51598e7ea11062b8b30ef4c3d5cdcd28b2878ec5ae53e5365e72ec0d1",
+    "one_hot-values": "95a74e2f36de17961901de4392c8b786f0b2d5e0c61b6c23f5b1816b991f5c59",
+    "teacher-seeds": "20721196814fd5e70f0d4344b311d19a3523b4d9c76363327026c586c7b761aa",
+    "teacher-values": "a808a8b260734d093244cbe60ab779e9cc62131e1e616c099a82c52c95e342c2",
+    "mixed-seeds": "4d45d9b3b46116bac696be679c3650ee43ff39047a7560ce8a9ce886b2ca1ae3",
+    "mixed-values": "de9f09fd7cdb6d4aeaf468428ab4574b0b48f48c2c1a05067d52220cfff88fe5",
+    "zero_weight-seeds": "37be934c31b329895b1b10006a12d119d72fe36a8d8b487a9e81364e99373fac",
+    "zero_weight-values": "32c35bbc8b4c8671c659b54f01f7cb624bd1c43dcc4a1f49219b00de442f3f6d",
+    "tempered_softmax-seeds": "6fa09eeb0f257a26a4a4b75c9862bbe81c491a4872a216699a888999f8bcdbb7",
+    "tempered_softmax-values": "0fdd11d8374542137c6ea640402019e99a180c0ec37cf127c961f11b658ade44",
+    "noise_mu-seeds": "182120fc363166055f981fb0b58acf3edfae11b45c7a4dede1c54bee111a58c4",
+    "noise_mu-values": "2d58757fe605d5f262d67c86cbe6c81b79ff5b0eeb01142e4314cddae19be8d8",
+    "per_iteration-seeds": "477fc761dde154019e09dda8d880b79f720e0f2ef748b96370f9d8e8c00d83dd",
+    "per_iteration-values": "275fc2869a69584965be148ad986de038b3836a9812c5d14483caba28f168cf6",
+    "off-seeds": "3e34e5f13149fcfb80f50bd63c2cab21a612acc45b2d0f1cac7f52def1472639",
+    "off-values": "bbfa516d9f7966fdd7dcc1008f7ee8ea2eb49d5422240f8110d9c021f773da0b",
+    "zero_std-seeds": "1fb134016c41ea6d0f2a8c073b7774c9c3bbf347797ea951721198f14ec4a94d",
+    "zero_std-values": "f2d763b2d6a07454b3b5d52dd98a222c88b98b346c6f7fef6d3b5c7db7625ff1",
+    "short_last_batch-seeds": "8f93cf93ec632765c6b087e554fd9f803079769b55e0b30490b4933f9ac2f312",
+    "short_last_batch-values": "9e0ee2a58ddb5e35203f3ecc29ebed9eb4159ac291c78907d96788fd3cc56cd4",
+}
+
+
+def _pinned_two_phases(case, mode):
+    """(teacher, student, loss history) of each model after each of two
+    boundary_distill phases: a stack of 2 seeds, one lane each, or a stack
+    of 3 sweep values on one lane."""
+    config = RunConfig(epochs_per_phase=6, batch_size=16, hidden_layers=(8,), sched=PINNED_SCHED)
+    config = replace(config, **PINNED_CASES[case])
+    seeds = (0, 1) if mode == "seeds" else (2,)
+    configs = [replace(config, seed=s) for s in seeds]
+    setups = setup_seeds([_drift_bench(seed=s) for s in seeds], configs)
+    if mode == "values":
+        weights = (0.0,) * 3 if config.distill_weight == 0 else (0.1, 0.5, 2.0)
+        configs = [replace(config, seed=2, distill_weight=w, noise=replace(config.noise, delta=d))
+                   for d, w in zip((0.5, 2.0, 4.0), weights)]
+    models = [setups[0].base_model] * len(configs) if mode == "values" else [
+        s.base_model for s in setups]
+    out = []
+    for t in (1, 2):
+        ctxs = [s.context(t) for s in setups]
+        if case == "zero_std":
+            ctxs = [replace(c, norm_stats=replace(c.norm_stats, std=c.norm_stats.std * [1.0, 0.0]))
+                    for c in ctxs]
+        results = protocol._boundary_distill_lanes(
+            models, [s.bench.phases[t - 1] for s in setups],
+            configs if mode == "values" else [configs[0]] * 2, ctxs)
+        models = [r.model for r in results]
+        out += [(r.model, r.student_model, r.loss_history) for r in results]
+    return out
+
+
+class TestBoundaryDistillPinned:
+    @pytest.mark.parametrize("mode", ["seeds", "values"])
+    @pytest.mark.parametrize("case", PINNED_CASES)
+    def test_phases_are_pinned(self, case, mode):
+        if case == "zero_std":
+            with pytest.warns(RuntimeWarning, match="zero std"):
+                phases = _pinned_two_phases(case, mode)
+        else:
+            phases = _pinned_two_phases(case, mode)
+        digest = hashlib.sha256()
+        for teacher, student, losses in phases:
+            digest.update(teacher.tobytes() + student.tobytes() + repr(losses).encode())
+        assert digest.hexdigest() == PINNED_DIGESTS[f"{case}-{mode}"]
+
+
 def _uniform_csv_bench(seed=0):
     """One 4-class mixture in 3 features, the same rows for every seed,
     split like the CSV route under uniform_random: equal split sizes."""
@@ -754,6 +843,26 @@ class TestSeedSetup:
                                 setup.bench.test) == res.student_acc_test
         assert not setup.base_model.flags.writeable
         np.testing.assert_array_equal(setup.base_model, before)
+
+    def test_phase0_is_evaluated_once_per_seed(self, monkeypatch):
+        # every strategy's phase 0 is the setup's base_result, whose two
+        # accuracies the setup took once
+        bench = _drift_bench(seed=4)
+        evaluated = []
+        real = protocol.accuracy
+        monkeypatch.setattr(protocol, "accuracy",
+                            lambda model, *args: evaluated.append(model) or real(model, *args))
+        setup = setup_seed(bench, RunConfig(epochs_per_phase=2, seed=4))
+        assert setup.base_result is setup.base_result
+        assert [model is setup.base_model for model in evaluated] == [True, True]
+        assert (setup.base_result.acc_test, setup.base_result.acc_base) == (
+            real(setup.base_model, setup.net_spec, setup.bench.test),
+            real(setup.base_model, setup.net_spec, setup.bench.base))
+        for strategy in STRATEGIES:
+            results, _ = run_phases(setup, RunConfig(strategy=strategy, epochs_per_phase=2,
+                                                     seed=4), None)
+            assert results[0] is setup.base_result
+        assert sum(model is setup.base_model for model in evaluated) == 2
 
     def test_shared_setup_matches_separate_runs(self):
         bench = _drift_bench(seed=3)
