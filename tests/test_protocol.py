@@ -568,6 +568,64 @@ class TestBoundaryDistillPinned:
         assert digest.hexdigest() == PINNED_DIGESTS[f"{case}-{mode}"]
 
 
+# the other strategies and base training, over two phases of a 2-8-4 net on
+# the drift benchmark: 400-row base splits, 80-row phases and 22-row batches,
+# so every loop (base, each phase, each full_data retrain, the exemplar mix)
+# ends on a short batch
+STRATEGY_PINNED_CASES = {
+    "base": ("fine_tune", {}),
+    "fine_tune": ("fine_tune", {}),
+    "vanilla_distill": ("vanilla_distill", {}),
+    "vanilla_all_exemplars": ("vanilla_distill", {"exemplar_fraction": 1.0}),
+    "vanilla_no_exemplars": ("vanilla_distill", {"exemplar_fraction": 0.0}),
+    "full_data": ("full_data", {}),
+}
+# sha256 of every outgoing model (and student) and loss history, frozen
+# from the separate training loops of base training, fine_tune,
+# vanilla_distill and full_data
+STRATEGY_PINNED_DIGESTS = {
+    "base-S2": "64d929a0850e309a44913a73c7c3dad838389c7553f426d84dae2a39eb1dea4c",
+    "base-S1": "e17e5f510bf1bcae2c5804998f0c16abd91e8f37ac702948e205a9b111b6bbdb",
+    "fine_tune-S2": "378c578c39050548ffd6d2ddfb0e4809c2c538700f655cc1880c40684719c6e2",
+    "fine_tune-S1": "7fd10d2c7b1643ff05dcca66363d3de07aeeb08d990b85341c3c2653d23b1204",
+    "vanilla_distill-S2": "16d35d0114ca20b942c263ffc48605c52b84f06c21865002f11deb5ad8b274ad",
+    "vanilla_distill-S1": "5dbde9c4a18fbf3dae629c80f2cca22e41e66ca3129c546226013f7f8c783692",
+    "vanilla_all_exemplars-S2": "e9f5863552eecb82e3d6ea8c7ebb126a11f09cddd45c9b97fe8a5f368dac6c31",
+    "vanilla_all_exemplars-S1": "99202af275ae33856c364fe69ee975d31d8cbba9a9a29b63fd08af9db6c847be",
+    "vanilla_no_exemplars-S2": "fed93a6d0f25a52e782500a86d3c57961ebe8b1874698dc1edbbef625d6f335f",
+    "vanilla_no_exemplars-S1": "65d043444d99ee51f96599997b48958eda7c750b605437f64235e57693bdaafb",
+    "full_data-S2": "28634cd57ae3e7074f6bcfa0f657f3be5f313139b2371af67cf092c9ede82f40",
+    "full_data-S1": "95572be6d49174f006039ee188905336ab7dc1603522e119186908487b9af0e4",
+}
+
+
+def _pinned_strategy(case, seeds):
+    """(model, student, loss history) of each seed's base model and phases:
+    a stack of the given seeds. For "base", each base model and the loss
+    history of the same from-scratch training alone."""
+    strategy, changes = STRATEGY_PINNED_CASES[case]
+    config = RunConfig(strategy=strategy, epochs_per_phase=4, fine_tune_epochs=3, batch_size=22,
+                       hidden_layers=(8,), **changes)
+    configs = [replace(config, seed=s) for s in seeds]
+    setups = setup_seeds([_drift_bench(seed=s) for s in seeds], configs)
+    if case == "base":
+        return [(s.base_model, s.base_model,
+                 run_phase_full_data(s.bench.base, c, s.context(0)).loss_history)
+                for s, c in zip(setups, configs)]
+    return [(r.model, r.student_model, r.loss_history)
+            for results, _ in protocol.run_seed_stack(setups, configs, None) for r in results]
+
+
+class TestStrategiesPinned:
+    @pytest.mark.parametrize("seeds", [(0, 1), (2,)], ids=["S2", "S1"])
+    @pytest.mark.parametrize("case", STRATEGY_PINNED_CASES)
+    def test_phases_are_pinned(self, case, seeds):
+        digest = hashlib.sha256()
+        for model, student, losses in _pinned_strategy(case, seeds):
+            digest.update(model.tobytes() + student.tobytes() + repr(losses).encode())
+        assert digest.hexdigest() == STRATEGY_PINNED_DIGESTS[f"{case}-S{len(seeds)}"]
+
+
 def _uniform_csv_bench(seed=0):
     """One 4-class mixture in 3 features, the same rows for every seed,
     split like the CSV route under uniform_random: equal split sizes."""
