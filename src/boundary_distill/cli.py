@@ -60,28 +60,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_split.set_defaults(handler=cmd_split)
 
     p_run = sub.add_parser("run", help="run the strategy x seed matrix")
-    _common_flags(p_run)
+    p_sweep = sub.add_parser("sweep", help="phase-1 sensitivity sweep over one knob")
+    for command in (p_run, p_sweep):
+        _common_flags(command)
+        command.add_argument("--parallel", type=int, default=1, metavar="N",
+                             help="split the seeds into up to N contiguous groups, one process "
+                             "each (at most one per seed and per core); a group trains its "
+                             "seeds as one stack")
     p_run.add_argument(
         "--strategy",
         action="append",
         help=f"strategy to run (repeatable); one of {STRATEGIES} or 'all'",
     )
     p_run.set_defaults(handler=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="phase-1 sensitivity sweep over one knob")
-    _common_flags(p_sweep)
     p_sweep.add_argument("--knob", choices=SWEEP_KNOBS, required=True,
                          help="which knob to sweep: noise scale or loss weight")
     p_sweep.add_argument("--values", help="comma-separated values (default: config grid)")
     p_sweep.set_defaults(handler=cmd_sweep)
-    p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="split the seeds into up to N contiguous groups, one process "
-                       "each (at most one per seed and per core); a group trains its "
-                       "seeds as one stack")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="split the seeds into up to N contiguous groups, one process "
-                         "each (at most one per seed and per core); a group trains its "
-                         "base models as one stack")
 
     p_report = sub.add_parser("report", help="aggregate run records into summary files")
     p_report.add_argument("results_dir", help="directory holding record CSVs")

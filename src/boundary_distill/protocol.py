@@ -21,6 +21,7 @@ Strategies:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import hashlib
 import time
@@ -331,31 +332,24 @@ def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
 # --- training loops ---------------------------------------------------------
 
 
-def _diverged(where: str, epoch: int, loss: float) -> FloatingPointError:
-    return FloatingPointError(f"{where}, epoch {epoch}: mean loss {loss} is not finite")
-
-
-def _record_epoch(epoch_losses, histories: list[list[float]],
-                  errors: list[Exception | None], wheres: list[str], epoch: int) -> bool:
-    """Append the mean minibatch loss of the epoch, epoch_losses[m], to
-    histories[m] for each model m that has not failed. A non-finite mean
-    means the model diverged: it fails instead (errors[m], naming
-    wheres[m]) rather than writing a record. True once every model failed."""
-    for m, losses in enumerate(epoch_losses):
-        if errors[m] is None:
-            loss = float(np.add.reduce(losses) / len(losses))
-            if np.isfinite(loss):
-                histories[m].append(loss)
-            else:
-                errors[m] = _diverged(wheres[m], epoch, loss)
-    return all(e is not None for e in errors)
-
-
-def _check_finite(model: np.ndarray, where: str) -> None:
+def _check_finite(model: np.ndarray, where: str) -> np.ndarray:
     """An outgoing model must be finite: the epoch losses are taken before
-    each update, so they do not see the last one."""
+    each update, so they do not see the last one. Returns the model."""
     if not np.isfinite(model).all():
         raise FloatingPointError(f"{where}: outgoing parameters are not finite")
+    return model
+
+
+def _outcome(error: Exception | None, finish, *args):
+    """The result of one model of a stack, finish(*args), or the
+    FloatingPointError that failed the model: `error`, from its epochs, or
+    the one finish raises on non-finite outgoing parameters."""
+    if error is not None:
+        return error
+    try:
+        return finish(*args)
+    except FloatingPointError as exc:
+        return exc
 
 
 def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +364,260 @@ def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([d.labels for d in datasets]))
 
 
+def _span(first: int, end: int) -> int | slice:
+    """Index of models first..end-1 of a stack (M, P): a model alone is
+    taken as its flat vector (P,), several as a stack."""
+    return first if end - first == 1 else slice(first, end)
+
+
+def _train_stack(models: np.ndarray, spec: NetworkSpec, lr: float, epochs: int,
+                 batches: _Batches, wheres: list[str]) -> tuple[list[list[float]], list]:
+    """SGD of the models stacked in `models` (M, P), in place and in
+    lockstep, on the minibatches of `batches`.
+
+    Each model runs exactly the steps it would run alone. Row counts
+    (batches.sizes) must not increase, so at step k the models that take
+    rows k * batch_size..stop-1 of their orders are a slice of the stack,
+    a span, and step together through one Trainer, made on first use.
+
+    Returns each model's epoch losses (the mean of its minibatch losses)
+    and its error: None, or the FloatingPointError (naming wheres[m]) of
+    its first epoch whose mean loss is not finite. A failed model keeps
+    stepping, but no longer counts, until every model has failed; rows are
+    independent, so it moves no bit of the others, and its parameters mean
+    nothing.
+    """
+    sizes, width = batches.sizes, batches.batch_size
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"model row counts must not increase, got {sizes}")
+    plan = []  # per step: ((first, end), span, rows) of each span
+    for k in range(-(-sizes[0] // width)):
+        stops = [min(n, (k + 1) * width) for n in sizes if n > k * width]
+        spans, first = [], 0
+        for stop, group in itertools.groupby(stops):
+            end = first + len(list(group))
+            spans.append(((first, end), _span(first, end), slice(k * width, stop)))
+            first = end
+        plan.append(spans)
+    steps = [-(-n // width) for n in sizes]
+    trainers: dict[tuple[int, int], Trainer] = {}
+    batch_losses = np.empty((len(sizes), len(plan)))
+    histories: list[list[float]] = [[] for _ in sizes]
+    errors: list[FloatingPointError | None] = [None] * len(sizes)
+    for epoch in range(1, epochs + 1):
+        batches.start_epoch(epoch)
+        for k, spans in enumerate(plan):
+            for key, span, rows in spans:
+                if key not in trainers:
+                    trainers[key] = Trainer(models[span], spec)
+                losses = trainers[key].step(*batches.build(span, k, rows), lr)
+                batch_losses[span, k] = batches.loss(losses)
+            batches.after_step(epoch)
+        for m, count in enumerate(steps):
+            if errors[m] is None:
+                loss = float(np.add.reduce(batch_losses[m, :count]) / count)
+                if np.isfinite(loss):
+                    histories[m].append(loss)
+                else:
+                    errors[m] = FloatingPointError(
+                        f"{wheres[m]}, epoch {epoch}: mean loss {loss} is not finite")
+        if all(e is not None for e in errors):
+            break
+        batches.after_epoch(epoch)
+    return histories, errors
+
+
+class _Batches:
+    """A strategy's minibatches for _train_stack. sizes (each model's rows
+    per epoch) and batch_size set the steps; start_epoch(epoch) draws the
+    epoch's orders; build(span, k, rows) gives the rows, targets and loss
+    scales of step k for the models `span` (see _span), which take `rows`
+    of their orders; loss reduces a step's per-row losses to one mean per
+    model. after_step runs after each step, after_epoch once the epoch is
+    recorded and some model is alive. For _phase_stack a builder also
+    names its strategy and its epochs, and gives the outgoing models."""
+
+    def loss(self, losses: np.ndarray) -> np.ndarray:
+        return np.add.reduce(losses, axis=-1) / losses.shape[-1]  # ndarray.mean's arithmetic
+
+    def after_step(self, epoch: int) -> None:
+        pass
+
+    def after_epoch(self, epoch: int) -> None:
+        pass
+
+    def outgoing(self, students: list[np.ndarray]) -> tuple[list[np.ndarray], tuple]:
+        """The outgoing models of a phase and its consolidation events."""
+        return students, ()
+
+
+class _OneHotRows(_Batches):
+    """One-hot minibatches: model m takes the first sizes[m] rows of
+    datasets[m], in the order it draws each epoch from the stream `stream`
+    of seeds[m]. The datasets are equally long; models may share one,
+    which is then held once (see _stacked)."""
+
+    def __init__(self, datasets: list[Dataset], sizes: tuple[int, ...], batch_size: int,
+                 num_classes: int, seeds: list[int], *stream: str):
+        self.sizes, self.batch_size = sizes, batch_size
+        lanes = list({id(d): d for d in datasets}.values())  # distinct, in order of first use
+        first_row = {id(d): lane * len(d) for lane, d in enumerate(lanes)}
+        self.first_rows = [first_row[id(d)] for d in datasets]
+        self.features, labels = _stacked(lanes)
+        self.targets = one_hot(labels, num_classes)
+        self.shuffle_rngs = [rng_for(seed, *stream) for seed in seeds]
+        self.orders = np.empty((len(sizes), sizes[0]), dtype=np.intp)
+
+    def start_epoch(self, epoch: int) -> None:
+        for m, (rng, size) in enumerate(zip(self.shuffle_rngs, self.sizes)):
+            np.add(rng.permutation(size), self.first_rows[m], out=self.orders[m, :size])
+
+    def build(self, span, k: int, rows: slice):
+        idx = self.orders[span, rows]
+        return self.features[idx], self.targets[idx], 1.0 / idx.shape[-1]
+
+
+class _FineTuneRows(_OneHotRows):
+    """fine_tune's minibatches: each seed's phase data, one-hot, in the
+    phase's shuffle stream."""
+
+    strategy = "fine_tune"
+
+    def __init__(self, models, phase_datas, configs, ctxs):
+        super().__init__(phase_datas, tuple(len(d) for d in phase_datas), configs[0].batch_size,
+                         ctxs[0].net_spec.num_classes, [c.seed for c in ctxs], "shuffle")
+        self.epochs = configs[0].fine_tune_epochs
+
+
+class _DistillPhase(_Batches):
+    """boundary_distill's minibatches (see run_phase_boundary_distill and
+    _boundary_distill_lanes): each lane shuffles its phase rows, and
+    DistillBatches builds each minibatch with the current teacher and the
+    lane's noise stream of PhaseStreams. Consolidation runs after every
+    step (per_iteration) or after an epoch (scheduled)."""
+
+    strategy = "boundary_distill"
+
+    def __init__(self, models, phase_datas, configs, ctxs):
+        config, ctx = configs[0], ctxs[0]
+        self.student = models[_span(0, len(models))]
+        self.state = EmaState(teacher=self.student.copy())
+        self.sched, self.epochs, self.lanes = config.sched, config.epochs_per_phase, len(ctxs)
+        self.weight, noise = config.distill_weight, config.noise
+        if len(models) > 1:  # one noise scale and one weight > 0 per model (see DistillBatches)
+            noise = replace(noise, delta=np.array([c.noise.delta for c in configs])[:, None, None])
+            if self.weight > 0:
+                self.weight = np.array([c.distill_weight for c in configs])
+        norm_stats = ctx.norm_stats
+        if self.lanes > 1:
+            norm_stats = NormStats(np.stack([c.norm_stats.mean for c in ctxs])[:, None],
+                                   np.stack([c.norm_stats.std for c in ctxs])[:, None])
+        self.distill = DistillBatches(ctx.net_spec, *_stacked(phase_datas), norm_stats, noise,
+                                      config.fuse, self.weight, config.assign)
+        n = len(phase_datas[0])
+        self.sizes, self.batch_size = (n,) * len(models), config.batch_size
+        self.streams = None
+        if self.distill.distilling:  # every (lane, epoch, minibatch) noise stream, derived at once
+            self.streams = PhaseStreams([c.seed for c in ctxs], "noise", self.epochs,
+                                        -(-n // self.batch_size))
+        self.shuffle_rngs = [rng_for(c.seed, "shuffle") for c in ctxs]
+
+    def start_epoch(self, epoch: int) -> None:
+        # one order per lane, moved to the lane's rows (see _stacked)
+        n = self.sizes[0]
+        self.orders = np.stack([rng.permutation(n) for rng in self.shuffle_rngs])
+        self.orders += n * np.arange(self.lanes)[:, None]
+        self.epoch = epoch
+
+    def build(self, span, k: int, rows: slice):
+        idx = self.orders[span if self.lanes > 1 else 0, rows]
+        rng = None
+        if self.streams is not None:
+            rngs = self.streams.at(self.epoch, k)
+            rng = rngs[0] if self.lanes == 1 else rngs
+        return self.distill.build(self.state.teacher, idx, rng)
+
+    def loss(self, losses: np.ndarray) -> np.ndarray:
+        clean = losses.shape[-1] // 2 if self.distill.distilling else losses.shape[-1]
+        return DistillLossTerms.from_rows(losses, clean, self.weight).total
+
+    def after_step(self, epoch: int) -> None:
+        if self.sched.mode == "per_iteration":
+            self.state = consolidate(self.state, self.student, self.sched.alpha0, epoch=epoch)
+
+    def after_epoch(self, epoch: int) -> None:
+        if self.sched.mode == "scheduled" and should_consolidate(epoch, self.sched):
+            alpha = adaptive_momentum(epoch, self.sched)
+            self.state = consolidate(self.state, self.student, alpha, epoch=epoch)
+
+    def outgoing(self, students: list[np.ndarray]) -> tuple[list[np.ndarray], tuple]:
+        if self.sched.mode == "off":
+            return students, self.state.history
+        return list(self.state.teacher.reshape(len(students), -1)), self.state.history
+
+
+class _ExemplarMix(_Batches):
+    """vanilla_distill's minibatches (see run_phase_vanilla_distill), with
+    each seed's own exemplars. An epoch passes once over the fresh rows
+    (over the exemplars when every row is one), and the exemplars cycle.
+    An exemplar is never a fresh row, so its scores replace its one-hot
+    target and every row has one target."""
+
+    strategy = "vanilla_distill"
+
+    def __init__(self, models, phase_datas, configs, ctxs):
+        config, spec, count = configs[0], ctxs[0].net_spec, len(models)
+        self.epochs = config.epochs_per_phase
+        self.features, labels = _stacked(phase_datas)
+        n = len(phase_datas[0])
+        ex_count = round(config.exemplar_fraction * n)
+        rem = n - ex_count
+        # per seed (rows of these arrays): exemplar rows and the other rows, in
+        # the concatenated features (see _stacked)
+        self.ex_rows = np.empty((count, ex_count), dtype=np.intp)
+        self.rem_rows = np.empty((count, rem), dtype=np.intp)
+        for s, ctx in enumerate(ctxs):
+            if ex_count:
+                self.ex_rows[s] = rng_for(ctx.seed, "exemplars").choice(n, size=ex_count,
+                                                                        replace=False)
+            rem_mask = np.ones(n, dtype=bool)
+            rem_mask[self.ex_rows[s]] = False
+            self.rem_rows[s] = np.flatnonzero(rem_mask)
+        self.lanes = np.arange(count)[:, None]
+        self.ex_rows += n * self.lanes
+        self.rem_rows += n * self.lanes
+        whole = _span(0, count)
+        self.targets = one_hot(labels, spec.num_classes)
+        self.targets[self.ex_rows[whole]] = forward(models[whole], spec,
+                                                    self.features[self.ex_rows[whole]])[0]
+        self.shuffle_rngs = [rng_for(ctx.seed, "shuffle") for ctx in ctxs]
+        self.ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
+        self.half_ex = config.batch_size // 2 if rem else config.batch_size
+        self.batch_size = max(config.batch_size - self.half_ex, 1) if rem else config.batch_size
+        self.sizes = (rem or ex_count,) * count
+        self.drawn = self.half_ex * -(-self.sizes[0] // self.batch_size)  # exemplars per epoch
+
+    def start_epoch(self, epoch: int) -> None:
+        rem, ex_count = self.rem_rows.shape[1], self.ex_rows.shape[1]
+        rem_order = np.stack([rng.permutation(rem) if rem else np.empty(0, np.intp)
+                              for rng in self.shuffle_rngs])
+        ex_order = np.stack([_cycled_order(ex_count, self.drawn, rng)
+                             for rng in self.ex_order_rngs])
+        self.rem_perm = self.rem_rows[self.lanes, rem_order]
+        self.ex_perm = self.ex_rows[self.lanes, ex_order]
+
+    def build(self, span, k: int, rows: slice):
+        ex_part = slice(k * self.half_ex, (k + 1) * self.half_ex)
+        idx = np.concatenate([self.ex_perm[span, ex_part], self.rem_perm[span, rows]], axis=-1)
+        return self.features[idx], self.targets[idx], 1.0 / idx.shape[-1]
+
+
+def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
+    """Concatenated permutations of range(pool) covering `needed` draws."""
+    cycles = [rng.permutation(pool) for _ in range(-(-needed // pool) if pool else 0)]
+    return np.concatenate(cycles)[:needed] if cycles else np.empty(0, dtype=np.int64)
+
+
 def _fit_from_scratch(
     datasets: list[Dataset],
     sizes: tuple[int, ...],
@@ -379,95 +627,19 @@ def _fit_from_scratch(
     wheres: list[str],
 ) -> tuple[np.ndarray, list[list[float]], list[FloatingPointError | None]]:
     """Fresh init + one-hot cross-entropy SGD at the base learning rate, as
-    one stack (see _sgd_one_hot_stack): model m trains on the first
-    sizes[m] rows of datasets[m] from the init and shuffle streams of
-    configs[m].seed. Returns the models (M, P), their epoch losses and
-    their errors.
+    one stack (see _train_stack): model m trains on the first sizes[m] rows
+    of datasets[m] from the init and shuffle streams of configs[m].seed.
+    Returns the models (M, P), their epoch losses and their errors.
 
     Used for the base models and for every full-data retrain; both pull
     from the same derived streams, so retraining on the base pool alone
     reproduces the base model bit for bit.
     """
     models = np.array([init_network(spec, derive_seed(c.seed, "init")) for c in configs])
-    histories, errors = _sgd_one_hot_stack(
-        models, datasets, sizes, spec, configs[0].lr_base, epochs, configs[0].batch_size,
-        [rng_for(c.seed, "base-train", "shuffle") for c in configs], wheres)
+    batches = _OneHotRows(datasets, sizes, configs[0].batch_size, spec.num_classes,
+                          [c.seed for c in configs], "base-train", "shuffle")
+    histories, errors = _train_stack(models, spec, configs[0].lr_base, epochs, batches, wheres)
     return models, histories, errors
-
-
-def _sgd_one_hot_stack(
-    models: np.ndarray,
-    datasets: list[Dataset],
-    sizes: tuple[int, ...],
-    spec: NetworkSpec,
-    lr: float,
-    epochs: int,
-    batch_size: int,
-    shuffle_rngs: list[np.random.Generator],
-    wheres: list[str],
-) -> tuple[list[list[float]], list[FloatingPointError | None]]:
-    """One-hot SGD of the models stacked in `models` (M, P), in place and
-    in lockstep: model m trains on the first sizes[m] rows of datasets[m],
-    drawing its epoch orders from shuffle_rngs[m]. The datasets are equally
-    long; models may share one.
-
-    Each model runs exactly the steps it would run alone. sizes must not
-    increase, so the models that take the same rows of their data at a
-    given step are a slice of the stack, and step together; a model that
-    steps alone steps on its flat vector.
-
-    Returns each model's epoch losses and its error: None, or the
-    FloatingPointError (naming wheres[m]) of its first epoch whose mean
-    loss is not finite. A failed model keeps stepping, but no longer
-    counts, until every model has failed; rows are independent, so it
-    moves no bit of the others, and its parameters mean nothing.
-    """
-    count = len(models)
-    if any(a < b for a, b in zip(sizes, sizes[1:])):
-        raise ValueError(f"model row counts must not increase, got {sizes}")
-    lanes = list({id(d): d for d in datasets}.values())  # distinct, in order of first use
-    first_row = {id(d): lane * len(d) for lane, d in enumerate(lanes)}
-    features, labels = _stacked(lanes)
-    targets = one_hot(labels, spec.num_classes)
-    orders = np.empty((count, sizes[0]), dtype=np.intp)
-    # per step k, the spans (first, end, stop) of models that step together
-    # on rows k * batch_size..stop-1 of their order
-    plan: list[list[list[int]]] = []
-    for k in range(-(-sizes[0] // batch_size)):
-        spans: list[list[int]] = []
-        for m, n in enumerate(sizes):
-            stop = min(n, (k + 1) * batch_size)
-            if stop <= k * batch_size:
-                break
-            if spans and spans[-1][2] == stop:
-                spans[-1][1] = m + 1
-            else:
-                spans.append([m, m + 1, stop])
-        plan.append(spans)
-    steps = [-(-n // batch_size) for n in sizes]
-    trainers: dict[tuple[int, int], Trainer] = {}
-    batch_losses = np.empty((count, len(plan)))
-    histories: list[list[float]] = [[] for _ in range(count)]
-    errors: list[FloatingPointError | None] = [None] * count
-
-    for epoch in range(1, epochs + 1):
-        for m in range(count):
-            np.add(shuffle_rngs[m].permutation(sizes[m]), first_row[id(datasets[m])],
-                   out=orders[m, : sizes[m]])
-        for k, spans in enumerate(plan):
-            start = k * batch_size
-            for first, end, stop in spans:
-                key = (first, end)
-                if key not in trainers:
-                    trainers[key] = Trainer(models[first] if end - first == 1 else models[first:end],
-                                            spec)
-                idx = orders[first, start:stop] if end - first == 1 else orders[first:end, start:stop]
-                losses = trainers[key].step(features[idx], targets[idx], 1.0 / (stop - start), lr)
-                batch_losses[first:end, k] = np.add.reduce(losses, axis=-1) / (stop - start)
-        if _record_epoch((batch_losses[m, : steps[m]] for m in range(count)), histories, errors,
-                         wheres, epoch):
-            break
-    return histories, errors
 
 
 def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None) -> np.ndarray:
@@ -509,13 +681,7 @@ def _train_bases(
             [configs[s] for s in members], resolved, [where] * len(members))
         seconds = time.perf_counter() - start
         for s, model, error in zip(members, models, errors):
-            try:
-                if error is not None:
-                    raise error
-                _check_finite(model, where)
-                trained[s] = (model, seconds)
-            except FloatingPointError as exc:
-                trained[s] = (exc, seconds)
+            trained[s] = (_outcome(error, _check_finite, model, where), seconds)
     return trained
 
 
@@ -541,37 +707,44 @@ def _phase_result(
                        loss_history=loss_history, ema_history=ema_history)
 
 
-def _stack_results(
-    ctxs: list[PhaseContext],
-    where: str,
-    start: float,
-    outgoing: list[np.ndarray],
-    students: list[np.ndarray],
-    histories: list[list[float]],
-    errors: list[Exception | None],
-    ema_history: tuple[tuple[int, float], ...],
-) -> list[PhaseResult | FloatingPointError]:
-    """One entry per model m of a stack, evaluated in ctxs[m]: errors[m]
-    when it failed, else its PhaseResult, or the FloatingPointError of its
-    non-finite outgoing parameters."""
-    results: list[PhaseResult | FloatingPointError] = []
-    for m, ctx in enumerate(ctxs):
-        try:
-            if errors[m] is not None:
-                raise errors[m]
-            results.append(_phase_result(ctx, where, start, outgoing[m], students[m],
-                                         tuple(histories[m]), ema_history))
-        except FloatingPointError as exc:
-            results.append(exc)
-    return results
-
-
 def _one(results: list):
     """The result of a stack or group of one, raising it when it is an exception."""
     [result] = results
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def _phase_stack(batches_type: type[_Batches], models_prev: list[np.ndarray],
+                 phase_datas: list[Dataset], configs: list[RunConfig],
+                 ctxs: list[PhaseContext]) -> list[PhaseResult | FloatingPointError]:
+    """One incremental phase for each of `configs`, as one stack trained
+    at the incremental rate (see _train_stack) on the minibatches of
+    batches_type(models, phase_datas, configs, ctxs). The stack (M, P)
+    starts from copies of the incoming models (one may serve every row);
+    contexts are given per model, or one for all. Returns per model its
+    PhaseResult or the FloatingPointError that failed it (see _outcome).
+    """
+    start = time.perf_counter()
+    spec = ctxs[0].net_spec
+    incoming = np.asarray(models_prev, dtype=np.float64)
+    models = np.array(np.broadcast_to(incoming, (len(configs), spec.num_params)))
+    batches = batches_type(models, phase_datas, configs, ctxs)
+    where = f"{batches.strategy}, phase {ctxs[0].phase_index}"
+    histories, errors = _train_stack(models, spec, configs[0].lr_incremental_resolved,
+                                     batches.epochs, batches, [where] * len(models))
+    students = list(models)
+    outgoing, ema_history = batches.outgoing(students)
+    return [_outcome(error, _phase_result, ctx, where, start, model, student, tuple(history),
+                     ema_history)
+            for ctx, model, student, history, error in zip(
+                ctxs * (len(models) // len(ctxs)), outgoing, students, histories, errors)]
+
+
+# run_phase_fine_tune and run_phase_vanilla_distill for each seed of a group,
+# as one stack
+_fine_tune_seeds = functools.partial(_phase_stack, _FineTuneRows)
+_vanilla_distill_seeds = functools.partial(_phase_stack, _ExemplarMix)
 
 
 def run_phase_boundary_distill(
@@ -600,25 +773,18 @@ def _boundary_distill_lanes(
     configs: list[RunConfig],
     ctxs: list[PhaseContext],
 ) -> list[PhaseResult | FloatingPointError]:
-    """run_phase_boundary_distill for each config, as one stack trained in
-    lockstep: M students and M teachers (M, P), one teacher forward, one
-    student step and one consolidation per event. A lane is one incoming
-    model, phase data and context, with its shuffle and noise streams and
-    norm stats. Either every model shares one lane, and then the configs
-    may differ in noise.delta and distill_weight, with every weight > 0 or
-    every weight 0: each epoch has one shuffle order and each minibatch one
-    noise draw, scaled by each model's delta. Or each model has its own
-    lane (the seeds of a group), with equally long phase data: each lane
-    draws its own orders and noise, exactly as it would alone. A stack of
-    one trains on flat vectors (P,).
-
-    Returns one entry per model: its PhaseResult, or the
-    FloatingPointError that failed it (a non-finite epoch loss, after
-    which its rows keep training but no longer count, or non-finite
-    outgoing parameters). Rows are independent, so a failing model moves
-    no bit of the others.
+    """run_phase_boundary_distill for each config, as one stack (see
+    _phase_stack and _DistillPhase): M students and M teachers (M, P), one
+    teacher forward, one student step and one consolidation per event. A
+    lane is one incoming model, phase data and context, with its shuffle
+    and noise streams and norm stats. Either every model shares one lane,
+    and then the configs may differ in noise.delta and distill_weight, with
+    every weight > 0 or every weight 0: each epoch has one shuffle order
+    and each minibatch one noise draw, scaled by each model's delta. Or
+    each model has its own lane (the seeds of a group), with equally long
+    phase data: each lane draws its own orders and noise, exactly as it
+    would alone.
     """
-    start = time.perf_counter()
     config = configs[0]
     for other in configs[1:]:
         noise = replace(other.noise, delta=config.noise.delta)
@@ -626,70 +792,10 @@ def _boundary_distill_lanes(
             raise ValueError("stacked configs may differ only in noise.delta and distill_weight")
     if len({c.distill_weight > 0 for c in configs}) > 1:
         raise ValueError("stacked distill weights must be all > 0 or all 0")
-    count, lanes = len(configs), len(ctxs)
-    if lanes not in (1, count):
-        raise ValueError(f"{count} stacked models need 1 or {count} lanes, got {lanes}")
-    lead = (count,) if count > 1 else ()
-    ctx = ctxs[0]
-    spec = ctx.net_spec
-    incoming = np.asarray(models_prev, dtype=np.float64)
-    student = np.array(np.broadcast_to(incoming, (count, spec.num_params))).reshape(lead + (-1,))
-    trainer = Trainer(student, spec)
-    state = EmaState(teacher=student.copy())
-    lr = config.lr_incremental_resolved
-    weight, noise = config.distill_weight, config.noise
-    if lead:  # one noise scale and one weight > 0 per model (see DistillBatches)
-        noise = replace(noise, delta=np.array([c.noise.delta for c in configs])[:, None, None])
-        if weight > 0:
-            weight = np.array([c.distill_weight for c in configs])
-    features, labels = _stacked(phase_datas)
-    norm_stats = ctx.norm_stats
-    if lanes > 1:
-        norm_stats = NormStats(np.stack([c.norm_stats.mean for c in ctxs])[:, None],
-                               np.stack([c.norm_stats.std for c in ctxs])[:, None])
-    batches = DistillBatches(spec, features, labels, norm_stats, noise, config.fuse, weight,
-                             config.assign)
-    n = len(phase_datas[0])
-    starts = range(0, n, config.batch_size)
-    streams = None
-    if batches.distilling:  # every (lane, epoch, minibatch) noise stream, derived at once
-        streams = PhaseStreams([c.seed for c in ctxs], "noise", config.epochs_per_phase,
-                               len(starts))
-    shuffle_rngs = [rng_for(c.seed, "shuffle") for c in ctxs]
-    mode = config.sched.mode
-    where = f"boundary_distill, phase {ctx.phase_index}"
-
-    histories: list[list[float]] = [[] for _ in configs]
-    errors: list[FloatingPointError | None] = [None] * count
-    for epoch in range(1, config.epochs_per_phase + 1):
-        # one order per lane, moved to the lane's rows (see _stacked)
-        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        orders += n * np.arange(lanes)[:, None]
-        if lanes == 1:
-            orders = orders[0]
-        batch_losses = []
-        for bi, first in enumerate(starts):
-            idx = orders[..., first : first + config.batch_size]
-            rng = None
-            if streams is not None:
-                rngs = streams.at(epoch, bi)
-                rng = rngs[0] if lanes == 1 else rngs
-            rows, targets, scale = batches.build(state.teacher, idx, rng)
-            losses = trainer.step(rows, targets, scale, lr)
-            batch_losses.append(DistillLossTerms.from_rows(losses, idx.shape[-1], weight).total)
-            if mode == "per_iteration":
-                state = consolidate(state, student, config.sched.alpha0, epoch=epoch)
-        epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
-        if _record_epoch(epoch_losses, histories, errors, [where] * count, epoch):
-            break
-        if mode == "scheduled" and should_consolidate(epoch, config.sched):
-            alpha = adaptive_momentum(epoch, config.sched)
-            state = consolidate(state, student, alpha, epoch=epoch)
-
-    students = list(student.reshape(count, -1))
-    outgoing = students if mode == "off" else list(state.teacher.reshape(count, -1))
-    return _stack_results(ctxs * (count // lanes), where, start, outgoing, students, histories,
-                          errors, state.history)
+    if len(ctxs) not in (1, len(configs)):
+        raise ValueError(f"{len(configs)} stacked models need 1 or {len(configs)} lanes, "
+                         f"got {len(ctxs)}")
+    return _phase_stack(_DistillPhase, models_prev, phase_datas, configs, ctxs)
 
 
 def run_phase_fine_tune(
@@ -702,37 +808,9 @@ def run_phase_fine_tune(
     """Baseline: short one-hot training of the incoming model at the
     incremental rate. epochs=0 returns the incoming model evaluated. This
     is _fine_tune_seeds on a stack of one."""
-    resolved = config.fine_tune_epochs if epochs is None else epochs
-    return _one(_fine_tune_seeds([model_prev], [phase_data], config, [ctx], resolved))
-
-
-def _fine_tune_seeds(
-    models_prev: list[np.ndarray],
-    phase_datas: list[Dataset],
-    config: RunConfig,
-    ctxs: list[PhaseContext],
-    epochs: int,
-) -> list[PhaseResult | FloatingPointError]:
-    """run_phase_fine_tune for each seed of a group, as one stack (see
-    _sgd_one_hot_stack); returns one PhaseResult or error per seed."""
-    start = time.perf_counter()
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    params = np.array(models_prev, dtype=np.float64)
-    where = f"fine_tune, phase {ctxs[0].phase_index}"
-    histories, errors = _sgd_one_hot_stack(
-        params,
-        phase_datas,
-        tuple(len(d) for d in phase_datas),
-        ctxs[0].net_spec,
-        config.lr_incremental_resolved,
-        epochs,
-        config.batch_size,
-        [rng_for(c.seed, "shuffle") for c in ctxs],
-        [where] * len(ctxs),
-    )
-    models = list(params)
-    return _stack_results(ctxs, where, start, models, models, histories, errors, ())
+    if epochs is not None:
+        config = replace(config, fine_tune_epochs=epochs)
+    return _one(_fine_tune_seeds([model_prev], [phase_data], [config], [ctx]))
 
 
 def run_phase_vanilla_distill(
@@ -749,95 +827,7 @@ def run_phase_vanilla_distill(
     model; nothing is consolidated. This is _vanilla_distill_seeds on a
     stack of one.
     """
-    return _one(_vanilla_distill_seeds([model_prev], [phase_data], config, [ctx]))
-
-
-def _vanilla_distill_seeds(
-    models_prev: list[np.ndarray],
-    phase_datas: list[Dataset],
-    config: RunConfig,
-    ctxs: list[PhaseContext],
-) -> list[PhaseResult | FloatingPointError]:
-    """run_phase_vanilla_distill for each seed of a group, as one stack
-    trained in lockstep on equally long phase data: each seed draws its
-    own exemplars and orders, exactly as it would alone, and one student
-    step serves the stack. A stack of one trains on flat vectors (P,).
-    Returns one PhaseResult or error per seed."""
-    start = time.perf_counter()
-    spec = ctxs[0].net_spec
-    count = len(ctxs)
-    lead = (count,) if count > 1 else ()
-    teacher = np.asarray(models_prev, dtype=np.float64).reshape(lead + (-1,))
-    student = teacher.copy()
-    features, labels = _stacked(phase_datas)
-    n = len(phase_datas[0])
-    ex_count = round(config.exemplar_fraction * n)
-    # per seed (rows of these arrays): exemplar rows and the other rows, in
-    # the concatenated features (see _stacked)
-    ex_rows = np.empty((count, ex_count), dtype=np.intp)
-    rem_rows = np.empty((count, n - ex_count), dtype=np.intp)
-    for s, ctx in enumerate(ctxs):
-        if ex_count:
-            ex_rows[s] = rng_for(ctx.seed, "exemplars").choice(n, size=ex_count, replace=False)
-        rem_mask = np.ones(n, dtype=bool)
-        rem_mask[ex_rows[s]] = False
-        rem_rows[s] = np.flatnonzero(rem_mask)
-    lanes = np.arange(count)[:, None]
-    ex_rows += n * lanes
-    rem_rows += n * lanes
-    # targets by row: the one-hot rows, then the teacher's exemplar scores
-    scores = forward(teacher, spec, features[ex_rows.reshape(lead + (-1,))])[0]
-    target_table = np.concatenate([one_hot(labels, spec.num_classes),
-                                   scores.reshape(-1, spec.num_classes)])
-    ex_targets = count * n + np.arange(count * ex_count).reshape(count, ex_count)
-    lr = config.lr_incremental_resolved
-    shuffle_rngs = [rng_for(ctx.seed, "shuffle") for ctx in ctxs]
-    ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
-
-    rem = n - ex_count
-    half_ex = config.batch_size // 2 if rem else config.batch_size
-    rem_per_batch = max(config.batch_size - half_ex, 1)
-    num_batches = -(-rem // rem_per_batch) if rem else -(-ex_count // config.batch_size)
-
-    trainer = Trainer(student, spec)
-    where = f"vanilla_distill, phase {ctxs[0].phase_index}"
-    histories: list[list[float]] = [[] for _ in ctxs]
-    errors: list[FloatingPointError | None] = [None] * count
-    for epoch in range(1, config.epochs_per_phase + 1):
-        rem_order = np.stack([rng.permutation(rem) if rem else np.empty(0, np.intp)
-                              for rng in shuffle_rngs])
-        ex_order = np.stack([_cycled_order(ex_count, half_ex * num_batches, rng)
-                             for rng in ex_order_rngs])
-        rem_perm = rem_rows[lanes, rem_order].reshape(lead + (-1,))
-        ex_perm = ex_rows[lanes, ex_order].reshape(lead + (-1,))
-        ex_perm_targets = ex_targets[lanes, ex_order].reshape(lead + (-1,))
-        batch_losses = []
-        for b in range(num_batches):
-            ex_part = slice(b * half_ex, (b + 1) * half_ex)
-            rem_part = rem_perm[..., b * rem_per_batch : (b + 1) * rem_per_batch]
-            rows = np.concatenate([ex_perm[..., ex_part], rem_part], axis=-1)
-            target_rows = np.concatenate([ex_perm_targets[..., ex_part], rem_part], axis=-1)
-            losses = trainer.step(features[rows], target_table[target_rows],
-                                  1.0 / rows.shape[-1], lr)
-            batch_losses.append(np.add.reduce(losses, axis=-1) / rows.shape[-1])
-        epoch_losses = np.stack(batch_losses, axis=-1).reshape(count, -1)
-        if _record_epoch(epoch_losses, histories, errors, [where] * count, epoch):
-            break
-
-    students = list(student.reshape(count, -1))
-    return _stack_results(ctxs, where, start, students, students, histories, errors, ())
-
-
-def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
-    """Concatenated permutations of range(pool) covering `needed` draws."""
-    if pool == 0 or needed == 0:
-        return np.empty(0, dtype=np.int64)
-    chunks = []
-    have = 0
-    while have < needed:
-        chunks.append(rng.permutation(pool))
-        have += pool
-    return np.concatenate(chunks)[:needed]
+    return _one(_vanilla_distill_seeds([model_prev], [phase_data], [config], [ctx]))
 
 
 def run_phase_full_data(
@@ -855,9 +845,8 @@ def run_phase_full_data(
     [params], [history], [error] = _fit_from_scratch(
         [accumulated], (len(accumulated),), ctx.net_spec, [config], config.epochs_per_phase,
         [where])
-    if error is not None:
-        raise error
-    return _phase_result(ctx, where, start, params, params, tuple(history), ())
+    return _one([_outcome(error, _phase_result, ctx, where, start, params, params,
+                          tuple(history), ())])
 
 
 def _full_data_stack(
@@ -868,10 +857,8 @@ def _full_data_stack(
 ) -> None:
     """Every full_data phase of every seed of a group as one stack: the
     model of phase t is run_phase_full_data on the seed's base split plus
-    phases 1..t, a prefix of their concatenation. A seed's phase models all
-    start from the same init and shuffle streams, and every seed has the
-    same row counts, so they all train in lockstep (see
-    _sgd_one_hot_stack), phase-major from the last phase down.
+    phases 1..t, a prefix of their concatenation, so the stack runs
+    phase-major from the last phase down (see _train_stack).
 
     Appends each seed's phase results to results[s] in phase order, each
     timed from the start of the stack, up to its first failed phase, whose
@@ -892,15 +879,13 @@ def _full_data_stack(
     for s in seeds:
         for t in range(1, bench.num_phases + 1):
             m = (bench.num_phases - t) * len(setups) + s
-            model = models[m]
-            try:
-                if model_errors[m] is not None:
-                    raise model_errors[m]
-                results[s].append(_phase_result(setups[s].context(t), f"full_data, phase {t}",
-                                                start, model, model, tuple(histories[m]), ()))
-            except FloatingPointError as exc:
-                errors[s] = exc
+            outcome = _outcome(model_errors[m], _phase_result, setups[s].context(t),
+                               f"full_data, phase {t}", start, models[m], models[m],
+                               tuple(histories[m]), ())
+            if isinstance(outcome, Exception):
+                errors[s] = outcome
                 break
+            results[s].append(outcome)
 
 
 # --- orchestration ----------------------------------------------------------
@@ -1025,16 +1010,18 @@ def run_seed_stack(
     for s, setup in enumerate(setups):
         sizes = (setup.net_spec, len(setup.bench.base), *(len(p) for p in setup.bench.phases))
         stacks.setdefault(sizes, []).append(s)
+    stack = {  # looked up per call, so a replaced phase function takes effect
+        "boundary_distill": functools.partial(_walk_stack, _boundary_distill_lanes),
+        "fine_tune": functools.partial(_walk_stack, _fine_tune_seeds),
+        "vanilla_distill": functools.partial(_walk_stack, _vanilla_distill_seeds),
+        "full_data": _full_data_stack,
+    }[configs[0].strategy]
     for members in stacks.values():
         member_results = [results[s] for s in members]
         member_errors: list[Exception | None] = [None] * len(members)
         try:
-            if configs[0].strategy == "full_data":
-                _full_data_stack([setups[s] for s in members], [configs[s] for s in members],
-                                 member_results, member_errors)
-            else:
-                _walk_stack([setups[s] for s in members], configs[0], member_results,
-                            member_errors)
+            stack([setups[s] for s in members], [configs[s] for s in members], member_results,
+                  member_errors)
         except Exception as exc:  # noqa: BLE001 - fails every seed of the stack
             member_errors = [e or exc for e in member_errors]
         for s, error in zip(members, member_errors):
@@ -1044,28 +1031,25 @@ def run_seed_stack(
 
 
 def _walk_stack(
+    phase_stack,
     setups: list[SeedSetup],
-    config: RunConfig,
+    configs: list[RunConfig],
     results: list[list[PhaseResult]],
     errors: list[Exception | None],
 ) -> None:
-    """Walk the incremental phases of config.strategy for a stack of seeds,
+    """Walk the incremental phases for a stack of seeds, one stacked phase
+    at a time through phase_stack (for example _boundary_distill_lanes),
     appending each seed's phase results to results[s]. A seed whose phase
     fails (errors[s]) leaves the stack."""
-    phase_stack = {
-        "boundary_distill": lambda models, datas, cfg, ctxs: _boundary_distill_lanes(
-            models, datas, [cfg] * len(ctxs), ctxs),
-        "fine_tune": lambda *args: _fine_tune_seeds(*args, config.fine_tune_epochs),
-        "vanilla_distill": _vanilla_distill_seeds,
-    }[config.strategy]
     models = [setup.base_model for setup in setups]
     for t in range(1, setups[0].bench.num_phases + 1):
         live = [s for s, error in enumerate(errors) if error is None]
         if not live:
             break
+        # the seeds' configs differ only in the seed, which the contexts carry
         outcomes = phase_stack([models[s] for s in live],
-                               [setups[s].bench.phases[t - 1] for s in live], config,
-                               [setups[s].context(t) for s in live])
+                               [setups[s].bench.phases[t - 1] for s in live],
+                               [configs[0]] * len(live), [setups[s].context(t) for s in live])
         for s, outcome in zip(live, outcomes):
             if isinstance(outcome, Exception):
                 errors[s] = outcome

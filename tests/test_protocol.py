@@ -681,9 +681,9 @@ class TestSeedStack:
         stack_sizes = []
         real = protocol._fine_tune_seeds
 
-        def spy(models_prev, phase_datas, config, ctxs, epochs):
+        def spy(models_prev, phase_datas, configs, ctxs):
             stack_sizes.append((ctxs[0].phase_index, len(ctxs)))
-            return real(models_prev, phase_datas, config, ctxs, epochs)
+            return real(models_prev, phase_datas, configs, ctxs)
 
         monkeypatch.setattr(protocol, "_fine_tune_seeds", spy)
         configs = _seed_configs("fine_tune", (0, 1, 2, 3))
@@ -793,10 +793,10 @@ class TestRunBenchmark:
 
         real = protocol._fine_tune_seeds
 
-        def explode_on_phase_two(models_prev, phase_datas, cfg, ctxs, epochs):
+        def explode_on_phase_two(models_prev, phase_datas, configs, ctxs):
             if ctxs[0].phase_index == 2:
                 raise RuntimeError("injected failure")
-            return real(models_prev, phase_datas, cfg, ctxs, epochs)
+            return real(models_prev, phase_datas, configs, ctxs)
 
         monkeypatch.setattr(protocol, "_fine_tune_seeds", explode_on_phase_two)
         with pytest.raises(RuntimeError, match="injected"):
