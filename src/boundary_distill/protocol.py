@@ -556,24 +556,31 @@ class _DistillPhase(_Batches):
         return list(self.state.teacher.reshape(len(students), -1)), self.state.history
 
 
-class _ExemplarMix(_Batches):
-    """vanilla_distill's minibatches (see run_phase_vanilla_distill), with
-    each seed's own exemplars. An epoch passes once over the fresh rows
-    (over the exemplars when every row is one), and the exemplars cycle.
-    An exemplar is never a fresh row, so its scores replace its one-hot
-    target and every row has one target."""
+class _ExemplarMix(_OneHotRows):
+    """vanilla_distill's minibatches (see run_phase_vanilla_distill): one-hot
+    rows, except that each seed's exemplars take its incoming model's
+    scores as targets (an exemplar is never a fresh row). Each minibatch
+    of an epoch's order holds half_ex exemplars, cycling through them,
+    then the next fresh rows, so an epoch passes once over the fresh rows
+    (over the exemplars when every row is one)."""
 
     strategy = "vanilla_distill"
 
     def __init__(self, models, phase_datas, configs, ctxs):
         config, spec, count = configs[0], ctxs[0].net_spec, len(models)
-        self.epochs = config.epochs_per_phase
-        self.features, labels = _stacked(phase_datas)
-        n = len(phase_datas[0])
+        n, size = len(phase_datas[0]), config.batch_size
         ex_count = round(config.exemplar_fraction * n)
         rem = n - ex_count
+        half_ex = size // 2 if rem else size
+        fresh = max(size - half_ex, 1) if rem else 0
+        steps = -(-rem // fresh) if rem else -(-ex_count // size)
+        ex_slots = half_ex if ex_count else 0  # exemplars per minibatch
+        super().__init__(phase_datas, (rem + ex_slots * steps,) * count, ex_slots + fresh,
+                         spec.num_classes, [c.seed for c in ctxs], "shuffle")
+        self.epochs = config.epochs_per_phase
         # per seed (rows of these arrays): exemplar rows and the other rows, in
-        # the concatenated features (see _stacked)
+        # the stacked features; seeds that share one dataset share one setup,
+        # so they also share its exemplars and their targets
         self.ex_rows = np.empty((count, ex_count), dtype=np.intp)
         self.rem_rows = np.empty((count, rem), dtype=np.intp)
         for s, ctx in enumerate(ctxs):
@@ -583,33 +590,21 @@ class _ExemplarMix(_Batches):
             rem_mask = np.ones(n, dtype=bool)
             rem_mask[self.ex_rows[s]] = False
             self.rem_rows[s] = np.flatnonzero(rem_mask)
-        self.lanes = np.arange(count)[:, None]
-        self.ex_rows += n * self.lanes
-        self.rem_rows += n * self.lanes
+        self.ex_rows += np.array(self.first_rows)[:, None]
+        self.rem_rows += np.array(self.first_rows)[:, None]
         whole = _span(0, count)
-        self.targets = one_hot(labels, spec.num_classes)
         self.targets[self.ex_rows[whole]] = forward(models[whole], spec,
                                                     self.features[self.ex_rows[whole]])[0]
-        self.shuffle_rngs = [rng_for(ctx.seed, "shuffle") for ctx in ctxs]
         self.ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
-        self.half_ex = config.batch_size // 2 if rem else config.batch_size
-        self.batch_size = max(config.batch_size - self.half_ex, 1) if rem else config.batch_size
-        self.sizes = (rem or ex_count,) * count
-        self.drawn = self.half_ex * -(-self.sizes[0] // self.batch_size)  # exemplars per epoch
+        slot = np.arange(self.sizes[0]) % self.batch_size
+        self.exemplar, self.fresh = slot < ex_slots, slot >= ex_slots
 
     def start_epoch(self, epoch: int) -> None:
         rem, ex_count = self.rem_rows.shape[1], self.ex_rows.shape[1]
-        rem_order = np.stack([rng.permutation(rem) if rem else np.empty(0, np.intp)
-                              for rng in self.shuffle_rngs])
-        ex_order = np.stack([_cycled_order(ex_count, self.drawn, rng)
-                             for rng in self.ex_order_rngs])
-        self.rem_perm = self.rem_rows[self.lanes, rem_order]
-        self.ex_perm = self.ex_rows[self.lanes, ex_order]
-
-    def build(self, span, k: int, rows: slice):
-        ex_part = slice(k * self.half_ex, (k + 1) * self.half_ex)
-        idx = np.concatenate([self.ex_perm[span, ex_part], self.rem_perm[span, rows]], axis=-1)
-        return self.features[idx], self.targets[idx], 1.0 / idx.shape[-1]
+        for m, (rng, ex_rng) in enumerate(zip(self.shuffle_rngs, self.ex_order_rngs)):
+            self.orders[m, self.fresh] = self.rem_rows[m, rng.permutation(rem)]
+            ex_order = _cycled_order(ex_count, self.sizes[0] - rem, ex_rng)
+            self.orders[m, self.exemplar] = self.ex_rows[m, ex_order]
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
