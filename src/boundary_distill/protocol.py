@@ -530,7 +530,7 @@ class _DistillPhase(_Batches):
         self.epoch = epoch
 
     def build(self, span, k: int, rows: slice):
-        idx = self.orders[span if self.lanes > 1 else 0, rows]
+        idx = self.orders[span if self.lanes > 1 else 0, rows]  # one lane may serve all
         rng = None
         if self.streams is not None:
             rngs = self.streams.at(self.epoch, k)
