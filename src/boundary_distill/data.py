@@ -8,6 +8,7 @@ samples the base decision boundary has never seen.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
@@ -338,7 +339,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         if not feature_cols:
             raise ValueError(f"{path}: no feature columns")
 
-        feats: list[list[float]] = []
+        feats = array.array("d")  # the rows, one after another
         labels: list[int] = []
         skipped = 0
         width, last = len(reader.fieldnames), reader.fieldnames[-1]
@@ -360,7 +361,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if not math.isfinite(label) or label != int(label):
                 raise ValueError(f"{path}:{reader.line_num}: label {raw_label!r} is not an integer")
-            feats.append(values)
+            feats.extend(values)
             labels.append(int(label))
     if skipped:
         warnings.warn(
@@ -370,7 +371,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         )
     if not feats:
         raise ValueError(f"{path}: no usable rows")
-    return Dataset(np.array(feats, dtype=np.float64), np.array(labels, dtype=np.int64))
+    return Dataset(np.frombuffer(feats).reshape(len(labels), -1), np.array(labels, dtype=np.int64))
 
 
 def save_csv(dataset: Dataset, path: str, feature_names: tuple[str, ...] | None = None) -> None:

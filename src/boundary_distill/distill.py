@@ -273,7 +273,7 @@ class DistillBatches:
         n = idx.shape[-1]
         x = self.features[idx]
         if not self.distilling:
-            teacher = forward(teacher_params, self.spec, x)[0] if self.needs_clean else None
+            teacher = forward(teacher_params, self.spec, x) if self.needs_clean else None
             return x, self._clean_targets(idx, teacher), 1.0 / n
         shape = idx.shape + (x.shape[-1],)
         noise = _noise(shape, self.noise, rng)
@@ -281,10 +281,10 @@ class DistillBatches:
         rows[..., :n, :] = x
         np.add(self.normalized[idx], noise, out=rows[..., n:, :])
         if self.needs_clean:
-            teacher = forward(teacher_params, self.spec, rows)[0]
+            teacher = forward(teacher_params, self.spec, rows)
             targets[..., :n, :] = self._clean_targets(idx, teacher[..., :n, :])
         else:
-            teacher = forward(teacher_params, self.spec, rows[..., n:, :])[0]
+            teacher = forward(teacher_params, self.spec, rows[..., n:, :])
             targets[..., :n, :] = self._clean_targets(idx, None)
         targets[..., n:, :] = teacher[..., -n:, :]
         return rows, targets, scale

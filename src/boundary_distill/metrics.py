@@ -50,8 +50,7 @@ def accuracy(model: np.ndarray, spec: NetworkSpec, dataset: Dataset) -> float:
             f"dataset has label {dataset.labels.max()} but the model only has "
             f"{spec.num_classes} classes"
         )
-    probs, _ = forward(model, spec, dataset.features)
-    predicted = np.argmax(probs, axis=1)
+    predicted = np.argmax(forward(model, spec, dataset.features), axis=1)
     return float((predicted == dataset.labels).mean())
 
 

@@ -13,7 +13,8 @@ a distribution, however small p is), and the update is applied in place.
 A Trainer also takes a stack of vectors (M, P), one model per row; the
 same forward and backward code then runs on (M, B, d) batches, and each
 model gets the bits it would get alone. `forward` gives the class
-probabilities that evaluation and the teacher use; `backward` and
+probabilities that evaluation and the teacher use, with the same
+arithmetic but computed in place, keeping no layer; `backward` and
 `cross_entropy_rows` are the standalone forms of the gradient and loss.
 """
 
@@ -70,21 +71,6 @@ class NetworkSpec:
     @property
     def num_params(self) -> int:
         return sum((fi + 1) * fo for fi, fo in self.layer_dims)
-
-
-@dataclass(frozen=True)
-class ForwardCache:
-    """Intermediate values of one forward pass, consumed by backward().
-
-    activations[i] is the input to layer i (activations[0] is the batch);
-    pre_activations[i] is the affine output of layer i before its
-    nonlinearity (the logits, for the last layer).
-    """
-
-    inputs: np.ndarray
-    pre_activations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
-    probs: np.ndarray
 
 
 def init_network(spec: NetworkSpec, seed: int) -> np.ndarray:
@@ -164,7 +150,10 @@ def _as_batch(batch: np.ndarray, spec: NetworkSpec) -> np.ndarray:
 def _forward_layers(
     layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(activations, pre_activations) of a forward pass; see ForwardCache.
+    """(activations, pre_activations) of a forward pass, which training
+    keeps for the backward pass: activations[i] is the input to layer i
+    (activations[0] is x), pre_activations[i] the affine output of layer i
+    before its nonlinearity (the logits, for the last layer).
 
     x is (B, d) for flat layers or (M, B, d) for stacked ones.
     """
@@ -204,25 +193,23 @@ def _backward_layers(
             dz = da
 
 
-def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities for a batch, plus the cache for backward().
+def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
+    """Class probabilities for a batch, bit for bit those of the training
+    forward pass (_forward_layers, then softmax).
 
     Rows are processed independently; each output row sums to 1. A stack
     of models (M, P) takes a batch (B, d) that every model sees, or one
-    batch per model (M, B, d), and gives (M, B, classes).
+    batch per model (M, B, d), and gives (M, B, classes). Each layer is
+    activated in place and dropped once the next one is computed.
     """
-    x = _as_batch(batch, spec)
-    activations, pre_activations = _forward_layers(
-        unpack_params(params, spec), spec.activation, x
-    )
-    probs = softmax(pre_activations[-1])
-    cache = ForwardCache(
-        inputs=x,
-        pre_activations=tuple(pre_activations),
-        activations=tuple(activations),
-        probs=probs,
-    )
-    return probs, cache
+    act, args = (np.maximum, (0.0,)) if spec.activation == "relu" else (np.tanh, ())
+    a = _as_batch(batch, spec)
+    for i, (w, b) in enumerate(unpack_params(params, spec)):
+        if i:  # a is this pass's own hidden layer, never the batch
+            act(a, *args, out=a)
+        a = a @ w
+        a += b
+    return softmax(a)
 
 
 def cross_entropy_rows(targets: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -237,21 +224,23 @@ def cross_entropy_rows(targets: np.ndarray, predicted: np.ndarray) -> np.ndarray
 def backward(
     params: np.ndarray,
     spec: NetworkSpec,
-    cache: ForwardCache,
+    batch: np.ndarray,
     dlogits: np.ndarray,
 ) -> np.ndarray:
     """Exact gradient of a scalar batch loss w.r.t. the flat parameters.
 
-    `dlogits` is the gradient of the loss w.r.t. the logits, one row per
-    batch row (already scaled by any mean-reduction factor). For soft
-    cross-entropy against a target distribution t it is (p - t) per row.
+    `dlogits` is the gradient of the loss w.r.t. the logits of `batch`
+    (recomputed here), one row per batch row, already scaled by any
+    mean-reduction factor. For soft cross-entropy against a target
+    distribution t it is (p - t) per row.
     """
+    layers = unpack_params(params, spec)
+    acts, pre = _forward_layers(layers, spec.activation, _as_batch(batch, spec))
     dz = np.asarray(dlogits, dtype=np.float64)
-    if dz.shape != cache.probs.shape:
-        raise ValueError(f"dlogits shape {dz.shape} != logits shape {cache.probs.shape}")
+    if dz.shape != pre[-1].shape:
+        raise ValueError(f"dlogits shape {dz.shape} != logits shape {pre[-1].shape}")
     grad = np.empty(spec.num_params)
-    _backward_layers(unpack_params(params, spec), unpack_params(grad, spec), spec.activation,
-                     cache.activations, cache.pre_activations, dz)
+    _backward_layers(layers, unpack_params(grad, spec), spec.activation, acts, pre, dz)
     return grad
 
 

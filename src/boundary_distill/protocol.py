@@ -100,13 +100,16 @@ class IILBenchmark:
                     f"phase {t} has {len(p)} samples, more than "
                     f"{self.max_phase_fraction:.0%} of the base pool ({len(self.base)})"
                 )
-        seen: set[bytes] = set()
-        for t, p in enumerate(self.phases, start=1):
-            for row, label in zip(p.features, p.labels):
-                key = row.tobytes() + bytes([int(label) & 0xFF])
-                if key in seen:
-                    raise ValueError(f"phase {t} shares a sample with an earlier phase")
-                seen.add(key)
+        if self.phases:
+            # one void scalar per row: the bytes of its features and label
+            samples = np.concatenate([np.column_stack((p.features.view(np.int64), p.labels))
+                                      for p in self.phases])
+            _, first, inverse = np.unique(samples.view(f"V{samples.shape[1] * 8}"),
+                                          return_index=True, return_inverse=True)
+            repeats = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(samples)))
+            if repeats.size:  # the first row whose sample came earlier
+                t = np.searchsorted(np.cumsum([len(p) for p in self.phases]), repeats[0], "right")
+                raise ValueError(f"phase {t + 1} shares a sample with an earlier phase")
 
     @property
     def num_phases(self) -> int:
@@ -594,7 +597,7 @@ class _ExemplarMix(_OneHotRows):
         self.rem_rows += np.array(self.first_rows)[:, None]
         whole = _span(0, count)
         self.targets[self.ex_rows[whole]] = forward(models[whole], spec,
-                                                    self.features[self.ex_rows[whole]])[0]
+                                                    self.features[self.ex_rows[whole]])
         self.ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
         slot = np.arange(self.sizes[0]) % self.batch_size
         self.exemplar, self.fresh = slot < ex_slots, slot >= ex_slots

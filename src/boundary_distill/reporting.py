@@ -61,7 +61,7 @@ def export_boundary_grid(
     x_range = (float(x_range[0]), float(x_range[1]))
     y_range = (float(y_range[0]), float(y_range[1]))
     points, prefixes = _grid_layout(x_range, y_range, resolution)
-    probs, _ = forward(model, spec, points)
+    probs = forward(model, spec, points)
     classes = np.argmax(probs, axis=1)
     confidence = probs[np.arange(points.shape[0]), classes]
     grid = BoundaryGrid(

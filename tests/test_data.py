@@ -362,6 +362,20 @@ class TestCsv:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_values_parse_bit_for_bit_as_float(self, tmp_path):
+        # -0.0 keeps its sign, a subnormal and 17 significant digits keep
+        # every bit, and rows stay in file order
+        fields = [["-0.0", "4.9e-324", "0.1"], ["2.2250738585072009e-308", "1.0000000000000002",
+                                                "-3.1415926535897931"]]
+        path = str(tmp_path / "bits.csv")
+        with open(path, "w") as fh:
+            fh.write("a,b,c,label\n" + "".join(",".join(row) + ",0\n" for row in fields))
+        ds = load_csv(path, CsvSchema())
+        expected = np.array([[float(v) for v in row] for row in fields])
+        assert ds.features.shape == (2, 3)
+        assert ds.features.tobytes() == expected.tobytes()
+        assert np.signbit(ds.features[0, 0])
+
     def test_feature_column_selection(self, tmp_path):
         path = str(tmp_path / "wide.csv")
         with open(path, "w") as fh:

@@ -179,17 +179,17 @@ def _problem(seed=0, n=12, dim=3, k=4):
 
 def _oracle_terms(student, teacher, spec, batch, labels, noise_seed, fuse, weight):
     """Independent recomputation of both loss terms from first principles."""
-    t_clean, _ = forward(teacher, spec, batch)
+    t_clean = forward(teacher, spec, batch)
     y = one_hot(labels, spec.num_classes)
     merged = y + t_clean
     fused = merged / merged.sum(axis=1, keepdims=True)
-    s_clean, _ = forward(student, spec, batch)
+    s_clean = forward(student, spec, batch)
     learn = cross_entropy_rows(fused, s_clean).mean()
 
     rng = np.random.default_rng(noise_seed)
     perturbed = batch + rng.normal(0.0, 2.0, size=batch.shape)
-    t_pert, _ = forward(teacher, spec, perturbed)
-    s_pert, _ = forward(student, spec, perturbed)
+    t_pert = forward(teacher, spec, perturbed)
+    s_pert = forward(student, spec, perturbed)
     distill = cross_entropy_rows(t_pert, s_pert).mean()
     return float(learn), float(distill), float(learn + weight * distill)
 
@@ -314,7 +314,7 @@ def test_distill_term_is_entropy_when_student_equals_teacher():
     )
     rng = np.random.default_rng(21)
     perturbed = batch + rng.normal(0.0, 2.0, size=batch.shape)
-    t_pert, _ = forward(teacher, spec, perturbed)
+    t_pert = forward(teacher, spec, perturbed)
     entropy = float(-(t_pert * np.log(t_pert)).sum(axis=1).mean())
     assert terms.distill_term == pytest.approx(entropy, abs=1e-9)
 
@@ -333,11 +333,11 @@ def test_assignment_rules_change_clean_targets():
 
     plain = learn_term(LabelAssignment(inner="one_hot", outer="one_hot"))
     y = one_hot(labels, spec.num_classes)
-    s_clean, _ = forward(student, spec, batch)
+    s_clean = forward(student, spec, batch)
     assert plain == pytest.approx(float(cross_entropy_rows(y, s_clean).mean()), abs=1e-12)
 
     teacher_only = learn_term(LabelAssignment(inner="teacher", outer="teacher"))
-    t_clean, _ = forward(teacher, spec, batch)
+    t_clean = forward(teacher, spec, batch)
     assert teacher_only == pytest.approx(
         float(cross_entropy_rows(t_clean, s_clean).mean()), abs=1e-12
     )

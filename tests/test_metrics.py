@@ -2,6 +2,7 @@
 
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from boundary_distill.metrics import (
     forgetting_rate,
     performance_promotion,
 )
-from boundary_distill.network import NetworkSpec, forward
+from boundary_distill.network import NetworkSpec, forward, init_network
 from boundary_distill.reporting import (
     export_boundary_grid,
     export_report,
@@ -54,6 +55,25 @@ class TestAccuracy:
             accuracy(params, spec, Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int)))
         with pytest.raises(ValueError, match="label 2"):
             accuracy(params, spec, Dataset(np.array([[1.0]]), np.array([2])))
+
+    @pytest.mark.parametrize(("sizes", "rows"), [((32, 128, 10), 2000), ((2, 16, 4), 4400)],
+                             ids=["32-128-10", "2-16-4"])
+    def test_holds_about_one_hidden_layer(self, sizes, rows):
+        # Evaluation keeps no layer for a backward pass: its traced peak
+        # stays near one (rows, hidden) float64 array, where a pass that
+        # keeps the pre-activation and the activation holds two and more.
+        spec = NetworkSpec(sizes)
+        params = init_network(spec, seed=0)
+        rng = np.random.default_rng(0)
+        split = Dataset(rng.normal(size=(rows, sizes[0])), rng.integers(0, sizes[-1], size=rows))
+        accuracy(params, spec, split)
+        tracemalloc.start()
+        try:
+            accuracy(params, spec, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * rows * sizes[1] * 8
 
 
 class TestPerformancePromotion:
@@ -132,7 +152,7 @@ class TestBoundaryGrid:
         export_boundary_grid(params, spec, x_range, y_range, res, path=path)
         xx, yy = np.meshgrid(np.linspace(*x_range, res), np.linspace(*y_range, res))
         points = np.column_stack([xx.ravel(), yy.ravel()])
-        probs, _ = forward(params, spec, points)
+        probs = forward(params, spec, points)
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -94,7 +94,7 @@ def test_class_axis_reductions_match_numpy(classes, lead):
 def test_forward_uniform_for_zero_params():
     spec = NetworkSpec((2, 3))
     params = np.zeros(spec.num_params)
-    probs, _ = forward(params, spec, np.array([[0.5, -2.0], [3.0, 1.0]]))
+    probs = forward(params, spec, np.array([[0.5, -2.0], [3.0, 1.0]]))
     np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -103,9 +103,9 @@ def test_forward_row_independence_and_promotion():
     params = init_network(spec, seed=5)
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(7, 3))
-    probs, _ = forward(params, spec, batch)
+    probs = forward(params, spec, batch)
     for i in range(7):
-        row_probs, _ = forward(params, spec, batch[i])
+        row_probs = forward(params, spec, batch[i])
         # Not bitwise: BLAS picks different kernels for 1-row matmuls.
         np.testing.assert_allclose(row_probs[0], probs[i], rtol=1e-12, atol=0)
     assert probs[0].sum() == pytest.approx(1.0, abs=1e-12)
@@ -118,7 +118,7 @@ def test_forward_finite_for_large_inputs():
         spec = NetworkSpec((2, 8, 3), activation=act)
         params = init_network(spec, seed=3)
         x = np.array([[1e3, -1e3], [0.0, 1e3], [-1e3, -1e3]])
-        probs, _ = forward(params, spec, x)
+        probs = forward(params, spec, x)
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -166,8 +166,8 @@ def _fd_gradient(params, spec, batch, targets, h=1e-5):
         up[j] += h
         down = params.copy()
         down[j] -= h
-        lu = cross_entropy_rows(targets, forward(up, spec, batch)[0]).mean()
-        ld = cross_entropy_rows(targets, forward(down, spec, batch)[0]).mean()
+        lu = cross_entropy_rows(targets, forward(up, spec, batch)).mean()
+        ld = cross_entropy_rows(targets, forward(down, spec, batch)).mean()
         grad[j] = (lu - ld) / (2 * h)
     return grad
 
@@ -189,8 +189,9 @@ def test_gradient_matches_finite_differences():
             batch = rng.normal(size=(n, spec.input_dim))
             if act == "tanh":
                 break
-            _, cache = forward(params, spec, batch)
-            if all(np.abs(z).min() > 1e-3 for z in cache.pre_activations[:-1]):
+            _, pre_activations = network._forward_layers(unpack_params(params, spec), act,
+                                                         batch)
+            if all(np.abs(z).min() > 1e-3 for z in pre_activations[:-1]):
                 break
         else:
             pytest.fail(f"could not find kink-free batch for trial {trial}")
@@ -223,7 +224,7 @@ def test_gradient_zero_at_matching_targets():
     params = init_network(spec, seed=9)
     rng = np.random.default_rng(3)
     batch = rng.normal(size=(6, 2))
-    probs, _ = forward(params, spec, batch)
+    probs = forward(params, spec, batch)
     _, grad = loss_and_grad(params, spec, batch, probs)
     assert np.abs(grad).max() < 1e-10
 
@@ -249,9 +250,9 @@ def test_backward_takes_logit_gradient():
     rng = np.random.default_rng(5)
     batch = rng.normal(size=(6, 3))
     targets = rng.dirichlet(np.ones(4), size=6)
-    probs, cache = forward(params, spec, batch)
+    probs = forward(params, spec, batch)
     _, grad = loss_and_grad(params, spec, batch, targets)
-    np.testing.assert_allclose(backward(params, spec, cache, (probs - targets) / 6), grad,
+    np.testing.assert_allclose(backward(params, spec, batch, (probs - targets) / 6), grad,
                                rtol=0, atol=1e-15)
 
 
@@ -274,9 +275,8 @@ def test_gradient_exact_below_old_probability_floor():
 def test_backward_rejects_shape_mismatch():
     spec = NetworkSpec((2, 3))
     params = init_network(spec, seed=0)
-    _, cache = forward(params, spec, np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        backward(params, spec, cache, np.zeros((3, 3)))
+        backward(params, spec, np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_sgd_step_edges():
@@ -306,12 +306,36 @@ def test_one_hot_and_validation():
         one_hot(np.array([[0, 1]]), 3)
 
 
+@pytest.mark.parametrize("sizes", [(3, 7, 4), (3, 6, 5, 4)], ids=["one_hidden", "two_hidden"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("models", [None, 3], ids=["flat", "stacked"])
+@pytest.mark.parametrize("batch_lead", [(), (3,)], ids=["B_d", "M_B_d"])
+def test_forward_is_the_training_forward_pass(sizes, activation, models, batch_lead):
+    # forward gives softmax of _forward_layers' logits bit for bit, and
+    # writes neither into the batch nor into the parameters
+    spec = NetworkSpec(sizes, activation)
+    if models is None:
+        params = init_network(spec, seed=11)
+    else:
+        params = np.stack([init_network(spec, seed=11 + m) for m in range(models)])
+    params.flags.writeable = False
+    batch = 2.0 * np.random.default_rng(2).normal(size=(*batch_lead, 9, spec.input_dim))
+    batch_bytes, params_bytes = batch.tobytes(), params.tobytes()
+    _, pre_activations = network._forward_layers(unpack_params(params, spec), activation, batch)
+    expected = softmax(pre_activations[-1])
+    probs = forward(params, spec, batch)
+    assert probs.shape == expected.shape
+    assert probs.tobytes() == expected.tobytes()
+    assert batch.tobytes() == batch_bytes
+    assert params.tobytes() == params_bytes
+
+
 def test_forward_bitwise_deterministic():
     spec = NetworkSpec((4, 6, 5), activation="relu")
     params = init_network(spec, seed=21)
     batch = np.random.default_rng(1).normal(size=(9, 4))
-    a, _ = forward(params, spec, batch)
-    b, _ = forward(params, spec, batch)
+    a = forward(params, spec, batch)
+    b = forward(params, spec, batch)
     assert np.array_equal(a, b)
 
 

@@ -249,6 +249,15 @@ class TestBenchmarkInvariants:
         with pytest.raises(ValueError, match="shares a sample"):
             IILBenchmark(bench.base, (bench.phases[0], dup), bench.test, 2)
 
+    def test_labels_apart_by_256_are_different_samples(self):
+        # a sample's key holds its whole label, not the label modulo 256
+        base = Dataset(np.arange(600.0).reshape(300, 2), np.arange(300))
+        x = np.array([[0.5, 1.0]])
+        IILBenchmark(base, (Dataset(x, np.array([1])), Dataset(x, np.array([257]))), base, 300)
+        with pytest.raises(ValueError, match="phase 3 shares a sample"):
+            IILBenchmark(base, (Dataset(x, np.array([1])), Dataset(x, np.array([257])),
+                                Dataset(x, np.array([257]))), base, 300)
+
 
 class TestTrainBase:
     def test_separable_blobs_learned(self):
@@ -258,7 +267,7 @@ class TestTrainBase:
             config = RunConfig(strategy="fine_tune", seed=seed)
             model = train_base(bench, config)
             spec = config.network_spec(2, 2)
-            probs, _ = forward(model, spec, bench.test.features)
+            probs = forward(model, spec, bench.test.features)
             acc = float((probs.argmax(axis=1) == bench.test.labels).mean())
             accs.append(acc)
         assert statistics.median(accs) > 0.95
@@ -330,10 +339,10 @@ class TestVanillaDistill:
         base = train_base(model_space, config)
         res = run_phase_vanilla_distill(base, model_space.phases[0], config, ctx)
         spec = ctx.net_spec
-        probs, _ = forward(base, spec, model_space.phases[0].features)
+        probs = forward(base, spec, model_space.phases[0].features)
         floor = float(-(probs * np.log(probs)).sum(axis=1).mean())
         assert max(res.loss_history) < floor + 0.05
-        student_probs, _ = forward(res.model, spec, model_space.phases[0].features)
+        student_probs = forward(res.model, spec, model_space.phases[0].features)
         agreement = float((student_probs.argmax(axis=1) == probs.argmax(axis=1)).mean())
         assert agreement >= 0.99
 
