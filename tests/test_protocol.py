@@ -635,6 +635,62 @@ class TestStrategiesPinned:
         assert digest.hexdigest() == STRATEGY_PINNED_DIGESTS[f"{case}-S{len(seeds)}"]
 
 
+def _wide_bench(seed=0, phases=2):
+    """A 10-class mixture in 8 features: 400-row base splits, 80-row phases."""
+    spec = SyntheticSpec(num_classes=10, dim=8, samples_per_class_base=40,
+                         samples_per_class_phase=8, seed=seed)
+    return IILBenchmark(
+        base=gen_base(spec),
+        phases=tuple(gen_phase(spec, t) for t in range(1, phases + 1)),
+        test=gen_test(spec, phases, 10),
+        num_classes=10,
+    )
+
+
+# every strategy and base training over two phases of an 8-32-10 net: ten
+# classes take NumPy's own row reductions (see network._row_reduce) and the
+# 32-unit layer wider matmul tiles than the 2-8-4 cases above; 22-row
+# batches end every loop on a short batch, and boundary_distill
+# consolidates at epochs 2 and 4
+WIDE_PINNED_DIGESTS = {
+    "base-S2": "1cc3d43eb95bfdd580e69405300dbd2a8857aa2f34ebe243d86ab0cf499be6a0",
+    "base-S1": "63addf2b6124848dda46122fe11275d8ca436c1bf84476f79af332df00ca58d4",
+    "fine_tune-S2": "ad13536dc6a29a3b1b65adb9d3df21febb3836f54c2d2d272a2a50003bab9d1e",
+    "fine_tune-S1": "6ccf6a36c0e12338296e76ed9a407621fe1e0402263aa31cfd624eb5019f9712",
+    "vanilla_distill-S2": "e47658598ebd01dab4d388e422da5e5933284ea3087b4081212855deb6974320",
+    "vanilla_distill-S1": "435f19e1f4da4ee24e2c1e04f7cbfa683ef53563ca9cee44b921b5182ee52cab",
+    "full_data-S2": "aad1c2d115d8843e60e3e434784bff4da484341f0ae01313f9fddbff8367cbf6",
+    "full_data-S1": "09224af5a510bd6ec87472f62bce58f2c7b18dab3bfc681f4cfc192441aab625",
+    "boundary_distill-S2": "87f83999f06f385abddbb77375e9e9b577a945c478d4478803b5413c65794877",
+    "boundary_distill-S1": "efc2bfb5b6e28355bb4093caf06058333b7609ba9af8b5154abef3c76abe456c",
+}
+
+
+def _pinned_wide(case, seeds):
+    """(model, student, loss history) of each seed's base model and phases,
+    as _pinned_strategy gives them, on the 10-class mixture."""
+    config = RunConfig(strategy="fine_tune" if case == "base" else case, epochs_per_phase=4,
+                       fine_tune_epochs=3, batch_size=22, hidden_layers=(32,), sched=PINNED_SCHED)
+    configs = [replace(config, seed=s) for s in seeds]
+    setups = setup_seeds([_wide_bench(seed=s) for s in seeds], configs)
+    if case == "base":
+        return [(s.base_model, s.base_model,
+                 run_phase_full_data(s.bench.base, c, s.context(0)).loss_history)
+                for s, c in zip(setups, configs)]
+    return [(r.model, r.student_model, r.loss_history)
+            for results, _ in protocol.run_seed_stack(setups, configs, None) for r in results]
+
+
+class TestWideStrategiesPinned:
+    @pytest.mark.parametrize("seeds", [(0, 1), (2,)], ids=["S2", "S1"])
+    @pytest.mark.parametrize("case", ["base", *STRATEGIES])
+    def test_phases_are_pinned(self, case, seeds):
+        digest = hashlib.sha256()
+        for model, student, losses in _pinned_wide(case, seeds):
+            digest.update(model.tobytes() + student.tobytes() + repr(losses).encode())
+        assert digest.hexdigest() == WIDE_PINNED_DIGESTS[f"{case}-S{len(seeds)}"]
+
+
 def _uniform_csv_bench(seed=0):
     """One 4-class mixture in 3 features, the same rows for every seed,
     split like the CSV route under uniform_random: equal split sizes."""
