@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormStats
-from .network import NetworkSpec, Trainer, forward, one_hot, softmax
+from .network import NetworkSpec, Trainer, _probabilities, one_hot, softmax, unpack_params
 
 FUSE_VARIANTS = ("literal", "tempered_softmax")
 TARGET_RULES = ("one_hot", "teacher", "fused")
@@ -118,10 +118,14 @@ def fuse_labels_batch(labels_one_hot: np.ndarray, teacher_probs: np.ndarray, con
     """Row-wise fusion of one-hot labels (B, classes) with teacher
     predictions (B, classes), or with a stack of them (M, B, classes); or
     of one label batch per model (M, B, classes) with the stack's
-    predictions (M, B, classes)."""
+    predictions (M, B, classes). Any label array that broadcasts to the
+    predictions' shape is taken, such as labels (B, 1, classes) against
+    batch-major predictions (B, M, classes)."""
     y = np.asarray(labels_one_hot, dtype=np.float64)
     p = np.asarray(teacher_probs, dtype=np.float64)
-    if y.ndim not in (2, 3) or p.ndim not in (2, 3) or y.shape != p.shape[p.ndim - y.ndim:]:
+    if (y.ndim not in (2, 3) or p.ndim not in (2, 3) or y.ndim > p.ndim
+            or any(a not in (b, 1) for a, b in zip(y.shape[::-1], p.shape[::-1]))
+            or y.shape[-1] != p.shape[-1]):
         raise ValueError(f"expected matching arrays of rows, got {y.shape} vs {p.shape}")
     merged = y + p
     if config.variant == "literal":
@@ -211,26 +215,28 @@ class DistillBatches:
 
     `features` (R, d) and `labels` (R,) are the rows of every lane (see
     protocol._stacked); a minibatch takes rows idx (n,) of one lane, or
-    idx (S, n), one row of indices per lane. The norm stats are (d,), or
-    (S, 1, d) for S lanes of equal length, and the phase is normalized and
-    its labels one-hot encoded once.
+    idx (n, S), one column of indices per lane. The norm stats are (d,),
+    or (S, 1, d) for S lanes of equal length, and the phase is normalized
+    and its labels one-hot encoded once.
 
-    The clean rows come first, with scale 1/n. With weight > 0 the
+    The rows, targets and scales are batch-major, as network.Trainer takes
+    them. The clean rows come first, with scale 1/n. With weight > 0 the
     noise-perturbed rows follow, with scale weight/n and the teacher's
     predictions as targets, so one student pass covers both loss terms;
-    the teacher sees the same stacked rows in one forward. With weight 0
-    no noise is drawn and the scale is the number 1/n, exactly what a
-    one-hot minibatch uses, which is what makes the fine-tuning collapse
-    ablation bitwise. The noise comes from `rng`, or from noise.seed when
-    rng is None (see perturb_inputs).
+    the teacher sees the same stacked rows in one pass, through layer
+    views made once per teacher array, so once per consolidation event.
+    With weight 0 no noise is drawn and the scale is the number 1/n,
+    exactly what a one-hot minibatch uses, which is what makes the
+    fine-tuning collapse ablation bitwise. The noise comes from `rng`, or
+    from noise.seed when rng is None (see perturb_inputs).
 
     A stack of teachers (M, P) takes one number for all models, or arrays
     of one value per model: noise.delta (see NoiseSpec) and weight (M,),
     whose weights must then all be > 0. The rows, targets and scales get a
-    leading model axis where they differ between models, and each model
-    gets the bits it would get alone. With weight > 0 they live in buffers
-    allocated once per batch width and refilled by every `build`, so they
-    are valid until the next one.
+    model axis after the row axis where they differ between models, and
+    each model gets the bits it would get alone. With weight > 0 they live
+    in buffers allocated once per batch width and refilled by every
+    `build`, so they are valid until the next one.
     """
 
     def __init__(
@@ -260,6 +266,7 @@ class DistillBatches:
             by_lane = self.features.reshape(lanes + (-1, self.features.shape[-1]))
             self.normalized = _normalized(by_lane, norm_stats).reshape(self.features.shape)
         self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._teacher: tuple[np.ndarray | None, list] = (None, [])
 
     def build(
         self,
@@ -269,25 +276,34 @@ class DistillBatches:
     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """Rows, targets and scales of the minibatch of rows `idx`, with the
         teacher `teacher_params` and the noise of `rng` (one generator per
-        lane for idx (S, n))."""
-        n = idx.shape[-1]
-        x = self.features[idx]
+        lane for idx (n, S))."""
+        if teacher_params is not self._teacher[0]:
+            self._teacher = teacher_params, unpack_params(teacher_params, self.spec)
+        n = idx.shape[0]
+        # one lane serving a stack of teachers: the lane axis broadcasts
+        lane = idx[:, None] if idx.ndim == 1 and teacher_params.ndim == 2 else idx
         if not self.distilling:
-            teacher = forward(teacher_params, self.spec, x) if self.needs_clean else None
-            return x, self._clean_targets(idx, teacher), 1.0 / n
-        shape = idx.shape + (x.shape[-1],)
-        noise = _noise(shape, self.noise, rng)
-        rows, targets, scale = self._buffers_for(noise.shape[:-2] + (n,))
-        rows[..., :n, :] = x
-        np.add(self.normalized[idx], noise, out=rows[..., n:, :])
+            x = self.features[idx]
+            teacher = self._teacher_pass(x) if self.needs_clean else None
+            return x, self._clean_targets(lane, teacher), 1.0 / n
+        # each lane draws its noise (n, d) as it would alone; with an array
+        # of deltas the noise has one (n, d) block per model
+        noise = _noise((*idx.shape[1:], n, self.features.shape[-1]), self.noise, rng)
+        rows, targets, scale = self._buffers_for((n, *noise.shape[:-2]))
+        rows[:n] = self.features[lane]
+        np.add(self.normalized[lane], noise.swapaxes(0, -2), out=rows[n:])  # batch-major
         if self.needs_clean:
-            teacher = forward(teacher_params, self.spec, rows)
-            targets[..., :n, :] = self._clean_targets(idx, teacher[..., :n, :])
+            teacher = self._teacher_pass(rows)
+            targets[:n] = self._clean_targets(lane, teacher[:n])
         else:
-            teacher = forward(teacher_params, self.spec, rows[..., n:, :])
-            targets[..., :n, :] = self._clean_targets(idx, None)
-        targets[..., n:, :] = teacher[..., -n:, :]
+            teacher = self._teacher_pass(rows[n:])
+            targets[:n] = self._clean_targets(lane, None)
+        targets[n:] = teacher[-n:]
         return rows, targets, scale
+
+    def _teacher_pass(self, rows: np.ndarray) -> np.ndarray:
+        """The teacher's probabilities of batch-major rows."""
+        return _probabilities(self._teacher[1], self.spec.activation, rows)
 
     def _clean_targets(self, idx: np.ndarray, teacher_clean: np.ndarray | None) -> np.ndarray:
         """Learning targets of the clean rows idx (teacher_clean is None
@@ -307,17 +323,16 @@ class DistillBatches:
 
     def _buffers_for(self, key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows, targets and scale buffers of minibatches of n rows
-        with leading axes `lead`, for key lead + (n,); the scale column is
+        with model axes `models`, for key (n, *models); the scale column is
         filled here, once."""
         if key not in self._buffers:
-            *lead, n = key
-            rows = np.empty((*lead, 2 * n, self.features.shape[-1]))
-            targets = np.empty((*lead, 2 * n, self.spec.num_classes))
-            scale = np.empty((*lead, 2 * n, 1))
-            scale[..., :n, :] = 1.0 / n
+            n, *models = key
+            rows = np.empty((2 * n, *models, self.features.shape[-1]))
+            targets = np.empty((2 * n, *models, self.spec.num_classes))
+            scale = np.empty((2 * n, *models, 1))
+            scale[:n] = 1.0 / n
             weight = self.weight
-            scale[..., n:, :] = (weight[:, None, None] if isinstance(weight, np.ndarray)
-                                 else weight) / n
+            scale[n:] = (weight[:, None] if isinstance(weight, np.ndarray) else weight) / n
             self._buffers[key] = rows, targets, scale
         return self._buffers[key]
 

@@ -10,12 +10,16 @@ and on a gradient buffer are made once, the loss is the exact
 cross-entropy (log-softmax where p is below PROB_FLOOR), its gradient is
 taken in logit space (p - t per row, exact for every target row that is
 a distribution, however small p is), and the update is applied in place.
-A Trainer also takes a stack of vectors (M, P), one model per row; the
-same forward and backward code then runs on (M, B, d) batches, and each
-model gets the bits it would get alone. `forward` gives the class
-probabilities that evaluation and the teacher use, with the same
-arithmetic but computed in place, keeping no layer; `backward` and
-`cross_entropy_rows` are the standalone forms of the gradient and loss.
+Targets are distributions, or integer labels, whose loss -log p[label]
+and gradient p - 1 at the label are those of one-hot rows bit for bit.
+A Trainer also takes a stack of vectors (M, P), one model per row; it
+then trains on batch-major rows (B, M, d), or on rows (B, d) that every
+model sees, keeps each layer as (B, M, h), and runs each model's matmul
+with the shapes it has alone, so each model gets the bits it would get
+alone. `forward` gives the class probabilities that evaluation and the
+teacher use, with the same arithmetic but computed in place, keeping no
+layer; `backward` and `cross_entropy_rows` are the standalone forms of
+the gradient and loss.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def init_network(spec: NetworkSpec, seed: int) -> np.ndarray:
 def unpack_params(params: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of a flat vector (P,), or of a stack of them (M, P), as
     per-layer (W, b) pairs: W of shape (..., fan_in, fan_out), b of shape
-    (..., 1, fan_out). No copies."""
+    (..., fan_out). No copies."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim not in (1, 2) or params.shape[-1] != spec.num_params:
         raise ValueError(
@@ -104,7 +108,7 @@ def unpack_params(params: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarra
             (*lead, fan_in, fan_out), copy=False
         )
         offset += fan_in * fan_out
-        b = params[..., None, offset : offset + fan_out]
+        b = params[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -147,6 +151,28 @@ def _as_batch(batch: np.ndarray, spec: NetworkSpec) -> np.ndarray:
     return x
 
 
+def _by_model(x: np.ndarray) -> np.ndarray:
+    """The model-major view (M, B, k) of batch-major rows (B, M, k); rows
+    (B, k) are returned as they are."""
+    return x.swapaxes(0, -2)
+
+
+def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w of each model, batch-major: rows (B, d), or (B, M, d) for
+    one batch per model, times weights (d, h) or a stack (M, d, h) give
+    (B, h) or (B, M, h). Each model's product is the (B, d) @ (d, h)
+    matmul it has alone, so it gets the same bits. NumPy takes a width-1
+    product (h = 1) as a matrix-vector one, whose bits depend on the
+    strides, so that one runs on each model's contiguous rows, as alone."""
+    if w.shape[-1] == 1:
+        z = np.matmul(np.ascontiguousarray(_by_model(a)), w)
+        return np.ascontiguousarray(_by_model(z))
+    out = np.empty((*a.shape[:-1], w.shape[-1]) if a.ndim == 3
+                   else (a.shape[0], *w.shape[:-2], w.shape[-1]))
+    np.matmul(_by_model(a), w, out=_by_model(out))
+    return out
+
+
 def _forward_layers(
     layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -155,14 +181,15 @@ def _forward_layers(
     (activations[0] is x), pre_activations[i] the affine output of layer i
     before its nonlinearity (the logits, for the last layer).
 
-    x is (B, d) for flat layers or (M, B, d) for stacked ones.
+    x is batch-major: (B, d), or (B, M, d) for stacked layers (see
+    _matmul); every layer after it is (B, h) or (B, M, h).
     """
     activations = [x]
     pre_activations = []
     a = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w
+        z = _matmul(a, w)
         z += b
         pre_activations.append(z)
         if i < last:
@@ -179,18 +206,42 @@ def _backward_layers(
     pre_activations: list[np.ndarray] | tuple[np.ndarray, ...],
     dz: np.ndarray,
 ) -> None:
-    """Write the parameter gradient for logit gradient dz into grad_layers."""
+    """Write the parameter gradient for the batch-major logit gradient dz
+    into grad_layers. A bias gradient sums dz over the rows in row order,
+    along the contiguous (M, h) tail of each row."""
     for i in range(len(layers) - 1, -1, -1):
         dw, db = grad_layers[i]
-        np.matmul(activations[i].swapaxes(-1, -2), dz, out=dw)
-        dz.sum(axis=-2, keepdims=True, out=db)
+        a, d = _by_model(activations[i]), _by_model(dz)
+        if 1 in (a.shape[-1], d.shape[-1]):
+            # a width-1 layer: NumPy multiplies a matrix by a vector and sums
+            # a column pairwise, with bits that depend on the strides, so
+            # each model's rows are made contiguous, as alone
+            a, d = np.ascontiguousarray(a), np.ascontiguousarray(d)
+        np.matmul(a.swapaxes(-1, -2), d, out=dw)
+        np.add.reduce(d, axis=-2, out=db)
         if i > 0:
-            da = dz @ layers[i][0].swapaxes(-1, -2)
+            da = _matmul(dz, layers[i][0].swapaxes(-1, -2))
             if activation == "relu":
                 da *= pre_activations[i - 1] > 0.0
             else:
                 da *= 1.0 - activations[i] ** 2
             dz = da
+
+
+def _probabilities(
+    layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
+) -> np.ndarray:
+    """Class probabilities of batch-major rows x (see _forward_layers),
+    bit for bit those of the training forward pass: each layer is
+    activated in place and dropped once the next one is computed."""
+    act, args = (np.maximum, (0.0,)) if activation == "relu" else (np.tanh, ())
+    a = x
+    for i, (w, b) in enumerate(layers):
+        if i:  # a is this pass's own hidden layer, never the rows
+            act(a, *args, out=a)
+        a = _matmul(a, w)
+        a += b
+    return softmax(a)
 
 
 def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
@@ -202,14 +253,8 @@ def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> np.ndar
     batch per model (M, B, d), and gives (M, B, classes). Each layer is
     activated in place and dropped once the next one is computed.
     """
-    act, args = (np.maximum, (0.0,)) if spec.activation == "relu" else (np.tanh, ())
-    a = _as_batch(batch, spec)
-    for i, (w, b) in enumerate(unpack_params(params, spec)):
-        if i:  # a is this pass's own hidden layer, never the batch
-            act(a, *args, out=a)
-        a = a @ w
-        a += b
-    return softmax(a)
+    x = _by_model(_as_batch(batch, spec))  # batch-major
+    return _by_model(_probabilities(unpack_params(params, spec), spec.activation, x))
 
 
 def cross_entropy_rows(targets: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -248,12 +293,12 @@ class Trainer:
     """SGD on a flat parameter vector (P,), or on a stack of them (M, P),
     updated in place.
 
-    A flat trainer takes (B, d) batches; a stacked one takes (M, B, d)
-    batches, one per model, and each model gets the bits it would get
-    alone. Per-layer views on `params` and on the gradient buffer `grad`
-    are made once, here, so a step costs only its arithmetic. `params` must
-    be writable float64; it is the model (or the stack) being trained, not
-    a copy.
+    A flat trainer takes rows (B, d); a stacked one takes batch-major rows
+    (B, M, d), one batch per model, or rows (B, d) that every model sees,
+    and each model gets the bits it would get alone. Per-layer views on
+    `params` and on the gradient buffer `grad` are made once, here, so a
+    step costs only its arithmetic. `params` must be writable float64; it
+    is the model (or the stack) being trained, not a copy.
     """
 
     def __init__(self, params: np.ndarray, spec: NetworkSpec):
@@ -266,13 +311,22 @@ class Trainer:
     def loss_rows(
         self, batch: np.ndarray, targets: np.ndarray, scale: float | np.ndarray
     ) -> np.ndarray:
-        """Per-row soft cross-entropy of the batch against `targets`.
+        """Per-row cross-entropy of the batch against `targets`: target
+        rows (B, classes), (B, M, classes) or any shape that broadcasts
+        against the logits, or integer labels (B,) or (B, M). Returns the
+        losses model-major, (B,) or (M, B).
 
         Leaves in `grad` the gradient of sum_i scale_i * loss_i, where
         `scale` is one number or a column with one entry per row. Its
         logit gradient is scale_i * (p_i - t_i), which is exact because
-        every target row sums to one.
+        every target row sums to one. A label's loss is -log p[label] and
+        its logit gradient subtracts 1 at the label only, the bits of its
+        one-hot row, whose product adds only exact zeros.
         """
+        if batch.ndim == 3 and batch.shape[1:2] != self.params.shape[:-1] or (
+                batch.ndim not in (2, 3)):
+            raise ValueError(f"rows of shape {batch.shape} for a stack of "
+                             f"{self.params.shape[:-1] or 'no'} models")
         activations, pre_activations = _forward_layers(self._layers, self.spec.activation, batch)
         logits = pre_activations[-1]
         shifted = logits - _row_reduce(np.maximum, logits)
@@ -282,13 +336,28 @@ class Trainer:
         # log p of the probabilities themselves, which keeps the loss bit
         # for bit where it was exact before; log-softmax below PROB_FLOOR,
         # where p may underflow to zero
-        log_probs = np.log(np.maximum(dz, PROB_FLOOR))
-        tail = dz < PROB_FLOOR
-        if tail.any():
-            log_probs[tail] = (shifted - np.log(total))[tail]
-        log_probs *= targets
-        losses = -_row_reduce(np.add, log_probs)[..., 0]
-        dz -= targets
+        if targets.dtype.kind in "iu":
+            # the label column of every row, through one flat index
+            label = targets.ravel() + np.arange(0, dz.size, dz.shape[-1])
+            probs = dz.reshape(-1)
+            p = probs[label]
+            log_p = np.log(np.maximum(p, PROB_FLOOR))
+            tail = p < PROB_FLOOR
+            if tail.any():
+                np.copyto(log_p, shifted.reshape(-1)[label] - np.log(total.reshape(-1)),
+                          where=tail)
+            probs[label] -= 1.0
+            log_p = log_p.reshape(targets.shape)
+        else:
+            log_probs = np.log(np.maximum(dz, PROB_FLOOR))
+            tail = dz < PROB_FLOOR
+            if tail.any():
+                np.copyto(log_probs, shifted - np.log(total), where=tail)
+            log_probs *= targets
+            log_p = _row_reduce(np.add, log_probs)[..., 0]
+            dz -= targets
+        losses = np.empty(log_p.shape[::-1])
+        np.negative(log_p, out=losses.T)  # model-major, for the pairwise mean over rows
         dz *= scale
         _backward_layers(self._layers, self._grad_layers, self.spec.activation,
                          activations, pre_activations, dz)

@@ -89,7 +89,7 @@ class IILBenchmark:
                 )
             if split.dim != self.base.dim:
                 raise ValueError(f"{name} split dimensionality differs from base")
-        present = np.unique(self.base.labels)
+        present = np.flatnonzero(np.bincount(self.base.labels))  # labels are >= 0
         missing = sorted(set(range(self.num_classes)) - set(int(c) for c in present))
         if missing:
             raise ValueError(f"classes {missing} missing from the base split")
@@ -367,6 +367,21 @@ def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([d.labels for d in datasets]))
 
 
+def _as_rows(array: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D float64 array as one void scalar each, a view
+    when the array is C-contiguous: _take copies each row as one block of
+    bytes, where NumPy's fancy indexing copies narrow rows element by
+    element, several times slower."""
+    array = np.ascontiguousarray(array)
+    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize)))[:, 0]
+
+
+def _take(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The array rows `rows` (see _as_rows) holds at idx, bit for bit,
+    as (*idx.shape, d) float64."""
+    return rows[idx.ravel()].view(np.float64).reshape(*idx.shape, rows.itemsize // 8)
+
+
 def _span(first: int, end: int) -> int | slice:
     """Index of models first..end-1 of a stack (M, P): a model alone is
     taken as its flat vector (P,), several as a stack."""
@@ -433,10 +448,11 @@ def _train_stack(models: np.ndarray, spec: NetworkSpec, lr: float, epochs: int,
 class _Batches:
     """A strategy's minibatches for _train_stack. sizes (each model's rows
     per epoch) and batch_size set the steps; start_epoch(epoch) draws the
-    epoch's orders; build(span, k, rows) gives the rows, targets and loss
-    scales of step k for the models `span` (see _span), which take `rows`
-    of their orders; loss reduces a step's per-row losses to one mean per
-    model. after_step runs after each step, after_epoch once the epoch is
+    epoch's orders; build(span, k, rows) gives the batch-major rows,
+    targets and loss scales of step k for the models `span` (see _span),
+    which take `rows` of their orders (see Trainer.loss_rows); loss
+    reduces a step's per-row losses (M, rows) to one mean per model.
+    after_step runs after each step, after_epoch once the epoch is
     recorded and some model is alive. For _phase_stack a builder also
     names its strategy and its epochs, and gives the outgoing models."""
 
@@ -455,29 +471,33 @@ class _Batches:
 
 
 class _OneHotRows(_Batches):
-    """One-hot minibatches: model m takes the first sizes[m] rows of
-    datasets[m], in the order it draws each epoch from the stream `stream`
-    of seeds[m]. The datasets are equally long; models may share one,
-    which is then held once (see _stacked)."""
+    """One-hot minibatches, given as integer labels: model m takes the
+    first sizes[m] rows of datasets[m], in the order it draws each epoch
+    from the stream `stream` of seeds[m]. The datasets are equally long;
+    models may share one, which is then held once (see _stacked). The
+    orders are batch-major: column m is model m's."""
 
     def __init__(self, datasets: list[Dataset], sizes: tuple[int, ...], batch_size: int,
-                 num_classes: int, seeds: list[int], *stream: str):
+                 seeds: list[int], *stream: str):
         self.sizes, self.batch_size = sizes, batch_size
         lanes = list({id(d): d for d in datasets}.values())  # distinct, in order of first use
         first_row = {id(d): lane * len(d) for lane, d in enumerate(lanes)}
         self.first_rows = [first_row[id(d)] for d in datasets]
-        self.features, labels = _stacked(lanes)
-        self.targets = one_hot(labels, num_classes)
+        features, self.labels = _stacked(lanes)
+        self.feature_rows = _as_rows(features)
         self.shuffle_rngs = [rng_for(seed, *stream) for seed in seeds]
-        self.orders = np.empty((len(sizes), sizes[0]), dtype=np.intp)
+        self.orders = np.empty((sizes[0], len(sizes)), dtype=np.intp)
 
     def start_epoch(self, epoch: int) -> None:
         for m, (rng, size) in enumerate(zip(self.shuffle_rngs, self.sizes)):
-            np.add(rng.permutation(size), self.first_rows[m], out=self.orders[m, :size])
+            np.add(rng.permutation(size), self.first_rows[m], out=self.orders[:size, m])
 
     def build(self, span, k: int, rows: slice):
-        idx = self.orders[span, rows]
-        return self.features[idx], self.targets[idx], 1.0 / idx.shape[-1]
+        idx = self.orders[rows, span]
+        return _take(self.feature_rows, idx), self._targets(idx), 1.0 / idx.shape[0]
+
+    def _targets(self, idx: np.ndarray) -> np.ndarray:
+        return self.labels[idx]
 
 
 class _FineTuneRows(_OneHotRows):
@@ -488,7 +508,7 @@ class _FineTuneRows(_OneHotRows):
 
     def __init__(self, models, phase_datas, configs, ctxs):
         super().__init__(phase_datas, tuple(len(d) for d in phase_datas), configs[0].batch_size,
-                         ctxs[0].net_spec.num_classes, [c.seed for c in ctxs], "shuffle")
+                         [c.seed for c in ctxs], "shuffle")
         self.epochs = configs[0].fine_tune_epochs
 
 
@@ -526,14 +546,14 @@ class _DistillPhase(_Batches):
         self.shuffle_rngs = [rng_for(c.seed, "shuffle") for c in ctxs]
 
     def start_epoch(self, epoch: int) -> None:
-        # one order per lane, moved to the lane's rows (see _stacked)
+        # one order per lane, batch-major, moved to the lane's rows (see _stacked)
         n = self.sizes[0]
-        self.orders = np.stack([rng.permutation(n) for rng in self.shuffle_rngs])
-        self.orders += n * np.arange(self.lanes)[:, None]
+        self.orders = np.stack([rng.permutation(n) for rng in self.shuffle_rngs], axis=1)
+        self.orders += n * np.arange(self.lanes)
         self.epoch = epoch
 
     def build(self, span, k: int, rows: slice):
-        idx = self.orders[span if self.lanes > 1 else 0, rows]  # one lane may serve all
+        idx = self.orders[rows, span if self.lanes > 1 else 0]  # one lane may serve all
         rng = None
         if self.streams is not None:
             rngs = self.streams.at(self.epoch, k)
@@ -561,11 +581,11 @@ class _DistillPhase(_Batches):
 
 class _ExemplarMix(_OneHotRows):
     """vanilla_distill's minibatches (see run_phase_vanilla_distill): one-hot
-    rows, except that each seed's exemplars take its incoming model's
-    scores as targets (an exemplar is never a fresh row). Each minibatch
-    of an epoch's order holds half_ex exemplars, cycling through them,
-    then the next fresh rows, so an epoch passes once over the fresh rows
-    (over the exemplars when every row is one)."""
+    target rows, except that each seed's exemplars take its incoming
+    model's scores as targets (an exemplar is never a fresh row). Each
+    minibatch of an epoch's order holds half_ex exemplars, cycling through
+    them, then the next fresh rows, so an epoch passes once over the fresh
+    rows (over the exemplars when every row is one)."""
 
     strategy = "vanilla_distill"
 
@@ -579,7 +599,8 @@ class _ExemplarMix(_OneHotRows):
         steps = -(-rem // fresh) if rem else -(-ex_count // size)
         ex_slots = half_ex if ex_count else 0  # exemplars per minibatch
         super().__init__(phase_datas, (rem + ex_slots * steps,) * count, ex_slots + fresh,
-                         spec.num_classes, [c.seed for c in ctxs], "shuffle")
+                         [c.seed for c in ctxs], "shuffle")
+        self.targets = one_hot(self.labels, spec.num_classes)
         self.epochs = config.epochs_per_phase
         # per seed (rows of these arrays): exemplar rows and the other rows, in
         # the stacked features; seeds that share one dataset share one setup,
@@ -597,7 +618,8 @@ class _ExemplarMix(_OneHotRows):
         self.rem_rows += np.array(self.first_rows)[:, None]
         whole = _span(0, count)
         self.targets[self.ex_rows[whole]] = forward(models[whole], spec,
-                                                    self.features[self.ex_rows[whole]])
+                                                    _take(self.feature_rows, self.ex_rows[whole]))
+        self.target_rows = _as_rows(self.targets)
         self.ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
         slot = np.arange(self.sizes[0]) % self.batch_size
         self.exemplar, self.fresh = slot < ex_slots, slot >= ex_slots
@@ -605,9 +627,12 @@ class _ExemplarMix(_OneHotRows):
     def start_epoch(self, epoch: int) -> None:
         rem, ex_count = self.rem_rows.shape[1], self.ex_rows.shape[1]
         for m, (rng, ex_rng) in enumerate(zip(self.shuffle_rngs, self.ex_order_rngs)):
-            self.orders[m, self.fresh] = self.rem_rows[m, rng.permutation(rem)]
+            self.orders[self.fresh, m] = self.rem_rows[m, rng.permutation(rem)]
             ex_order = _cycled_order(ex_count, self.sizes[0] - rem, ex_rng)
-            self.orders[m, self.exemplar] = self.ex_rows[m, ex_order]
+            self.orders[self.exemplar, m] = self.ex_rows[m, ex_order]
+
+    def _targets(self, idx: np.ndarray) -> np.ndarray:
+        return _take(self.target_rows, idx)
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
@@ -634,8 +659,8 @@ def _fit_from_scratch(
     reproduces the base model bit for bit.
     """
     models = np.array([init_network(spec, derive_seed(c.seed, "init")) for c in configs])
-    batches = _OneHotRows(datasets, sizes, configs[0].batch_size, spec.num_classes,
-                          [c.seed for c in configs], "base-train", "shuffle")
+    batches = _OneHotRows(datasets, sizes, configs[0].batch_size, [c.seed for c in configs],
+                          "base-train", "shuffle")
     histories, errors = _train_stack(models, spec, configs[0].lr_base, epochs, batches, wheres)
     return models, histories, errors
 

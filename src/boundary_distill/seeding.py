@@ -134,7 +134,7 @@ def _seed_sequence_states(values: np.ndarray, n_words64: int) -> np.ndarray:
     wide = high != 0
     layouts = wide @ (1 << np.arange(values.shape[1]))
     out = np.empty((len(values), n_words64), dtype=np.uint64)
-    for layout in np.unique(layouts):
+    for layout in np.flatnonzero(np.bincount(layouts)):  # np.unique would load numpy.ma
         rows = np.flatnonzero(layouts == layout)
         words = []
         for c in range(values.shape[1]):

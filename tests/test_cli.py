@@ -458,6 +458,18 @@ def test_report_does_not_load_scipy_stats(two_seed_config, tmp_path):
     assert printed[-1] == "[]"
 
 
+def test_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique without index outputs imports the masked-array package;
+    # nothing a run does needs it
+    config = tmp_path / "one_phase.cfg"
+    config.write_text(TINY.replace("data.num_phases = 2", "data.num_phases = 1"))
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['run', '--config', {str(config)!r}, '--strategy', 'all', "
+                     f"'--out', {str(tmp_path / 'o')!r}]) == 0; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    assert printed[-1] == "[]"
+
+
 @pytest.mark.parametrize(("records", "loaded"), [(101, "[]"), (102, "['scipy.special']")])
 def test_report_loads_scipy_special_past_the_quantile_table(tmp_path, records, loaded):
     # 101 records is the table's last degree of freedom (100); 102 needs stdtrit

@@ -82,13 +82,15 @@ def test_class_axis_reductions_match_numpy(classes, lead):
     probs = np.exp(shifted) / total
     np.testing.assert_array_equal(softmax(logits), probs)
     targets = rng.dirichlet(np.ones(classes), size=lead)
-    # an identity layer passes the logits through unchanged
+    # an identity layer passes the logits through unchanged; a stack takes
+    # them batch-major and gives its losses model-major
     identity = np.concatenate([np.eye(classes).ravel(), np.zeros(classes)])
     trainer = Trainer(np.tile(identity, lead[:-1] + (1,)), NetworkSpec((classes, classes)))
     log_probs = np.where(probs < PROB_FLOOR, shifted - np.log(total),
                          np.log(np.maximum(probs, PROB_FLOOR)))
-    np.testing.assert_array_equal(trainer.loss_rows(logits, targets, 1.0),
-                                  -(targets * log_probs).sum(axis=-1))
+    np.testing.assert_array_equal(
+        trainer.loss_rows(logits.swapaxes(0, -2), targets.swapaxes(0, -2), 1.0),
+        -(targets * log_probs).sum(axis=-1))
 
 
 def test_forward_uniform_for_zero_params():
@@ -312,7 +314,8 @@ def test_one_hot_and_validation():
 @pytest.mark.parametrize("batch_lead", [(), (3,)], ids=["B_d", "M_B_d"])
 def test_forward_is_the_training_forward_pass(sizes, activation, models, batch_lead):
     # forward gives softmax of _forward_layers' logits bit for bit, and
-    # writes neither into the batch nor into the parameters
+    # writes neither into the batch nor into the parameters; the training
+    # pass takes the batch batch-major
     spec = NetworkSpec(sizes, activation)
     if models is None:
         params = init_network(spec, seed=11)
@@ -321,8 +324,9 @@ def test_forward_is_the_training_forward_pass(sizes, activation, models, batch_l
     params.flags.writeable = False
     batch = 2.0 * np.random.default_rng(2).normal(size=(*batch_lead, 9, spec.input_dim))
     batch_bytes, params_bytes = batch.tobytes(), params.tobytes()
-    _, pre_activations = network._forward_layers(unpack_params(params, spec), activation, batch)
-    expected = softmax(pre_activations[-1])
+    _, pre_activations = network._forward_layers(unpack_params(params, spec), activation,
+                                                 batch.swapaxes(0, -2))
+    expected = softmax(pre_activations[-1]).swapaxes(0, -2)
     probs = forward(params, spec, batch)
     assert probs.shape == expected.shape
     assert probs.tobytes() == expected.tobytes()
@@ -343,39 +347,90 @@ def test_forward_bitwise_deterministic():
     ((2, 16, 4), "relu"),
     ((2, 8, 8, 4), "tanh"),
     ((32, 128, 10), "relu"),
+    ((2, 1, 4), "tanh"),  # a width-1 layer, whose bias sums NumPy takes pairwise
 ])
 @pytest.mark.parametrize("count", [1, 3])
-def test_stacked_trainer_equals_flat_trainers(sizes, activation, count):
+@pytest.mark.parametrize("labels", [False, True], ids=["one_hot", "labels"])
+def test_stacked_trainer_equals_flat_trainers(sizes, activation, count, labels):
     # Each epoch: the first batch steps the whole stack, the second the
     # first count - 1 models as a stack of their own and the last model on
     # its flat vector, and the short last batch each model on its flat
-    # vector.
+    # vector. The stack takes its rows batch-major; every model's losses
+    # and parameters are those of its lone run, with one-hot target rows
+    # or with integer labels.
     spec = NetworkSpec(sizes, activation)
     rng = np.random.default_rng(3)
     rows = 2 * 16 + 5
     x = rng.normal(size=(count, rows, sizes[0]))
-    t = np.stack([one_hot(rng.integers(0, sizes[-1], rows), sizes[-1]) for _ in range(count)])
+    y = rng.integers(0, sizes[-1], (count, rows))
+    t = y if labels else np.stack([one_hot(y[m], sizes[-1]) for m in range(count)])
     init = init_network(spec, seed=1)
-    expected = []
+    expected, expected_losses = [], []
     for m in range(count):
         params = init.copy()
         trainer = Trainer(params, spec)
         for _ in range(3):
             for start in range(0, rows, 16):
                 batch = x[m, start : start + 16]
-                trainer.step(batch, t[m, start : start + 16], 1.0 / len(batch), 0.3)
+                losses = trainer.step(batch, t[m, start : start + 16], 1.0 / len(batch), 0.3)
+                if start == 0:
+                    expected_losses.append(losses)
         expected.append(params)
 
     stack = np.tile(init, (count, 1))
     stacked, head = Trainer(stack, spec), Trainer(stack[:-1], spec)
     flat = [Trainer(params, spec) for params in stack]
-    for _ in range(3):
-        losses = stacked.step(x[:, :16], t[:, :16], 1.0 / 16, 0.3)
+    for epoch in range(3):
+        losses = stacked.step(x[:, :16].swapaxes(0, 1), t[:, :16].swapaxes(0, 1), 1.0 / 16, 0.3)
         assert losses.shape == (count, 16)
+        for m in range(count):
+            assert losses[m].tobytes() == expected_losses[3 * m + epoch].tobytes()
         if count > 1:
-            head.step(x[:-1, 16:32], t[:-1, 16:32], 1.0 / 16, 0.3)
+            head.step(x[:-1, 16:32].swapaxes(0, 1), t[:-1, 16:32].swapaxes(0, 1), 1.0 / 16, 0.3)
         flat[-1].step(x[-1, 16:32], t[-1, 16:32], 1.0 / 16, 0.3)
         for m in range(count):
             flat[m].step(x[m, 32:], t[m, 32:], 1.0 / 5, 0.3)
     for m in range(count):
         assert np.array_equal(stack[m], expected[m])
+
+
+def test_stacked_trainer_rejects_rows_of_another_model_count():
+    spec = NetworkSpec((2, 4, 3))
+    params = init_network(spec, seed=0)
+    labels = np.zeros((5, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"rows of shape \(5, 2, 2\) for a stack of \(3,\)"):
+        Trainer(np.tile(params, (3, 1)), spec).loss_rows(np.zeros((5, 2, 2)), labels, 0.2)
+    with pytest.raises(ValueError, match="for a stack of no models"):
+        Trainer(params.copy(), spec).loss_rows(np.zeros((5, 2, 2)), labels, 0.2)
+    # rows (B, d) are shared by every model of a stack
+    losses = Trainer(np.tile(params, (3, 1)), spec).loss_rows(
+        np.zeros((5, 2)), np.zeros((5, 3), dtype=np.int64), 0.2)
+    assert losses.shape == (3, 5)
+
+
+@pytest.mark.parametrize("classes", [4, 10])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("models", [None, 3], ids=["flat", "stacked"])
+def test_labels_give_the_bits_of_one_hot_rows(classes, activation, models):
+    # Large output weights push each row's label probability to exactly 1
+    # or below PROB_FLOOR (the log-softmax tail); every loss, the sign of a
+    # zero loss included, and the gradient are those of one-hot rows.
+    spec = NetworkSpec((3, 6, classes), activation)
+    lead = () if models is None else (models,)
+    params = np.stack([init_network(spec, seed=5 + m) for m in range(models or 1)])
+    params = params.reshape(*lead, spec.num_params)
+    (_, _), (w_out, _) = unpack_params(params, spec)
+    w_out *= 400.0
+    rng = np.random.default_rng(classes)
+    x = rng.normal(size=(40, *lead, 3))
+    labels = rng.integers(0, classes, size=(40, *lead))
+    scale = rng.uniform(0.5, 1.5, size=(40, *lead, 1))
+    by_labels, by_rows = Trainer(params.copy(), spec), Trainer(params.copy(), spec)
+    losses = by_labels.loss_rows(x, labels, scale)
+    rows = one_hot(labels.ravel(), classes).reshape(*labels.shape, classes)
+    assert losses.tobytes() == by_rows.loss_rows(x, rows, scale).tobytes()
+    assert by_labels.grad.tobytes() == by_rows.grad.tobytes()
+    p = forward(params, spec, x.swapaxes(0, -2))
+    p_label = np.take_along_axis(p, labels.swapaxes(0, -1)[..., None], axis=-1)[..., 0]
+    assert (p_label < PROB_FLOOR).any() and (p_label == 1.0).any()
+    assert np.signbit(losses[p_label == 1.0]).all()  # -0.0, as one-hot rows give

@@ -577,6 +577,27 @@ class TestBoundaryDistillPinned:
         assert digest.hexdigest() == PINNED_DIGESTS[f"{case}-{mode}"]
 
 
+def test_teacher_is_unpacked_once_per_consolidation_event(monkeypatch):
+    # the teacher changes only when consolidation replaces it: with events
+    # at epochs 2, 4 and 6 of 6, the teacher stack's layer views are made
+    # for the incoming models and after epochs 2 and 4, and never per
+    # minibatch (the teacher of epoch 6 takes no more minibatches)
+    from boundary_distill import distill
+
+    shapes = []
+    real = distill.unpack_params
+    monkeypatch.setattr(distill, "unpack_params",
+                        lambda params, spec: shapes.append(params.shape) or real(params, spec))
+    config = RunConfig(epochs_per_phase=6, batch_size=16, hidden_layers=(8,), sched=PINNED_SCHED)
+    setups = setup_seeds([_drift_bench(seed=s) for s in (0, 1)],
+                         [replace(config, seed=s) for s in (0, 1)])
+    results = protocol._boundary_distill_lanes(
+        [s.base_model for s in setups], [s.bench.phases[0] for s in setups], [config] * 2,
+        [s.context(1) for s in setups])
+    assert [[epoch for epoch, _ in r.ema_history] for r in results] == [[2, 4, 6]] * 2
+    assert shapes == [(2, setups[0].net_spec.num_params)] * 3
+
+
 # the other strategies and base training, over two phases of a 2-8-4 net on
 # the drift benchmark: 400-row base splits, 80-row phases and 22-row batches,
 # so every loop (base, each phase, each full_data retrain, the exemplar mix)
