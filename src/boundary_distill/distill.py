@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, row_blocks, take_rows
 from .network import NetworkSpec, Trainer, _probabilities, one_hot, softmax, unpack_params
 
 FUSE_VARIANTS = ("literal", "tempered_softmax")
@@ -255,16 +255,19 @@ class DistillBatches:
             raise ValueError(f"distillation weight must be >= 0, got {weight}")
         self.spec, self.noise, self.fuse, self.assign = spec, noise, fuse, assign
         self.weight = weight
-        self.features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float64)
+        self.width = features.shape[-1]
+        self.feature_rows = row_blocks(features)  # gathered with take_rows
         self.labels = np.asarray(labels)
-        self.labels_hot = one_hot(self.labels, spec.num_classes)
+        self.hot_rows = row_blocks(one_hot(self.labels, spec.num_classes))
         self.distilling = per_model or weight != 0.0
         self.needs_clean = assign.uniform_rule != "one_hot"
-        self.normalized = None
+        self.normalized_rows = None
         if self.distilling:
             lanes = np.shape(norm_stats.mean)[:-2] or (1,)
-            by_lane = self.features.reshape(lanes + (-1, self.features.shape[-1]))
-            self.normalized = _normalized(by_lane, norm_stats).reshape(self.features.shape)
+            by_lane = features.reshape(lanes + (-1, self.width))
+            self.normalized_rows = row_blocks(
+                _normalized(by_lane, norm_stats).reshape(features.shape))
         self._buffers: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._teacher: tuple[np.ndarray | None, list] = (None, [])
 
@@ -283,15 +286,16 @@ class DistillBatches:
         # one lane serving a stack of teachers: the lane axis broadcasts
         lane = idx[:, None] if idx.ndim == 1 and teacher_params.ndim == 2 else idx
         if not self.distilling:
-            x = self.features[idx]
+            x = take_rows(self.feature_rows, idx)
             teacher = self._teacher_pass(x) if self.needs_clean else None
             return x, self._clean_targets(lane, teacher), 1.0 / n
         # each lane draws its noise (n, d) as it would alone; with an array
         # of deltas the noise has one (n, d) block per model
-        noise = _noise((*idx.shape[1:], n, self.features.shape[-1]), self.noise, rng)
+        noise = _noise((*idx.shape[1:], n, self.width), self.noise, rng)
         rows, targets, scale = self._buffers_for((n, *noise.shape[:-2]))
-        rows[:n] = self.features[lane]
-        np.add(self.normalized[lane], noise.swapaxes(0, -2), out=rows[n:])  # batch-major
+        rows[:n] = take_rows(self.feature_rows, lane)
+        np.add(take_rows(self.normalized_rows, lane), noise.swapaxes(0, -2),
+               out=rows[n:])  # batch-major
         if self.needs_clean:
             teacher = self._teacher_pass(rows)
             targets[:n] = self._clean_targets(lane, teacher[:n])
@@ -308,7 +312,7 @@ class DistillBatches:
     def _clean_targets(self, idx: np.ndarray, teacher_clean: np.ndarray | None) -> np.ndarray:
         """Learning targets of the clean rows idx (teacher_clean is None
         only for the one-hot rule, which needs no teacher)."""
-        labels_hot = self.labels_hot[idx]
+        labels_hot = take_rows(self.hot_rows, idx)
         rule = self.assign.uniform_rule
         if rule == "one_hot":
             return labels_hot
@@ -327,7 +331,7 @@ class DistillBatches:
         filled here, once."""
         if key not in self._buffers:
             n, *models = key
-            rows = np.empty((2 * n, *models, self.features.shape[-1]))
+            rows = np.empty((2 * n, *models, self.width))
             targets = np.empty((2 * n, *models, self.spec.num_classes))
             scale = np.empty((2 * n, *models, 1))
             scale[:n] = 1.0 / n

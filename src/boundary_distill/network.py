@@ -116,14 +116,15 @@ def unpack_params(params: np.ndarray, spec: NetworkSpec) -> list[tuple[np.ndarra
 
 def _row_reduce(ufunc: np.ufunc, z: np.ndarray) -> np.ndarray:
     """ufunc.reduce over the last (class) axis, keeping it. Below 8 classes
-    and from 256 rows on (a stack's rows counted together) it goes one class
-    column at a time: NumPy's per-row loop over so short a row then costs
-    more, several times more for a stack of ten. That is exact, since
-    NumPy's pairwise sum adds fewer than 8 elements in order, and a maximum
-    does not depend on the order. With more classes or fewer rows NumPy's
-    reduction is as fast or faster."""
+    and from 256 rows on (a stack's rows counted together), or from 128
+    rows on for the maximum, it goes one class column at a time: NumPy's
+    per-row loop over so short a row then costs more, several times more
+    for a stack of ten. That is exact, since NumPy's pairwise sum adds
+    fewer than 8 elements in order, and a maximum does not depend on the
+    order. With more classes or fewer rows NumPy's reduction is as fast or
+    faster."""
     classes = z.shape[-1]
-    if not 2 <= classes < 8 or z.size < 256 * classes:
+    if not 2 <= classes < 8 or z.size < (128 if ufunc is np.maximum else 256) * classes:
         return ufunc.reduce(z, axis=-1, keepdims=True)
     out = ufunc(z[..., :1], z[..., 1:2])
     for c in range(2, classes):
@@ -164,6 +165,8 @@ def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     matmul it has alone, so it gets the same bits. NumPy takes a width-1
     product (h = 1) as a matrix-vector one, whose bits depend on the
     strides, so that one runs on each model's contiguous rows, as alone."""
+    if a.ndim == w.ndim == 2:  # one model
+        return a @ w
     if w.shape[-1] == 1:
         z = np.matmul(np.ascontiguousarray(_by_model(a)), w)
         return np.ascontiguousarray(_by_model(z))
@@ -307,6 +310,14 @@ class Trainer:
         self.grad = np.empty_like(params)
         self._layers = unpack_params(params, spec)
         self._grad_layers = unpack_params(self.grad, spec)
+        self._starts: dict[int, np.ndarray] = {}
+
+    def _row_starts(self, size: int, classes: int) -> np.ndarray:
+        """The flat index of each row's first class in logits of `size`
+        entries, made once per batch shape."""
+        if size not in self._starts:
+            self._starts[size] = np.arange(0, size, classes)
+        return self._starts[size]
 
     def loss_rows(
         self, batch: np.ndarray, targets: np.ndarray, scale: float | np.ndarray
@@ -328,8 +339,8 @@ class Trainer:
             raise ValueError(f"rows of shape {batch.shape} for a stack of "
                              f"{self.params.shape[:-1] or 'no'} models")
         activations, pre_activations = _forward_layers(self._layers, self.spec.activation, batch)
-        logits = pre_activations[-1]
-        shifted = logits - _row_reduce(np.maximum, logits)
+        shifted = pre_activations[-1]  # the logits, which the backward pass does not read
+        shifted -= _row_reduce(np.maximum, shifted)
         dz = np.exp(shifted)
         total = _row_reduce(np.add, dz)
         dz /= total  # softmax
@@ -338,7 +349,7 @@ class Trainer:
         # where p may underflow to zero
         if targets.dtype.kind in "iu":
             # the label column of every row, through one flat index
-            label = targets.ravel() + np.arange(0, dz.size, dz.shape[-1])
+            label = targets.ravel() + self._row_starts(dz.size, dz.shape[-1])
             probs = dz.reshape(-1)
             p = probs[label]
             log_p = np.log(np.maximum(p, PROB_FLOOR))
@@ -346,7 +357,7 @@ class Trainer:
             if tail.any():
                 np.copyto(log_p, shifted.reshape(-1)[label] - np.log(total.reshape(-1)),
                           where=tail)
-            probs[label] -= 1.0
+            probs[label] = p - 1.0
             log_p = log_p.reshape(targets.shape)
         else:
             log_probs = np.log(np.maximum(dz, PROB_FLOOR))

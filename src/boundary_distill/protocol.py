@@ -46,7 +46,9 @@ from .data import (
     gen_base,
     gen_phase,
     gen_test,
+    row_blocks,
     standardize,
+    take_rows,
     write_atomic,
 )
 from .distill import DistillBatches, DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec
@@ -367,21 +369,6 @@ def _stacked(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([d.labels for d in datasets]))
 
 
-def _as_rows(array: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D float64 array as one void scalar each, a view
-    when the array is C-contiguous: _take copies each row as one block of
-    bytes, where NumPy's fancy indexing copies narrow rows element by
-    element, several times slower."""
-    array = np.ascontiguousarray(array)
-    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize)))[:, 0]
-
-
-def _take(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The array rows `rows` (see _as_rows) holds at idx, bit for bit,
-    as (*idx.shape, d) float64."""
-    return rows[idx.ravel()].view(np.float64).reshape(*idx.shape, rows.itemsize // 8)
-
-
 def _span(first: int, end: int) -> int | slice:
     """Index of models first..end-1 of a stack (M, P): a model alone is
     taken as its flat vector (P,), several as a stack."""
@@ -484,7 +471,7 @@ class _OneHotRows(_Batches):
         first_row = {id(d): lane * len(d) for lane, d in enumerate(lanes)}
         self.first_rows = [first_row[id(d)] for d in datasets]
         features, self.labels = _stacked(lanes)
-        self.feature_rows = _as_rows(features)
+        self.feature_rows = row_blocks(features)
         self.shuffle_rngs = [rng_for(seed, *stream) for seed in seeds]
         self.orders = np.empty((sizes[0], len(sizes)), dtype=np.intp)
 
@@ -494,7 +481,7 @@ class _OneHotRows(_Batches):
 
     def build(self, span, k: int, rows: slice):
         idx = self.orders[rows, span]
-        return _take(self.feature_rows, idx), self._targets(idx), 1.0 / idx.shape[0]
+        return take_rows(self.feature_rows, idx), self._targets(idx), 1.0 / idx.shape[0]
 
     def _targets(self, idx: np.ndarray) -> np.ndarray:
         return self.labels[idx]
@@ -618,8 +605,8 @@ class _ExemplarMix(_OneHotRows):
         self.rem_rows += np.array(self.first_rows)[:, None]
         whole = _span(0, count)
         self.targets[self.ex_rows[whole]] = forward(models[whole], spec,
-                                                    _take(self.feature_rows, self.ex_rows[whole]))
-        self.target_rows = _as_rows(self.targets)
+                                                    take_rows(self.feature_rows, self.ex_rows[whole]))
+        self.target_rows = row_blocks(self.targets)
         self.ex_order_rngs = [rng_for(ctx.seed, "exemplar-shuffle") for ctx in ctxs]
         slot = np.arange(self.sizes[0]) % self.batch_size
         self.exemplar, self.fresh = slot < ex_slots, slot >= ex_slots
@@ -632,7 +619,7 @@ class _ExemplarMix(_OneHotRows):
             self.orders[self.exemplar, m] = self.ex_rows[m, ex_order]
 
     def _targets(self, idx: np.ndarray) -> np.ndarray:
-        return _take(self.target_rows, idx)
+        return take_rows(self.target_rows, idx)
 
 
 def _cycled_order(pool: int, needed: int, rng: np.random.Generator) -> np.ndarray:
