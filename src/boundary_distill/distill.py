@@ -257,7 +257,7 @@ class DistillBatches:
         self.weight = weight
         features = np.asarray(features, dtype=np.float64)
         self.width = features.shape[-1]
-        self.feature_rows = row_blocks(features)  # gathered with take_rows
+        self.feature_rows = row_blocks(features)
         self.labels = np.asarray(labels)
         self.hot_rows = row_blocks(one_hot(self.labels, spec.num_classes))
         self.distilling = per_model or weight != 0.0
