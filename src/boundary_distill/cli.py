@@ -25,6 +25,7 @@ from .protocol import STRATEGIES, SeedSetup, _boundary_distill_lanes, run_seed_s
 from .reporting import (
     export_boundary_grid,
     export_report,
+    median,
     read_record_csv,
     write_manifest,
 )
@@ -426,8 +427,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         group = [o for o in ok if o["value"] == value]
         if not group:
             continue
-        med_s = float(np.median([o["acc_student"] for o in group]))
-        med_t = float(np.median([o["acc_teacher"] for o in group]))
+        med_s = median([o["acc_student"] for o in group])
+        med_t = median([o["acc_teacher"] for o in group])
         lines.append(f"{args.knob},{value!r},{len(group)},{med_s!r},{med_t!r},{100 * med_s:.2f}")
     write_atomic(summary_path, "\n".join(lines) + "\n")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -171,6 +170,8 @@ class RunConfig:
 
     def digest(self) -> str:
         """Stable hash of the full configuration (for record identity)."""
+        import json  # here, so that a sweep, which writes no record, loads no json
+
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -129,6 +129,25 @@ _T_QUANTILES_95 = (
 )
 
 
+def median(values: "list[float]") -> float:
+    """np.median of the values, bit for bit, without the masked-array
+    package that np.median imports. Any NaN gives NaN; otherwise the middle
+    one or two sorted values are added to 0.0 in ascending order and divided
+    by their count, as np.mean of the partitioned middle does (so the
+    median of [-0.0, -0.0] is 0.0, where (a + b) / 2 gives -0.0)."""
+    v = [float(x) for x in values]
+    if not v:
+        raise ValueError("need at least one value for a median")
+    for x in v:
+        if x != x:
+            return x
+    v.sort()
+    mid = len(v) // 2
+    if len(v) % 2:
+        return 0.0 + v[mid]
+    return (0.0 + v[mid - 1] + v[mid]) / 2
+
+
 def t_confidence_interval(values: "list[float] | np.ndarray", confidence: float = 0.95) -> tuple[float, float]:
     """(mean, halfwidth) of the Student-t interval over independent runs."""
     v = np.asarray(values, dtype=np.float64)
@@ -189,7 +208,7 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
     for strategy, group in by_strategy.items():
         entry = group_stats[strategy] = {}
         for name, values in (("pp", [r.pp for r in group]), ("f", [r.forgetting for r in group])):
-            entry[f"{name}_median"] = float(np.median(values))
+            entry[f"{name}_median"] = median(values)
             entry[f"{name}_mean"], entry[f"{name}_ci95"] = (
                 t_confidence_interval(values) if len(group) >= 2
                 else (float(values[0]), float("nan")))

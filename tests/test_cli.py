@@ -470,6 +470,28 @@ def test_run_does_not_load_numpy_ma(tmp_path):
     assert printed[-1] == "[]"
 
 
+def test_sweep_loads_no_numpy_ma_or_json(tiny_config, tmp_path):
+    # np.median imports the masked-array package, and only a record's digest
+    # needs json, which a sweep never writes
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['sweep', '--config', {str(tiny_config)!r}, '--knob', 'delta', "
+                     f"'--values', '0.5,1.0', '--out', {str(tmp_path / 'o')!r}]) == 0; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.split('.')[:2] == ['numpy', 'ma'] or m.split('.')[0] == 'json'))")
+    assert printed[-1] == "[]"
+
+
+def test_report_does_not_load_numpy_ma(tmp_path):
+    for seed in range(2):
+        (tmp_path / f"record_fine_tune_seed{seed}.csv").write_text(
+            "strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest\n"
+            f"fine_tune,{seed},0,0.5,0.5,{seed / 1000!r},{-seed / 3000!r},d\n")
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['report', {str(tmp_path)!r}]) == 0; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    assert printed[-1] == "[]"
+
+
 @pytest.mark.parametrize(("records", "loaded"), [(101, "[]"), (102, "['scipy.special']")])
 def test_report_loads_scipy_special_past_the_quantile_table(tmp_path, records, loaded):
     # 101 records is the table's last degree of freedom (100); 102 needs stdtrit

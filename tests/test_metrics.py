@@ -1,7 +1,9 @@
 """Metrics (accuracy, promotion, forgetting) and report files."""
 
 import csv
+import itertools
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from boundary_distill.network import NetworkSpec, forward, init_network
 from boundary_distill.reporting import (
     export_boundary_grid,
     export_report,
+    median,
     read_record_csv,
     t_confidence_interval,
     write_manifest,
@@ -211,6 +214,33 @@ class TestConfidenceInterval:
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least two"):
             t_confidence_interval([1.0])
+
+
+class TestMedian:
+    EDGES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 0.2, 0.3,
+             float("inf"), float("-inf"), float("nan"))
+
+    @staticmethod
+    def _assert_numpy_bits(values):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+            expected = float(np.median(values))
+        assert struct.pack("<d", median(values)) == struct.pack("<d", expected), values
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_edge_lists_give_numpy_bits(self, count):
+        # odd and even counts, signed zeros, subnormals, overflow, infinities, NaN
+        for values in itertools.product(self.EDGES, repeat=count):
+            self._assert_numpy_bits(list(values))
+
+    def test_random_lists_give_numpy_bits(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            values = rng.standard_normal(rng.integers(1, 41)) * 10.0 ** rng.integers(-3, 4)
+            self._assert_numpy_bits(values.tolist())
+
+    def test_needs_a_value(self):
+        with pytest.raises(ValueError, match="at least one"):
+            median([])
 
 
 def _records():
