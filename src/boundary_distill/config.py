@@ -151,7 +151,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Every check a run would make, so a bad value fails at load."""
         if self.data_source == "synthetic":
-            self.synthetic_spec(0)
+            self.synthetic_spec(0)  # no derived seed, whose SeedSequence loads numpy.random
             if self.num_phases < 0:
                 raise ConfigError(f"data.num_phases must be >= 0, got {self.num_phases}")
             if self.synth_test_per_class < 1:
@@ -186,7 +186,8 @@ class ExperimentConfig:
                 config = _with(config, f.metadata["run"], getattr(self, f.name))
         return config
 
-    def synthetic_spec(self, seed: int) -> SyntheticSpec:
+    def synthetic_spec(self, data_seed: int) -> SyntheticSpec:
+        """The synthetic section as a spec drawing from `data_seed`."""
         return SyntheticSpec(
             num_classes=self.synth_num_classes,
             dim=self.synth_dim,
@@ -209,15 +210,14 @@ class ExperimentConfig:
                 cov_scale=self.synth_cov_scale,
                 rotation=self.synth_rotation,
             ),
-            seed=derive_seed(seed, "data"),
+            seed=data_seed,
         )
 
     def build_benchmark(self, seed: int) -> IILBenchmark:
         """Materialize the benchmark for one run seed."""
         if self.data_source == "synthetic":
-            return drift_benchmark(
-                self.synthetic_spec(seed), self.num_phases, self.synth_test_per_class
-            )
+            return drift_benchmark(self.synthetic_spec(derive_seed(seed, "data")),
+                                   self.num_phases, self.synth_test_per_class)
         train, test = self._csv_datasets
         return split_benchmark(
             train,

@@ -39,22 +39,21 @@ class ConsolidationSchedule:
             raise ValueError(f"period_epochs must be >= 1, got {self.period_epochs}")
         if not 0.0 < self.alpha0 < 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1), got {self.alpha0}")
-        if not self.warmup > 0:
-            raise ValueError(f"warmup must be positive, got {self.warmup}")
+        if not 0 < self.warmup < np.inf:
+            raise ValueError(f"warmup must be positive and finite, got {self.warmup}")
         if self.mode not in EMA_MODES:
             raise ValueError(f"mode must be one of {EMA_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class EmaState:
-    """Teacher parameters plus a count of consolidations this phase.
+    """Teacher parameters plus the consolidations of this phase.
 
     history records (epoch, alpha) per consolidation, serializable as
     key=value lines for run diagnostics.
     """
 
     teacher: np.ndarray
-    n: int = 0
     history: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
 
@@ -79,7 +78,10 @@ def should_consolidate(epoch: int, sched: ConsolidationSchedule) -> bool:
 def consolidate(
     state: EmaState, student: np.ndarray, alpha: float, epoch: int | None = None
 ) -> EmaState:
-    """One EMA update: teacher <- alpha * teacher + (1 - alpha) * student."""
+    """One EMA update: teacher <- alpha * teacher + (1 - alpha) * student.
+
+    The event is recorded at `epoch`, by default at its 1-based count in
+    the history."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     student = np.asarray(student, dtype=np.float64)
@@ -88,8 +90,8 @@ def consolidate(
             f"student shape {student.shape} != teacher shape {state.teacher.shape}"
         )
     merged = alpha * state.teacher + (1.0 - alpha) * student
-    entry = (state.n + 1 if epoch is None else epoch, float(alpha))
-    return EmaState(teacher=merged, n=state.n + 1, history=state.history + (entry,))
+    entry = (len(state.history) + 1 if epoch is None else epoch, float(alpha))
+    return EmaState(teacher=merged, history=state.history + (entry,))
 
 
 def closed_form_teacher(

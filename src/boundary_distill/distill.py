@@ -41,8 +41,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not np.all(np.greater(self.delta, 0)):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not np.all(np.greater(self.delta, 0) & np.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class FuseConfig:
     variant: str = "literal"
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.variant not in FUSE_VARIANTS:
             raise ValueError(f"variant must be one of {FUSE_VARIANTS}, got {self.variant!r}")
 
@@ -139,7 +141,6 @@ def perturb_inputs(
     norm_stats: NormStats,
     noise: NoiseSpec,
     rng: np.random.Generator | list[np.random.Generator] | None = None,
-    zero_noise: bool = False,
 ) -> np.ndarray:
     """Normalize the batch and add elementwise Gaussian noise.
 
@@ -148,12 +149,11 @@ def perturb_inputs(
     result is NOT clipped to the data range: points escaping the data
     manifold are the point of the exercise.
 
-    `zero_noise=True` is a test hook that skips the draw entirely, so the
-    output equals the normalized batch exactly. Otherwise draws come from
-    `rng` when given, else from a fresh generator seeded with noise.seed.
-    The noise is mu + delta * z for one standard-normal draw z, which is
-    how Generator.normal computes it, so an array of deltas (a stack)
-    gives each model the bits it would get alone, with shape (M, n, d).
+    Draws come from `rng` when given, else from a fresh generator seeded
+    with noise.seed. The noise is mu + delta * z for one standard-normal
+    draw z, which is how Generator.normal computes it, so an array of
+    deltas (a stack) gives each model the bits it would get alone, with
+    shape (M, n, d).
 
     A stack of S models with one batch each takes batches (S, n, d), norm
     stats shaped (S, 1, d) and one generator per model in `rng`; model s
@@ -162,10 +162,7 @@ def perturb_inputs(
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError("batch must be 2-d, or 3-d for one batch per model")
-    normalized = _normalized(x, norm_stats)
-    if zero_noise:
-        return normalized
-    return normalized + _noise(x.shape, noise, rng)
+    return _normalized(x, norm_stats) + _noise(x.shape, noise, rng)
 
 
 def _normalized(x: np.ndarray, norm_stats: NormStats) -> np.ndarray:

@@ -17,9 +17,8 @@ then trains on batch-major rows (B, M, d), or on rows (B, d) that every
 model sees, keeps each layer as (B, M, h), and runs each model's matmul
 with the shapes it has alone, so each model gets the bits it would get
 alone. `forward` gives the class probabilities that evaluation and the
-teacher use, with the same arithmetic but computed in place, keeping no
-layer; `backward` and `cross_entropy_rows` are the standalone forms of
-the gradient and loss.
+teacher use, through the same forward pass; `backward` and
+`cross_entropy_rows` are the standalone forms of the gradient and loss.
 """
 
 from __future__ import annotations
@@ -178,43 +177,39 @@ def _matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _forward_layers(
     layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(activations, pre_activations) of a forward pass, which training
-    keeps for the backward pass: activations[i] is the input to layer i
-    (activations[0] is x), pre_activations[i] the affine output of layer i
-    before its nonlinearity (the logits, for the last layer).
+) -> list[np.ndarray]:
+    """The layers of a forward pass, which training keeps for the backward
+    pass: x, then each hidden layer, activated in place, then the logits.
 
     x is batch-major: (B, d), or (B, M, d) for stacked layers (see
     _matmul); every layer after it is (B, h) or (B, M, h).
     """
-    activations = [x]
-    pre_activations = []
-    a = x
-    last = len(layers) - 1
+    act, args = (np.maximum, (0.0,)) if activation == "relu" else (np.tanh, ())
+    outs = [x]
     for i, (w, b) in enumerate(layers):
-        z = _matmul(a, w)
+        if i:  # outs[-1] is then this pass's own hidden layer, never the rows x
+            act(outs[-1], *args, out=outs[-1])
+        z = _matmul(outs[-1], w)
         z += b
-        pre_activations.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
-            activations.append(a)
-    return activations, pre_activations
+        outs.append(z)
+    return outs
 
 
 def _backward_layers(
     layers: list[tuple[np.ndarray, np.ndarray]],
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
     activation: str,
-    activations: list[np.ndarray] | tuple[np.ndarray, ...],
-    pre_activations: list[np.ndarray] | tuple[np.ndarray, ...],
+    outs: list[np.ndarray],
     dz: np.ndarray,
 ) -> None:
     """Write the parameter gradient for the batch-major logit gradient dz
-    into grad_layers. A bias gradient sums dz over the rows in row order,
-    along the contiguous (M, h) tail of each row."""
+    into grad_layers, from the layers `outs` of _forward_layers. A bias
+    gradient sums dz over the rows in row order, along the contiguous
+    (M, h) tail of each row. The ReLU mask is taken from the activation:
+    max(z, 0) > 0 is z > 0, signed zeros included."""
     for i in range(len(layers) - 1, -1, -1):
         dw, db = grad_layers[i]
-        a, d = _by_model(activations[i]), _by_model(dz)
+        a, d = _by_model(outs[i]), _by_model(dz)
         if 1 in (a.shape[-1], d.shape[-1]):
             # a width-1 layer: NumPy multiplies a matrix by a vector and sums
             # a column pairwise, with bits that depend on the strides, so
@@ -225,36 +220,28 @@ def _backward_layers(
         if i > 0:
             da = _matmul(dz, layers[i][0].swapaxes(-1, -2))
             if activation == "relu":
-                da *= pre_activations[i - 1] > 0.0
+                da *= outs[i] > 0.0
             else:
-                da *= 1.0 - activations[i] ** 2
+                da *= 1.0 - outs[i] ** 2
             dz = da
 
 
 def _probabilities(
     layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> np.ndarray:
-    """Class probabilities of batch-major rows x (see _forward_layers),
-    bit for bit those of the training forward pass: each layer is
-    activated in place and dropped once the next one is computed."""
-    act, args = (np.maximum, (0.0,)) if activation == "relu" else (np.tanh, ())
-    a = x
-    for i, (w, b) in enumerate(layers):
-        if i:  # a is this pass's own hidden layer, never the rows
-            act(a, *args, out=a)
-        a = _matmul(a, w)
-        a += b
-    return softmax(a)
+    """Class probabilities of batch-major rows x: the softmax of the
+    training forward pass's logits. Its hidden layers are dropped before
+    the softmax."""
+    return softmax(_forward_layers(layers, activation, x)[-1])
 
 
 def forward(params: np.ndarray, spec: NetworkSpec, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch, bit for bit those of the training
-    forward pass (_forward_layers, then softmax).
+    """Class probabilities for a batch, through the training forward pass
+    (_forward_layers, then softmax).
 
     Rows are processed independently; each output row sums to 1. A stack
     of models (M, P) takes a batch (B, d) that every model sees, or one
-    batch per model (M, B, d), and gives (M, B, classes). Each layer is
-    activated in place and dropped once the next one is computed.
+    batch per model (M, B, d), and gives (M, B, classes).
     """
     x = _by_model(_as_batch(batch, spec))  # batch-major
     return _by_model(_probabilities(unpack_params(params, spec), spec.activation, x))
@@ -283,12 +270,12 @@ def backward(
     distribution t it is (p - t) per row.
     """
     layers = unpack_params(params, spec)
-    acts, pre = _forward_layers(layers, spec.activation, _as_batch(batch, spec))
+    outs = _forward_layers(layers, spec.activation, _as_batch(batch, spec))
     dz = np.asarray(dlogits, dtype=np.float64)
-    if dz.shape != pre[-1].shape:
-        raise ValueError(f"dlogits shape {dz.shape} != logits shape {pre[-1].shape}")
+    if dz.shape != outs[-1].shape:
+        raise ValueError(f"dlogits shape {dz.shape} != logits shape {outs[-1].shape}")
     grad = np.empty(spec.num_params)
-    _backward_layers(layers, unpack_params(grad, spec), spec.activation, acts, pre, dz)
+    _backward_layers(layers, unpack_params(grad, spec), spec.activation, outs, dz)
     return grad
 
 
@@ -338,8 +325,8 @@ class Trainer:
                 batch.ndim not in (2, 3)):
             raise ValueError(f"rows of shape {batch.shape} for a stack of "
                              f"{self.params.shape[:-1] or 'no'} models")
-        activations, pre_activations = _forward_layers(self._layers, self.spec.activation, batch)
-        shifted = pre_activations[-1]  # the logits, which the backward pass does not read
+        outs = _forward_layers(self._layers, self.spec.activation, batch)
+        shifted = outs[-1]  # the logits, which the backward pass does not read
         shifted -= _row_reduce(np.maximum, shifted)
         dz = np.exp(shifted)
         total = _row_reduce(np.add, dz)
@@ -370,8 +357,7 @@ class Trainer:
         losses = np.empty(log_p.shape[::-1])
         np.negative(log_p, out=losses.T)  # model-major, for the pairwise mean over rows
         dz *= scale
-        _backward_layers(self._layers, self._grad_layers, self.spec.activation,
-                         activations, pre_activations, dz)
+        _backward_layers(self._layers, self._grad_layers, self.spec.activation, outs, dz)
         return losses
 
     def step(

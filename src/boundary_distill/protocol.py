@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import hashlib
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -57,13 +56,16 @@ from .seeding import PhaseStreams, derive_seed, rng_for
 
 STRATEGIES = ("boundary_distill", "fine_tune", "vanilla_distill", "full_data")
 
+# the largest phase, as a share of the base pool
+MAX_PHASE_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class IILBenchmark:
     """Base pool, ordered phase pools, fixed test pool, fixed class space.
 
     Phases must be pairwise disjoint and small relative to the base pool
-    (each at most max_phase_fraction of it). Every class must appear in the
+    (each at most MAX_PHASE_FRACTION of it). Every class must appear in the
     base pool: the class space is fixed before increments begin.
     """
 
@@ -71,7 +73,6 @@ class IILBenchmark:
     phases: tuple[Dataset, ...]
     test: Dataset
     num_classes: int
-    max_phase_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         # Zero phases is legal: the run then consists of the base model only.
@@ -94,12 +95,12 @@ class IILBenchmark:
         missing = sorted(set(range(self.num_classes)) - set(int(c) for c in present))
         if missing:
             raise ValueError(f"classes {missing} missing from the base split")
-        cap = self.max_phase_fraction * len(self.base)
+        cap = MAX_PHASE_FRACTION * len(self.base)
         for t, p in enumerate(self.phases, start=1):
             if len(p) > cap:
                 raise ValueError(
                     f"phase {t} has {len(p)} samples, more than "
-                    f"{self.max_phase_fraction:.0%} of the base pool ({len(self.base)})"
+                    f"{MAX_PHASE_FRACTION:.0%} of the base pool ({len(self.base)})"
                 )
         if self.phases:
             # one void scalar per row: the bytes of its features and label
@@ -149,14 +150,15 @@ class RunConfig:
             raise ValueError(f"epochs_per_phase must be >= 1, got {self.epochs_per_phase}")
         if self.fine_tune_epochs < 0:
             raise ValueError(f"fine_tune_epochs must be >= 0, got {self.fine_tune_epochs}")
-        if not self.lr_base > 0:
-            raise ValueError(f"lr_base must be positive, got {self.lr_base}")
-        if self.lr_incremental is not None and not self.lr_incremental > 0:
-            raise ValueError(f"lr_incremental must be positive, got {self.lr_incremental}")
+        if not 0 < self.lr_base < np.inf:
+            raise ValueError(f"lr_base must be positive and finite, got {self.lr_base}")
+        if self.lr_incremental is not None and not 0 < self.lr_incremental < np.inf:
+            raise ValueError(
+                f"lr_incremental must be positive and finite, got {self.lr_incremental}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.distill_weight < 0:
-            raise ValueError(f"distill_weight must be >= 0, got {self.distill_weight}")
+        if not 0 <= self.distill_weight < np.inf:
+            raise ValueError(f"distill_weight must be finite and >= 0, got {self.distill_weight}")
         if not 0.0 <= self.exemplar_fraction <= 1.0:
             raise ValueError(f"exemplar_fraction must lie in [0, 1], got {self.exemplar_fraction}")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
@@ -204,7 +206,6 @@ class PhaseResult:
     model: np.ndarray
     acc_test: float
     acc_base: float
-    wall_time: float
     student_model: np.ndarray | None = None
     student_acc_test: float | None = None
     loss_history: tuple[float, ...] = ()
@@ -219,8 +220,8 @@ def split_benchmark(
     base_fraction: float,
     num_phases: int,
     seed: int,
+    test: Dataset,
     imbalance: str = "uniform_random",
-    test: Dataset | None = None,
     dirichlet_alpha: float = 5.0,
 ) -> IILBenchmark:
     """Partition a labeled dataset into base + phase pools.
@@ -234,9 +235,6 @@ def split_benchmark(
     (base + phases must partition it), so it is passed in explicitly.
     """
     check_split(base_fraction, num_phases, imbalance, dirichlet_alpha)
-    if test is None:
-        raise ValueError("a separate test dataset is required (the input is fully "
-                         "partitioned into base + phases)")
     n = len(dataset)
     num_classes = int(dataset.labels.max()) + 1
     for c in range(num_classes):
@@ -331,8 +329,7 @@ def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
         return Dataset(standardize(ds.features, stats), ds.labels.copy())
 
     return IILBenchmark(base=_tx(bench.base), phases=tuple(_tx(p) for p in bench.phases),
-                        test=_tx(bench.test), num_classes=bench.num_classes,
-                        max_phase_fraction=bench.max_phase_fraction)
+                        test=_tx(bench.test), num_classes=bench.num_classes)
 
 
 # --- training loops ---------------------------------------------------------
@@ -653,53 +650,42 @@ def _fit_from_scratch(
     return models, histories, errors
 
 
-def train_base(bench: IILBenchmark, config: RunConfig, epochs: int | None = None) -> np.ndarray:
-    """Base model: from-scratch one-hot training on the base split.
-
-    epochs=0 returns the untouched initialization (loop-bound edge). This
-    is _train_bases on a group of one.
-    """
-    [(model, _)] = _train_bases([bench], [config], epochs)
-    return _one([model])
+def train_base(bench: IILBenchmark, config: RunConfig) -> np.ndarray:
+    """Base model: from-scratch one-hot training on the base split. This
+    is _train_bases on a group of one."""
+    return _one(_train_bases([bench], [config]))
 
 
 def _train_bases(
     benches: list[IILBenchmark],
     configs: list[RunConfig],
-    epochs: int | None = None,
-) -> list[tuple[np.ndarray | FloatingPointError, float]]:
+) -> list[np.ndarray | FloatingPointError]:
     """train_base for each seed of a group, with configs that differ only
     in the seed. The seeds whose networks and base splits have equal sizes
     train as one stack, each from its own data, init and shuffle streams,
     so it gets the bits it would get alone. Returns per seed its base model
-    or the FloatingPointError that failed it, and the seconds of its stack.
+    or the FloatingPointError that failed it.
     """
     if any(replace(c, seed=configs[0].seed) != configs[0] for c in configs[1:]):
         raise ValueError("the configs of a seed group may differ only in the seed")
-    if epochs is not None and epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
     where = "base training, phase 0"
     stacks: dict[tuple[NetworkSpec, int], list[int]] = {}
     for s, (bench, config) in enumerate(zip(benches, configs, strict=True)):
         key = (config.network_spec(bench.base.dim, bench.num_classes), len(bench.base))
         stacks.setdefault(key, []).append(s)
-    trained: list[tuple[np.ndarray | FloatingPointError, float]] = [None] * len(benches)
+    trained: list[np.ndarray | FloatingPointError] = [None] * len(benches)
     for (spec, size), members in stacks.items():
-        start = time.perf_counter()
-        resolved = configs[0].epochs_per_phase if epochs is None else epochs
         models, _, errors = _fit_from_scratch(
             [benches[s].base for s in members], (size,) * len(members), spec,
-            [configs[s] for s in members], resolved, [where] * len(members))
-        seconds = time.perf_counter() - start
+            [configs[s] for s in members], configs[0].epochs_per_phase, [where] * len(members))
         for s, model, error in zip(members, models, errors):
-            trained[s] = (_outcome(error, _check_finite, model, where), seconds)
+            trained[s] = _outcome(error, _check_finite, model, where)
     return trained
 
 
 def _phase_result(
     ctx: PhaseContext,
     where: str,
-    start: float,
     model: np.ndarray,
     student: np.ndarray,
     loss_history: tuple[float, ...],
@@ -707,14 +693,13 @@ def _phase_result(
 ) -> PhaseResult:
     """Check that the outgoing model is finite (`where` names the strategy
     and phase), evaluate it (and the student, when it is another array)
-    and package the phase, timed from `start`."""
+    and package the phase."""
     _check_finite(model, where)
     acc_test = accuracy(model, ctx.net_spec, ctx.test_set)
     acc_base = accuracy(model, ctx.net_spec, ctx.base_set)
     student_acc = acc_test if student is model else accuracy(student, ctx.net_spec, ctx.test_set)
     return PhaseResult(phase_index=ctx.phase_index, model=model, acc_test=acc_test,
-                       acc_base=acc_base, wall_time=time.perf_counter() - start,
-                       student_model=student, student_acc_test=student_acc,
+                       acc_base=acc_base, student_model=student, student_acc_test=student_acc,
                        loss_history=loss_history, ema_history=ema_history)
 
 
@@ -736,7 +721,6 @@ def _phase_stack(batches_type: type[_Batches], models_prev: list[np.ndarray],
     contexts are given per model, or one for all. Returns per model its
     PhaseResult or the FloatingPointError that failed it (see _outcome).
     """
-    start = time.perf_counter()
     spec = ctxs[0].net_spec
     incoming = np.asarray(models_prev, dtype=np.float64)
     models = np.array(np.broadcast_to(incoming, (len(configs), spec.num_params)))
@@ -746,8 +730,7 @@ def _phase_stack(batches_type: type[_Batches], models_prev: list[np.ndarray],
                                      batches.epochs, batches, [where] * len(models))
     students = list(models)
     outgoing, ema_history = batches.outgoing(students)
-    return [_outcome(error, _phase_result, ctx, where, start, model, student, tuple(history),
-                     ema_history)
+    return [_outcome(error, _phase_result, ctx, where, model, student, tuple(history), ema_history)
             for ctx, model, student, history, error in zip(
                 ctxs * (len(models) // len(ctxs)), outgoing, students, histories, errors)]
 
@@ -814,13 +797,10 @@ def run_phase_fine_tune(
     phase_data: Dataset,
     config: RunConfig,
     ctx: PhaseContext,
-    epochs: int | None = None,
 ) -> PhaseResult:
     """Baseline: short one-hot training of the incoming model at the
-    incremental rate. epochs=0 returns the incoming model evaluated. This
-    is _fine_tune_seeds on a stack of one."""
-    if epochs is not None:
-        config = replace(config, fine_tune_epochs=epochs)
+    incremental rate (fine_tune_epochs = 0 returns the incoming model
+    evaluated). This is _fine_tune_seeds on a stack of one."""
     return _one(_fine_tune_seeds([model_prev], [phase_data], [config], [ctx]))
 
 
@@ -851,13 +831,11 @@ def run_phase_full_data(
     Identical procedure (init stream, shuffle stream, base rate) to
     train_base; with the base pool alone it reproduces the base model.
     """
-    start = time.perf_counter()
     where = f"full_data, phase {ctx.phase_index}"
     [params], [history], [error] = _fit_from_scratch(
         [accumulated], (len(accumulated),), ctx.net_spec, [config], config.epochs_per_phase,
         [where])
-    return _one([_outcome(error, _phase_result, ctx, where, start, params, params,
-                          tuple(history), ())])
+    return _one([_outcome(error, _phase_result, ctx, where, params, params, tuple(history), ())])
 
 
 def _full_data_stack(
@@ -871,14 +849,13 @@ def _full_data_stack(
     phases 1..t, a prefix of their concatenation, so the stack runs
     phase-major from the last phase down (see _train_stack).
 
-    Appends each seed's phase results to results[s] in phase order, each
-    timed from the start of the stack, up to its first failed phase, whose
-    error goes to errors[s]; the seed's later phases are dropped.
+    Appends each seed's phase results to results[s] in phase order, up to
+    its first failed phase, whose error goes to errors[s]; the seed's later
+    phases are dropped.
     """
     bench = setups[0].bench
     if not bench.num_phases:
         return
-    start = time.perf_counter()
     phases = range(bench.num_phases, 0, -1)  # largest row count first
     seeds = range(len(setups))
     datasets = [Dataset.concat([s.bench.base, *s.bench.phases]) for s in setups]
@@ -891,7 +868,7 @@ def _full_data_stack(
         for t in range(1, bench.num_phases + 1):
             m = (bench.num_phases - t) * len(setups) + s
             outcome = _outcome(model_errors[m], _phase_result, setups[s].context(t),
-                               f"full_data, phase {t}", start, models[m], models[m],
+                               f"full_data, phase {t}", models[m], models[m],
                                tuple(histories[m]), ())
             if isinstance(outcome, Exception):
                 errors[s] = outcome
@@ -917,8 +894,7 @@ class SeedSetup:
     batch_size, and on nothing else: not on the strategy, not on any
     distillation knob. Every RunConfig that agrees with base_config on those
     fields therefore runs from the same setup. The base model is read-only;
-    phase runners start from copies of it. base_seconds is the time of the
-    stack that trained it (see setup_seeds).
+    phase runners start from copies of it.
     """
 
     bench: IILBenchmark
@@ -926,14 +902,12 @@ class SeedSetup:
     net_spec: NetworkSpec
     base_model: np.ndarray
     base_config: RunConfig
-    base_seconds: float
 
     @functools.cached_property
     def base_result(self) -> PhaseResult:
         """Phase 0 of every strategy: the base model, evaluated once, on
-        first use, and timed from the start of base training."""
-        return _phase_result(self.context(0), "base training, phase 0",
-                             time.perf_counter() - self.base_seconds, self.base_model,
+        first use."""
+        return _phase_result(self.context(0), "base training, phase 0", self.base_model,
                              self.base_model, (), ())
 
     def context(self, phase_index: int) -> PhaseContext:
@@ -964,14 +938,14 @@ def setup_seeds(
     which is the one it gets alone."""
     spaces = [standardized_benchmark(bench) for bench in benches]
     setups: list[SeedSetup | FloatingPointError] = []
-    for space, config, (model, seconds) in zip(spaces, configs, _train_bases(spaces, configs)):
+    for space, config, model in zip(spaces, configs, _train_bases(spaces, configs)):
         if isinstance(model, Exception):
             setups.append(model)
             continue
         model.setflags(write=False)
         setups.append(SeedSetup(bench=space, norm_stats=compute_norm_stats(space.base),
                                 net_spec=config.network_spec(space.base.dim, space.num_classes),
-                                base_model=model, base_config=config, base_seconds=seconds))
+                                base_model=model, base_config=config))
     return setups
 
 
@@ -986,8 +960,8 @@ def run_phases(
     model-space benchmark plus the stats of its base split, so the
     perturbation op's contract holds verbatim. On a phase failure the
     partial record is flushed to out_dir (when given) before the exception
-    propagates; a complete record replaces the partial one of an earlier
-    run. This is run_seed_stack on a group of one.
+    propagates. Either replaces every record and consolidation log that an
+    earlier run of the strategy and seed left there. This is run_seed_stack on a group of one.
     """
     return _one(run_seed_stack([setup], [config], out_dir))
 
@@ -1076,17 +1050,24 @@ def _finish(
     out_dir: str | Path | None,
 ) -> tuple[list[PhaseResult], MetricsRecord] | Exception:
     """Write one seed's record (its partial record when `error` is set,
-    which is returned instead)."""
+    which is returned instead), after removing the record, partial record
+    and consolidation log that an earlier run of its strategy and seed
+    left in out_dir."""
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        log = out_dir / f"consolidation_{config.strategy}_seed{config.seed}.txt"
+        for path in (_record_path(out_dir, config.strategy, config.seed),
+                     _record_path(out_dir, config.strategy + "(partial)", config.seed), log):
+            path.unlink(missing_ok=True)
     if error is not None:
         if out_dir is not None:
-            write_record_csv(_record_from_results(results, config, partial=True), Path(out_dir))
+            write_record_csv(_record_from_results(results, config, partial=True), out_dir)
         return error
     record = _record_from_results(results, config)
     if out_dir is not None:
-        write_record_csv(record, Path(out_dir))
-        _record_path(Path(out_dir), config.strategy + "(partial)", config.seed).unlink(missing_ok=True)
+        write_record_csv(record, out_dir)
         if config.strategy == "boundary_distill":
-            _write_consolidation_log(results, config, Path(out_dir))
+            _write_consolidation_log(results, log)
     return results, record
 
 
@@ -1138,12 +1119,11 @@ def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
     return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
 
 
-def _write_consolidation_log(results: list[PhaseResult], config: RunConfig, out_dir: Path) -> None:
+def _write_consolidation_log(results: list[PhaseResult], path: Path) -> None:
     blocks = []
     for r in results:
         if r.ema_history:
-            state = EmaState(teacher=r.model, n=len(r.ema_history), history=r.ema_history)
+            state = EmaState(teacher=r.model, history=r.ema_history)
             blocks.append(f"phase={r.phase_index}\n" + history_text(state))
     if blocks:
-        path = out_dir / f"consolidation_{config.strategy}_seed{config.seed}.txt"
         write_atomic(path, "\n".join(blocks))

@@ -470,6 +470,18 @@ def test_run_does_not_load_numpy_ma(tmp_path):
     assert printed[-1] == "[]"
 
 
+def test_dry_runs_do_not_load_numpy_random(tiny_config):
+    # a dry run checks the config and trains nothing, so it needs no
+    # random streams; a derived seed would load numpy.random
+    config = str(tiny_config)
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['run', '--config', {config!r}, '--dry-run']) == 0; "
+                     f"assert cli.main(['sweep', '--config', {config!r}, '--knob', 'delta', "
+                     "'--dry-run']) == 0; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))")
+    assert printed[-1] == "[]"
+
+
 def test_sweep_loads_no_numpy_ma_or_json(tiny_config, tmp_path):
     # np.median imports the masked-array package, and only a record's digest
     # needs json, which a sweep never writes
@@ -677,6 +689,16 @@ BAD_VALUES = [
     ("strategies = fine_tune,fine_tune", "strategies lists fine_tune more than once"),
     ("grid.delta = 1,1,2", "grid.delta lists 1.0 more than once"),
     ("grid.lambda = 0.5,2,0.5", "grid.lambda lists 0.5 more than once"),
+    # non-finite knobs, which would train phase 1 or more before failing
+    ("distill.weight = nan", "distill_weight must be finite and >= 0"),
+    ("distill.weight = inf", "distill_weight must be finite and >= 0"),
+    ("noise.mu = nan", "mu must be finite"),
+    ("noise.mu = inf", "mu must be finite"),
+    ("noise.delta = inf", "delta must be positive and finite"),
+    ("train.lr_base = inf", "lr_base must be positive and finite"),
+    ("train.lr_incremental = inf", "lr_incremental must be positive and finite"),
+    ("distill.tau = inf", "tau must be positive and finite"),
+    ("consolidate.warmup = inf", "warmup must be positive and finite"),
 ]
 
 
@@ -863,7 +885,7 @@ def test_poisoned_sweep_value_fails_alone():
         failed = outcomes[bad]
         assert failed["status"] == "failed"
         if epoch is None:  # the value's own check fails before any training
-            assert failed["error"] == "ValueError: delta must be positive, got 0.0"
+            assert failed["error"] == "ValueError: delta must be positive and finite, got 0.0"
         else:
             assert failed["error"] == (f"FloatingPointError: boundary_distill, phase 1, "
                                        f"epoch {epoch}: mean loss nan is not finite")

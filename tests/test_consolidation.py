@@ -67,7 +67,7 @@ def test_consolidate_frozen_examples():
     np.testing.assert_array_equal(state.teacher, [0.5])
     state = consolidate(state, np.array([1.0]), alpha=0.5)
     np.testing.assert_array_equal(state.teacher, [0.75])
-    assert state.n == 2
+    assert len(state.history) == 2
     # alpha=1 keeps the teacher, alpha=0 copies the student.
     keep = consolidate(EmaState(teacher=np.array([2.0])), np.array([5.0]), alpha=1.0)
     np.testing.assert_array_equal(keep.teacher, [2.0])
@@ -102,7 +102,7 @@ def test_closed_form_matches_recursion_up_to_200_steps():
             state = consolidate(state, s, alpha)
             closed = closed_form_teacher(teacher0, students[:i], alpha)
             assert np.abs(closed - state.teacher).max() < 1e-10
-        assert state.n == 200
+        assert len(state.history) == 200
 
 
 def test_history_records_epoch_and_alpha():

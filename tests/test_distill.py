@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boundary_distill import distill
 from boundary_distill.data import NormStats
 from boundary_distill.distill import (
     DistillLossTerms,
@@ -111,7 +112,7 @@ def _stats(dim):
 def test_perturb_zero_noise_is_exact_standardization():
     stats = NormStats(mean=np.array([1.0, -2.0]), std=np.array([2.0, 0.5]))
     batch = np.array([[3.0, -1.0], [1.0, -2.0]])
-    out = perturb_inputs(batch, stats, NoiseSpec(), zero_noise=True)
+    out = distill._normalized(batch, stats)
     np.testing.assert_array_equal(out, [[1.0, 2.0], [0.0, 0.0]])
 
 
@@ -142,7 +143,7 @@ def test_perturb_stacked_deltas_equal_normal_draws():
     deltas = np.array([0.02, 2.0, 10.0, 1e300])
     stacked = perturb_inputs(batch, stats, NoiseSpec(mu=0.3, delta=deltas[:, None, None]),
                              rng=np.random.default_rng(4))
-    normalized = perturb_inputs(batch, stats, NoiseSpec(), zero_noise=True)
+    normalized = distill._normalized(batch, stats)
     assert stacked.shape == (4, 7, 3)
     for delta, rows in zip(deltas, stacked):
         draw = np.random.default_rng(4).normal(0.3, delta, size=batch.shape)
@@ -154,7 +155,7 @@ def test_perturb_stacked_deltas_equal_normal_draws():
 def test_perturb_zero_std_warns_and_substitutes():
     stats = NormStats(mean=np.array([0.0, 0.0]), std=np.array([1.0, 0.0]))
     with pytest.warns(RuntimeWarning):
-        out = perturb_inputs(np.array([[2.0, 2.0]]), stats, NoiseSpec(), zero_noise=True)
+        out = distill._normalized(np.array([[2.0, 2.0]]), stats)
     np.testing.assert_array_equal(out, [[2.0, 2.0]])
 
 
@@ -361,3 +362,9 @@ def test_loss_terms_total_property():
         LabelAssignment(inner="soft")
     with pytest.raises(ValueError):
         NoiseSpec(delta=0.0)
+
+
+def test_noise_spec_rejects_a_non_finite_delta_in_an_array():
+    NoiseSpec(delta=np.array([0.5, 2.0])[:, None, None])
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        NoiseSpec(delta=np.array([0.5, np.inf])[:, None, None])

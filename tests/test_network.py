@@ -191,9 +191,11 @@ def test_gradient_matches_finite_differences():
             batch = rng.normal(size=(n, spec.input_dim))
             if act == "tanh":
                 break
-            _, pre_activations = network._forward_layers(unpack_params(params, spec), act,
-                                                         batch)
-            if all(np.abs(z).min() > 1e-3 for z in pre_activations[:-1]):
+            a, pre_activations = batch, []
+            for w, b in unpack_params(params, spec)[:-1]:  # the hidden layers
+                pre_activations.append(a @ w + b)
+                a = np.maximum(pre_activations[-1], 0.0)
+            if all(np.abs(z).min() > 1e-3 for z in pre_activations):
                 break
         else:
             pytest.fail(f"could not find kink-free batch for trial {trial}")
@@ -313,9 +315,9 @@ def test_one_hot_and_validation():
 @pytest.mark.parametrize("models", [None, 3], ids=["flat", "stacked"])
 @pytest.mark.parametrize("batch_lead", [(), (3,)], ids=["B_d", "M_B_d"])
 def test_forward_is_the_training_forward_pass(sizes, activation, models, batch_lead):
-    # forward gives softmax of _forward_layers' logits bit for bit, and
-    # writes neither into the batch nor into the parameters; the training
-    # pass takes the batch batch-major
+    # forward's log-probabilities at the labels are Trainer.loss_rows' label
+    # losses bit for bit, and forward writes neither into the batch nor into
+    # the parameters; the training pass takes the batch batch-major
     spec = NetworkSpec(sizes, activation)
     if models is None:
         params = init_network(spec, seed=11)
@@ -324,12 +326,17 @@ def test_forward_is_the_training_forward_pass(sizes, activation, models, batch_l
     params.flags.writeable = False
     batch = 2.0 * np.random.default_rng(2).normal(size=(*batch_lead, 9, spec.input_dim))
     batch_bytes, params_bytes = batch.tobytes(), params.tobytes()
-    _, pre_activations = network._forward_layers(unpack_params(params, spec), activation,
-                                                 batch.swapaxes(0, -2))
-    expected = softmax(pre_activations[-1]).swapaxes(0, -2)
     probs = forward(params, spec, batch)
-    assert probs.shape == expected.shape
-    assert probs.tobytes() == expected.tobytes()
+    assert probs.shape == ((models,) if models else batch_lead) + (9, sizes[-1])
+    labels = np.random.default_rng(3).integers(0, spec.num_classes, size=probs.shape[:-1])
+    log_p = np.log(np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0])
+    if models is None and batch_lead:  # one model on several batches: a step per batch
+        losses = np.stack([Trainer(params, spec).loss_rows(rows, label, 1.0)
+                           for rows, label in zip(batch, labels)])
+    else:
+        losses = Trainer(params, spec).loss_rows(batch.swapaxes(0, -2), labels.T, 1.0)
+    assert losses.shape == log_p.shape
+    assert losses.tobytes() == (-log_p).tobytes()
     assert batch.tobytes() == batch_bytes
     assert params.tobytes() == params_bytes
 

@@ -207,8 +207,6 @@ class TestSplitBenchmark:
         with pytest.raises(ValueError, match="dirichlet_alpha"):
             split_benchmark(ds, 0.5, 2, seed=0, imbalance="dirichlet", dirichlet_alpha=0.0,
                             test=test)
-        with pytest.raises(ValueError, match="test dataset"):
-            split_benchmark(ds, 0.5, 2, seed=0)
         missing = Dataset(np.ones((4, 1)), np.array([0, 0, 2, 2]))
         with pytest.raises(ValueError, match="class 1 missing"):
             split_benchmark(missing, 0.5, 1, seed=0, test=test)
@@ -272,13 +270,6 @@ class TestTrainBase:
             accs.append(acc)
         assert statistics.median(accs) > 0.95
 
-    def test_zero_epochs_returns_init(self):
-        bench = standardized_benchmark(_blob_bench())
-        config = RunConfig(seed=5)
-        model = train_base(bench, config, epochs=0)
-        expected = init_network(config.network_spec(2, 2), derive_seed(5, "init"))
-        np.testing.assert_array_equal(model, expected)
-
     def test_deterministic(self):
         bench = standardized_benchmark(_blob_bench())
         config = RunConfig(seed=1, epochs_per_phase=5)
@@ -314,7 +305,8 @@ class TestFineTune:
         config = RunConfig(strategy="fine_tune", seed=0)
         model_space, ctx = _ctx(bench, config, 1)
         base = train_base(model_space, config)
-        res = run_phase_fine_tune(base, model_space.phases[0], config, ctx, epochs=0)
+        res = run_phase_fine_tune(base, model_space.phases[0], replace(config, fine_tune_epochs=0),
+                                  ctx)
         np.testing.assert_array_equal(res.model, base)
 
     def test_negative_epochs_rejected(self):
@@ -323,7 +315,8 @@ class TestFineTune:
         model_space, ctx = _ctx(bench, config, 1)
         base = train_base(model_space, config)
         with pytest.raises(ValueError, match=">= 0"):
-            run_phase_fine_tune(base, model_space.phases[0], config, ctx, epochs=-1)
+            run_phase_fine_tune(base, model_space.phases[0], replace(config, fine_tune_epochs=-1),
+                                ctx)
 
 
 class TestVanillaDistill:
@@ -385,7 +378,7 @@ class TestFullData:
         bench = _blob_bench()
         config = RunConfig(strategy="full_data", epochs_per_phase=10, seed=0)
         model_space, ctx = _ctx(bench, config, 0)
-        base = train_base(model_space, config, epochs=10)
+        base = train_base(model_space, config)  # epochs_per_phase=10, as run_phase_full_data
         res = run_phase_full_data(model_space.base, config, ctx)
         np.testing.assert_array_equal(res.model, base)
 
@@ -901,6 +894,26 @@ class TestRunBenchmark:
                       out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["record_fine_tune_seed0.csv"]
 
+    def test_failed_rerun_removes_complete_record(self, tmp_path):
+        # a rerun that fails must not leave the earlier run's complete record
+        # beside its partial one, where report would read it as this run's
+        bench = _drift_bench(seed=0, phases=2)
+        config = RunConfig(strategy="fine_tune", epochs_per_phase=3, seed=0)
+        run_benchmark(bench, config, out_dir=tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            run_benchmark(bench, replace(config, lr_incremental=1e300), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["record_fine_tune_partial_seed0.csv"]
+
+    def test_rerun_without_consolidation_removes_log(self, tmp_path):
+        bench = _drift_bench(seed=0, phases=2)
+        config = RunConfig(epochs_per_phase=3, seed=0,
+                           sched=ConsolidationSchedule(freeze_epochs=1, period_epochs=1))
+        run_benchmark(bench, config, out_dir=tmp_path)
+        assert (tmp_path / "consolidation_boundary_distill_seed0.txt").exists()
+        run_benchmark(bench, replace(config, sched=replace(config.sched, mode="off")),
+                      out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["record_boundary_distill_seed0.csv"]
+
 
 class TestDivergence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -1053,8 +1066,6 @@ class TestSeedGroupSetup:
         setups = setup_seeds(benches, configs)
         for setup, b, config in zip(setups, benches, configs):
             _assert_same_setup(setup, setup_seed(b, config))
-        # one stack: every seed carries its time
-        assert len({setup.base_seconds for setup in setups}) == 1
 
     def test_seeds_stack_by_base_size(self, monkeypatch):
         # the dirichlet CSV splits of 900 rows share a 450-row base split and
@@ -1072,7 +1083,6 @@ class TestSeedGroupSetup:
                    _dirichlet_csv_bench(2), _drift_bench(3)]
         setups = setup_seeds(benches, configs)
         assert stack_seeds == [(0, 2), (1,), (3,)]
-        assert setups[0].base_seconds == setups[2].base_seconds
         monkeypatch.undo()
         for setup, bench, config in zip(setups, benches, configs):
             _assert_same_setup(setup, setup_seed(bench, config))
