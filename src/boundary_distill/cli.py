@@ -21,7 +21,14 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, check_unique, dump_config, load_config
 from .data import save_csv, write_atomic
-from .protocol import STRATEGIES, SeedSetup, _boundary_distill_lanes, run_seed_stack, setup_seeds
+from .protocol import (
+    STRATEGIES,
+    SeedSetup,
+    _boundary_distill_lanes,
+    clear_records,
+    run_seed_stack,
+    setup_seeds,
+)
 from .reporting import (
     export_boundary_grid,
     export_report,
@@ -66,8 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
         _common_flags(command)
         command.add_argument("--parallel", type=int, default=1, metavar="N",
                              help="split the seeds into up to N contiguous groups, one process "
-                             "each (at most one per seed and per core); a group trains its "
-                             "seeds as one stack")
+                             "each (at most one per seed and per usable core); a group trains "
+                             "its seeds as one stack. A run of one group puts full_data beside "
+                             "the other strategies in a second process when a second usable "
+                             "core exists; worker processes never outnumber usable cores")
     p_run.add_argument(
         "--strategy",
         action="append",
@@ -144,6 +153,8 @@ def cmd_split(args: argparse.Namespace) -> int:
 def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) -> list[dict]:
     """Every configured strategy on a group of seeds: one setup per seed,
     then each strategy's phase walks as one stack of the group's seeds.
+    Where _blocks splits the strategies, the blocks run side by side in two
+    worker processes, from the setups and phase-0 grids built here.
 
     Executed possibly in a worker process. Returns one outcome per
     (strategy, seed); a failing strategy fails only its own (strategy, seed).
@@ -154,10 +165,33 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
             outcomes += _run_cell_failed(setup, config, (seed,), out_str)
         else:
             setups.append(setup)
-    phase0_grids: dict[int, Path] = {}
-    for strategy in config.strategies:
-        outcomes += _run_strategy(config, setups, strategy, Path(out_str), phase0_grids)
+    blocks = _blocks(config, seeds)
+    if len(blocks) == 1 or not setups:
+        return outcomes + _run_block(config, setups, out_str, {}, config.strategies)
+    phase0_grids = _phase0_grids(config, setups, Path(out_str))
+    try:
+        argtuples = [(config, setups, out_str, phase0_grids, block) for block in blocks]
+        for block_outcomes in _map_cells(_run_block, argtuples, len(blocks), _run_block_failed):
+            outcomes += block_outcomes
+    finally:
+        for path in phase0_grids.values():
+            path.unlink(missing_ok=True)
     return outcomes
+
+
+def _blocks(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[str, ...]]:
+    """The configured strategies as blocks that run side by side. The
+    full_data stack (the oracle) costs about as much as the other
+    strategies together and shares nothing with them after setup, so it
+    gets a block of its own when the group holds every seed of the run
+    (no other worker process exists) and a second usable core exists (on
+    one core, two blocks taking turns were slower than one process);
+    otherwise there is one block."""
+    rest = tuple(s for s in config.strategies if s != "full_data")
+    beside = rest and "full_data" in config.strategies
+    if beside and seeds == config.seeds and _usable_cores() > 1:
+        return [rest, ("full_data",)]
+    return [config.strategies]
 
 
 def _group_setups(config: ExperimentConfig,
@@ -184,9 +218,37 @@ def _group_setups(config: ExperimentConfig,
 
 
 def _run_cell_failed(exc: Exception, config: ExperimentConfig, seeds: tuple[int, ...],
-                     _out: str) -> list[dict]:
+                     out_str: str) -> list[dict]:
     """Outcomes of a run cell (or one seed of it) that failed as a whole."""
-    return [_failure(exc, strategy=s, seed=seed) for s in config.strategies for seed in seeds]
+    return _cells_failed(exc, config.strategies, seeds, Path(out_str))
+
+
+def _run_block(config: ExperimentConfig, setups: list[SeedSetup], out_str: str,
+               phase0_grids: dict[int, Path], strategies: tuple[str, ...]) -> list[dict]:
+    """The phase walks of a block of strategies from a group's setups, one
+    stack per strategy (see _run_strategy). Executed possibly in a worker
+    process."""
+    return [outcome for strategy in strategies
+            for outcome in _run_strategy(config, setups, strategy, Path(out_str), phase0_grids)]
+
+
+def _run_block_failed(exc: Exception, _config, setups: list[SeedSetup], out_str: str,
+                      _phase0_grids, strategies: tuple[str, ...]) -> list[dict]:
+    """Outcomes of a block that a dead worker process failed (its own or
+    the other block's)."""
+    seeds = tuple(setup.base_config.seed for setup in setups)
+    return _cells_failed(exc, strategies, seeds, Path(out_str))
+
+
+def _cells_failed(exc: Exception, strategies: tuple[str, ...], seeds: tuple[int, ...],
+                  out: Path) -> list[dict]:
+    """Outcomes of (strategy, seed) cells that failed before their records
+    were written, after removing the records an earlier run of each left,
+    so that report cannot list them."""
+    for strategy in strategies:
+        for seed in seeds:
+            clear_records(out / "records", strategy, seed)
+    return [_failure(exc, strategy=s, seed=seed) for s in strategies for seed in seeds]
 
 
 def _run_strategy(config: ExperimentConfig, setups: list[SeedSetup], strategy: str,
@@ -199,26 +261,44 @@ def _run_strategy(config: ExperimentConfig, setups: list[SeedSetup], strategy: s
         run_cfgs = [config.run_config(strategy, seed) for seed in seeds]
         walks = run_seed_stack(setups, run_cfgs, out / "records")
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-        walks = [exc] * len(setups)
+        return _cells_failed(exc, (strategy,), tuple(seeds), out)
     return [_grids_and_outcome(config, setup, strategy, walk, out, phase0_grids)
             for setup, walk in zip(setups, walks)]
+
+
+def _phase0_grids(config: ExperimentConfig, setups: list[SeedSetup],
+                  out: Path) -> dict[int, Path]:
+    """The phase-0 grid of each seed with 2-d inputs, written once to a
+    hidden file in out for the blocks to copy; the caller removes them. A
+    seed whose export fails is left out, so that its blocks export it
+    again and fail its cells as a one-block run does."""
+    paths = {}
+    for setup in setups:
+        if setup.bench.base.dim != 2:
+            continue
+        seed = setup.base_config.seed
+        path = out / f".base_seed{seed}_phase00.csv"
+        try:
+            _export_grid(config, setup, setup.base_model, path)
+        except Exception:  # noqa: BLE001 - see above
+            continue
+        paths[seed] = path
+    return paths
 
 
 def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str,
                        walk: tuple | Exception, out: Path, phase0_grids: dict[int, Path]) -> dict:
     """The outcome of one seed's phase walk, after exporting its grids. The
     phase-0 grid is the base model's, the same for every strategy, so it is
-    computed for the first one and its bytes copied for the others from
-    that file (phase0_grids[seed]), which holds no text in memory."""
+    computed once, by _phase0_grids or for the first strategy, and its
+    bytes copied for the others from that file (phase0_grids[seed]), which
+    holds no text in memory."""
     seed = setup.base_config.seed
     if isinstance(walk, Exception):
         return _failure(walk, strategy=strategy, seed=seed)
     try:
         results, record = walk
         if setup.bench.base.dim == 2:
-            feats = setup.bench.test.features
-            pad = 0.1 * (feats.max(axis=0) - feats.min(axis=0))
-            lo, hi = feats.min(axis=0) - pad, feats.max(axis=0) + pad
             grid_dir = out / "grids"
             grid_dir.mkdir(parents=True, exist_ok=True)
             for res in results:
@@ -226,15 +306,24 @@ def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str
                 if res.phase_index == 0 and seed in phase0_grids:
                     write_atomic(path, phase0_grids[seed].read_bytes().decode())
                     continue
-                export_boundary_grid(
-                    res.model, setup.net_spec, (float(lo[0]), float(hi[0])),
-                    (float(lo[1]), float(hi[1])), config.grid_resolution, path=path)
+                _export_grid(config, setup, res.model, path)
                 if res.phase_index == 0:
                     phase0_grids[seed] = path
         return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
                 "forgetting": record.forgetting}
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
         return _failure(exc, strategy=strategy, seed=seed)
+
+
+def _export_grid(config: ExperimentConfig, setup: SeedSetup, model: np.ndarray,
+                 path: Path) -> None:
+    """The boundary grid of one of a seed's models, over its test split's
+    range padded by a tenth on each side."""
+    feats = setup.bench.test.features
+    pad = 0.1 * (feats.max(axis=0) - feats.min(axis=0))
+    lo, hi = feats.min(axis=0) - pad, feats.max(axis=0) + pad
+    export_boundary_grid(model, setup.net_spec, (float(lo[0]), float(hi[0])),
+                         (float(lo[1]), float(hi[1])), config.grid_resolution, path=path)
 
 
 def _failure(exc: Exception, **cell) -> dict:
@@ -245,7 +334,7 @@ def _failure(exc: Exception, **cell) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
-    workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
+    workers = _pool_size(args.parallel, len(config.seeds), _usable_cores())
     groups = _seed_groups(config.seeds, workers)
     out = _out_dir(config)
     cells = [(s, seed) for s in config.strategies for seed in config.seeds]
@@ -290,6 +379,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (so a run pinned with taskset counts its pinned
+    cores), else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(requested: int, cells: int, cpus: int) -> int:
     """Worker processes for --parallel: never more than cells or cores."""
     if requested < 1:
@@ -306,7 +404,10 @@ def _seed_groups(seeds: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
 
 def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[list[dict]]:
     """Run the cells and return each cell's outcomes, in cell order; a
-    cell whose worker process died gets `failed(exc, *args)` instead."""
+    cell whose worker process died gets `failed(exc, *args)` instead,
+    once every worker process has exited: a broken pool fails the cells
+    still running before it stops their workers, which may write files
+    until they stop."""
     if workers > 1:
         # imported here so that a serial command loads no process pool
         from concurrent.futures import ProcessPoolExecutor
@@ -314,11 +415,13 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[lis
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, *a) for a in argtuples]
             per_seed = []
-            for future, args in zip(futures, argtuples):
+            for future in futures:
                 try:
                     per_seed.append(future.result())
                 except BrokenProcessPool as exc:
-                    per_seed.append(failed(exc, *args))
+                    per_seed.append(exc)
+        per_seed = [failed(outcomes, *args) if isinstance(outcomes, BrokenProcessPool)
+                    else outcomes for outcomes, args in zip(per_seed, argtuples)]
     else:
         per_seed = [worker(*a) for a in argtuples]
     return per_seed
@@ -394,7 +497,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_unique("--values", values)
     for value in values:  # each value must pass its knob's checks
         replace(config, **{SWEEP_KNOBS[args.knob]: value})
-    workers = _pool_size(args.parallel, len(config.seeds), os.cpu_count() or 1)
+    workers = _pool_size(args.parallel, len(config.seeds), _usable_cores())
     if args.dry_run:
         print(dump_config(config), end="")
         print(f"# plan: sweep {args.knob} over {list(values)} x seeds {list(config.seeds)} -> {out}")

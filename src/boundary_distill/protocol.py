@@ -1055,10 +1055,7 @@ def _finish(
     left in out_dir."""
     if out_dir is not None:
         out_dir = Path(out_dir)
-        log = out_dir / f"consolidation_{config.strategy}_seed{config.seed}.txt"
-        for path in (_record_path(out_dir, config.strategy, config.seed),
-                     _record_path(out_dir, config.strategy + "(partial)", config.seed), log):
-            path.unlink(missing_ok=True)
+        clear_records(out_dir, config.strategy, config.seed)
     if error is not None:
         if out_dir is not None:
             write_record_csv(_record_from_results(results, config, partial=True), out_dir)
@@ -1067,7 +1064,7 @@ def _finish(
     if out_dir is not None:
         write_record_csv(record, out_dir)
         if config.strategy == "boundary_distill":
-            _write_consolidation_log(results, log)
+            _write_consolidation_log(results, _log_path(out_dir, config.strategy, config.seed))
     return results, record
 
 
@@ -1117,6 +1114,19 @@ def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
 
 def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
     return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
+
+
+def _log_path(out_dir: Path, strategy: str, seed: int) -> Path:
+    return out_dir / f"consolidation_{strategy}_seed{seed}.txt"
+
+
+def clear_records(out_dir: Path, strategy: str, seed: int) -> None:
+    """Remove the record, partial record and consolidation log that an
+    earlier run of (strategy, seed) left in out_dir."""
+    for path in (_record_path(out_dir, strategy, seed),
+                 _record_path(out_dir, strategy + "(partial)", seed),
+                 _log_path(out_dir, strategy, seed)):
+        path.unlink(missing_ok=True)
 
 
 def _write_consolidation_log(results: list[PhaseResult], path: Path) -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -141,7 +142,7 @@ def test_run_parallel_matches_serial(tiny_config, tmp_path):
 
 def test_sweep_parallel_matches_serial(tiny_config, tmp_path, monkeypatch):
     # 3 seeds and --parallel 2: the groups (0, 1) and (2,), one per worker
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     cfg3 = tmp_path / "three_seeds.cfg"
     cfg3.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
     for out, extra in (("s", []), ("p", ["--parallel", "2"])):
@@ -175,6 +176,25 @@ def test_diverged_base_training_fails_without_records(tmp_path, capsys):
     assert "boundary_distill seed=0: FAILED (FloatingPointError: base training, phase 0, epoch" in err
     assert not list(out.rglob("record_*.csv"))
     assert "failed=4" in (out / "manifest.txt").read_text()
+
+
+def test_failed_setup_clears_the_earlier_records(tmp_path, capsys):
+    # a rerun whose base training diverges never reaches protocol._finish;
+    # the records of the first run must not outlive it for report to list
+    config = tmp_path / "all.cfg"
+    config.write_text(TINY.replace("strategies = fine_tune", "strategies = " + ",".join(
+        protocol.STRATEGIES)))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("record_fine_tune_partial_seed0.csv", "consolidation_boundary_distill_seed0.txt"):
+        (out / "records" / name).write_text("left over\n")
+    config.write_text(config.read_text() + "train.lr_base = 1e308\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert not list((out / "records").iterdir())
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 2
+    assert "no record_*.csv files" in capsys.readouterr().err
 
 
 def _failed_lines(err: str, seed: int) -> list[str]:
@@ -255,18 +275,21 @@ def test_run_trains_one_base_model_per_seed(two_seed_config, tmp_path, base_trai
 
 def test_phase0_grid_is_computed_once_per_seed(two_seed_config, tmp_path, monkeypatch):
     # every strategy's phase 0 is the seed's base model: its grid is
-    # computed for the first strategy and its bytes written for all four
-    computed = []
+    # computed once and its bytes written for all four. The exports are
+    # logged to a file, so that those of worker processes count too.
+    log = tmp_path / "exports.txt"
     real = cli.export_boundary_grid
 
     def counted(model, *args, **kwargs):
-        computed.append(kwargs["path"].name)
+        with open(log, "a") as fh:
+            fh.write(kwargs["path"].name + "\n")
         return real(model, *args, **kwargs)
 
     monkeypatch.setattr(cli, "export_boundary_grid", counted)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
                      "--out", str(out)]) == 0
+    computed = log.read_text().splitlines()
     for seed in (0, 1):
         # 4 strategies x 2 phases, plus one phase-0 grid
         assert len([name for name in computed if f"_seed{seed}_" in name]) == 4 * 2 + 1
@@ -337,7 +360,7 @@ def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, ca
     # forked workers inherit the patched module attribute; two reported cores
     # keep the cells in a 2-worker pool, never in this process
     monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_one)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
     rc = cli.main(["run", "--config", str(two_seed_config), "--out", str(run_out),
                    "--parallel", "2"])
@@ -398,7 +421,7 @@ def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
         return real(benches, run_configs)
 
     monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     rc = cli.main(["run", "--config", str(config), "--out", str(out), "--parallel", "2"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -407,6 +430,147 @@ def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in (out / "records").iterdir()) == [
         "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
     assert "completed=2" in (out / "manifest.txt").read_text()
+
+
+@pytest.fixture()
+def strategy_pids(tmp_path, monkeypatch):
+    """Reads {strategy: pids of the processes that walked it}, logged to a
+    file by every process that calls cli.run_seed_stack."""
+    log = tmp_path / "pids.txt"
+    real = cli.run_seed_stack
+
+    def logged(setups, configs, out_dir):
+        with open(log, "a") as fh:
+            fh.write(f"{configs[0].strategy} {os.getpid()}\n")
+        return real(setups, configs, out_dir)
+
+    monkeypatch.setattr(cli, "run_seed_stack", logged)
+
+    def read() -> dict[str, set[int]]:
+        pids: dict[str, set[int]] = {}
+        for line in log.read_text().splitlines():
+            strategy, pid = line.split()
+            pids.setdefault(strategy, set()).add(int(pid))
+        log.unlink()
+        return pids
+
+    return read
+
+
+def test_oracle_beside_the_others_matches_one_core(two_seed_config, tmp_path, monkeypatch,
+                                                  capsys, strategy_pids):
+    # one usable core: every strategy in this process; two: full_data in one
+    # worker process and the other strategies in another, same bytes
+    monkeypatch.chdir(tmp_path)  # one relative --out, so config.resolved matches
+    printed = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+        assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                         "--out", "o"]) == 0
+        assert cli.main(["report", "o"]) == 0
+        printed[cores] = capsys.readouterr()
+        os.rename("o", f"cores{cores}")
+        pids = strategy_pids()
+        others = set().union(*(pids[s] for s in protocol.STRATEGIES if s != "full_data"))
+        if cores == 1:
+            assert others == pids["full_data"] == {os.getpid()}
+        else:
+            assert len(others) == len(pids["full_data"]) == 1
+            assert os.getpid() not in others | pids["full_data"]
+            assert others != pids["full_data"]
+    assert printed[1] == printed[2]
+    assert printed[1].out.count("pp=") == 8 and not printed[1].err
+    assert _files(tmp_path / "cores1") == _files(tmp_path / "cores2")
+    assert not [p for p in (tmp_path / "cores2").iterdir() if p.name.startswith(".")]
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_parallel_two_starts_no_oracle_process(two_seed_config, tmp_path, monkeypatch,
+                                               strategy_pids):
+    # --parallel 2 on two seeds: one group per worker, each walking every
+    # strategy, full_data included
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", str(tmp_path / "o"), "--parallel", "2"]) == 0
+    pids = strategy_pids()
+    assert len(pids["full_data"]) == 2
+    assert all(pids[s] == pids["full_data"] for s in protocol.STRATEGIES)
+
+
+def test_dying_oracle_worker_fails_only_full_data(two_seed_config, tmp_path, monkeypatch,
+                                                  capsys):
+    # the full_data worker dies once the other block's last grid is written,
+    # so the other strategies complete; full_data's records of an earlier
+    # run into the same directory go
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(two_seed_config), "--strategy", "all", "--out", str(out)]
+    assert cli.main(argv) == 0
+    last_grid = out / "grids" / "vanilla_distill_seed1_phase02.csv"
+    last_grid.unlink()
+    capsys.readouterr()
+    real = cli.run_seed_stack
+
+    def oracle_dies(setups, configs, out_dir):
+        if configs[0].strategy == "full_data":
+            deadline = time.monotonic() + 60
+            while not last_grid.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)
+            os._exit(3)
+        return real(setups, configs, out_dir)
+
+    monkeypatch.setattr(cli, "run_seed_stack", oracle_dies)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if ": FAILED (" in line]
+    assert failed == [f"full_data seed={seed}: FAILED (BrokenProcessPool: A process in the "
+                      "process pool was terminated abruptly while the future was running or "
+                      "pending.)" for seed in (0, 1)]
+    assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
+        f"record_{s}_seed{seed}.csv" for s in protocol.STRATEGIES if s != "full_data"
+        for seed in (0, 1))
+    manifest = (out / "manifest.txt").read_text()
+    assert "completed=6" in manifest and "failed=2" in manifest
+
+
+def test_dying_oracle_worker_fails_the_other_block_after_it_stops(
+        two_seed_config, tmp_path, monkeypatch, capsys):
+    # the full_data worker dies while the other block still runs; that
+    # block's worker writes a record of its own after it is told to stop.
+    # The cells it failed must not keep that record.
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    out = tmp_path / "o"
+    ready = tmp_path / "handler_installed"
+
+    def late_writer(setups, configs, out_dir):
+        if configs[0].strategy == "full_data":
+            deadline = time.monotonic() + 60
+            while not ready.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            os._exit(3)
+
+        def write_and_exit(*_args):
+            time.sleep(0.5)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"record_{configs[0].strategy}_seed0.csv").write_text("late\n")
+            os._exit(0)
+
+        signal.signal(signal.SIGTERM, write_and_exit)
+        ready.touch()
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "run_seed_stack", late_writer)
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if ": FAILED (" in line]
+    assert len(failed) == 8 and all("BrokenProcessPool" in line for line in failed)
+    assert not list(out.rglob("record_*.csv"))
+    assert cli.main(["report", str(out)]) == 2
 
 
 def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
@@ -536,6 +700,23 @@ def test_serial_commands_load_no_process_pool(tiny_config, tmp_path):
         f"'--values', '0.5,2.0', '--out', {str(tmp_path / 's')!r}]) == 0; {pool_modules}")
     # after the import, the run and the sweep
     assert [line for line in printed if line.startswith("[")] == ["[]", "[]", "[]"]
+
+
+def test_run_dry_run_loads_no_process_pool(two_seed_config):
+    # the plan of a run that would put full_data beside the other strategies
+    printed = _probe("import sys; from boundary_distill import cli; "
+                     f"assert cli.main(['run', '--config', {str(two_seed_config)!r}, "
+                     "'--strategy', 'all', '--dry-run']) == 0; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    assert printed[-1] == "[]"
+
+
+def test_usable_cores_follow_the_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._usable_cores() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cores() == 8
 
 
 def _csv_config(tmp_path, train_text: str) -> Path:
