@@ -13,6 +13,7 @@ import copy
 import os
 import sys
 import traceback
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,9 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument("--parallel", type=int, default=1, metavar="N",
                              help="split the seeds into up to N contiguous groups, one process "
                              "each (at most one per seed and per usable core); a group trains "
-                             "its seeds as one stack. A run of one group puts full_data beside "
-                             "the other strategies in a second process when a second usable "
-                             "core exists; worker processes never outnumber usable cores")
+                             "its seeds as one stack. When a second usable core exists, a run "
+                             "of one group uses it too: full_data beside the other strategies "
+                             "in a second process, else two groups of its seeds in two "
+                             "processes; worker processes never outnumber usable cores")
     p_run.add_argument(
         "--strategy",
         action="append",
@@ -153,21 +155,29 @@ def cmd_split(args: argparse.Namespace) -> int:
 def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) -> list[dict]:
     """Every configured strategy on a group of seeds: one setup per seed,
     then each strategy's phase walks as one stack of the group's seeds.
-    Where _blocks splits the strategies, the blocks run side by side in two
-    worker processes, from the setups and phase-0 grids built here.
+    A group of every seed of the run (no other worker process exists) may
+    use a second usable core (see _spare_core): its seeds as two groups,
+    two cells in two worker processes that each build their own setups,
+    or its strategies as two blocks in two worker processes, from the
+    setups and phase-0 grids built here.
 
     Executed possibly in a worker process. Returns one outcome per
     (strategy, seed); a failing strategy fails only its own (strategy, seed).
     """
+    split = _spare_core(config) if seeds == config.seeds else ""
+    if split == "seeds":
+        argtuples = [(config, group, out_str) for group in _seed_groups(seeds, 2)]
+        return [o for group in _map_cells(_run_cell, argtuples, 2, _run_cell_failed)
+                for o in group]
     setups, outcomes = [], []
     for seed, setup in zip(seeds, _group_setups(config, seeds)):
         if isinstance(setup, Exception):
             outcomes += _run_cell_failed(setup, config, (seed,), out_str)
         else:
             setups.append(setup)
-    blocks = _blocks(config, seeds)
-    if len(blocks) == 1 or not setups:
+    if split != "oracle" or not setups:
         return outcomes + _run_block(config, setups, out_str, {}, config.strategies)
+    blocks = [tuple(s for s in config.strategies if s != "full_data"), ("full_data",)]
     phase0_grids = _phase0_grids(config, setups, Path(out_str))
     try:
         argtuples = [(config, setups, out_str, phase0_grids, block) for block in blocks]
@@ -179,19 +189,20 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
     return outcomes
 
 
-def _blocks(config: ExperimentConfig, seeds: tuple[int, ...]) -> list[tuple[str, ...]]:
-    """The configured strategies as blocks that run side by side. The
-    full_data stack (the oracle) costs about as much as the other
-    strategies together and shares nothing with them after setup, so it
-    gets a block of its own when the group holds every seed of the run
-    (no other worker process exists) and a second usable core exists (on
-    one core, two blocks taking turns were slower than one process);
-    otherwise there is one block."""
-    rest = tuple(s for s in config.strategies if s != "full_data")
-    beside = rest and "full_data" in config.strategies
-    if beside and seeds == config.seeds and _usable_cores() > 1:
-        return [rest, ("full_data",)]
-    return [config.strategies]
+def _spare_core(config: ExperimentConfig) -> str:
+    """How a run whose seeds form one group uses a second usable core.
+    "oracle": the full_data stack (the oracle) costs about as much as the
+    other strategies together and shares nothing with them after setup,
+    so it runs beside them as a block of its own; two seed groups were
+    slower there. "seeds": otherwise, with two seeds or more, the seeds
+    run as two contiguous groups, as --parallel 2 runs them. "": one
+    process, on one usable core (where two processes taking turns were
+    slower than one) or for one seed without that split."""
+    if _usable_cores() < 2:
+        return ""
+    if "full_data" in config.strategies and len(config.strategies) > 1:
+        return "oracle"
+    return "seeds" if len(config.seeds) > 1 else ""
 
 
 def _group_setups(config: ExperimentConfig,
@@ -407,24 +418,49 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[lis
     cell whose worker process died gets `failed(exc, *args)` instead,
     once every worker process has exited: a broken pool fails the cells
     still running before it stops their workers, which may write files
-    until they stop."""
+    until they stop. The warnings of worker processes are shown here, in
+    cell order (see _warn_again)."""
     if workers > 1:
         # imported here so that a serial command loads no process pool
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, *a) for a in argtuples]
+            futures = [pool.submit(_recording_warnings, worker, *a) for a in argtuples]
             per_seed = []
             for future in futures:
                 try:
                     per_seed.append(future.result())
                 except BrokenProcessPool as exc:
-                    per_seed.append(exc)
+                    per_seed.append((exc, []))
+        _warn_again([w for _, caught in per_seed for w in caught])
         per_seed = [failed(outcomes, *args) if isinstance(outcomes, BrokenProcessPool)
-                    else outcomes for outcomes, args in zip(per_seed, argtuples)]
+                    else outcomes for (outcomes, _), args in zip(per_seed, argtuples)]
     else:
         per_seed = [worker(*a) for a in argtuples]
     return per_seed
+
+
+def _recording_warnings(worker, *args) -> tuple[list[dict], list[tuple]]:
+    """worker(*args) in a worker process, with the (message, category,
+    file, line) of each warning it raised, recorded instead of shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        outcomes = worker(*args)
+    return outcomes, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(caught: list[tuple]) -> None:
+    """Show warnings that worker processes recorded, in order, through this
+    process's filters and the registry of the module that raised each one,
+    so that each (message, category, file, line) shows once, as in one
+    process."""
+    modules = {m.__file__: vars(m) for m in list(sys.modules.values())
+               if getattr(m, "__file__", None)}
+    for message, category, filename, lineno in caught:
+        module = modules.setdefault(filename, {})
+        # named as warn_explicit names a file by default: module=None drops the warning
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=module.get("__name__") or filename.removesuffix(".py"),
+                               registry=module.setdefault("__warningregistry__", {}))
 
 
 # --- sweep ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -388,6 +389,8 @@ def test_parallel_splits_seeds_into_contiguous_groups():
 
 
 def test_serial_run_is_one_group(tmp_path, monkeypatch):
+    # one usable core: on two, the group would send its seeds' cells to
+    # worker processes, and a local spy cannot be sent there
     cells = []
     real = cli._run_cell
 
@@ -396,6 +399,7 @@ def test_serial_run_is_one_group(tmp_path, monkeypatch):
         return real(config, seeds, out)
 
     monkeypatch.setattr(cli, "_run_cell", spy)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     config = tmp_path / "three_seeds.cfg"
     config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
@@ -430,6 +434,92 @@ def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in (out / "records").iterdir()) == [
         "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
     assert "completed=2" in (out / "manifest.txt").read_text()
+
+
+def test_dying_worker_on_the_default_path_fails_only_its_group(tmp_path, monkeypatch, capsys):
+    # no --parallel, two usable cores, 3 seeds of one strategy: the seed
+    # split runs the groups (0, 1) and (2,), whose worker dies once seed 1's
+    # last grid is written. Seed 2's record of an earlier run goes.
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    config = tmp_path / "three_seeds.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 0
+    last_grid = out / "grids" / "fine_tune_seed1_phase02.csv"
+    last_grid.unlink()
+    capsys.readouterr()
+    real = cli.setup_seeds
+    this_process = os.getpid()
+
+    def dies_on_seed_two(benches, run_configs):
+        if any(run_config.seed == 2 for run_config in run_configs):
+            if os.getpid() == this_process:
+                raise RuntimeError("seed 2 set up in the CLI process")
+            deadline = time.monotonic() + 60
+            while not last_grid.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)
+            os._exit(3)
+        return real(benches, run_configs)
+
+    monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if ": FAILED (" in line] == [
+        "fine_tune seed=2: FAILED (BrokenProcessPool: A process in the process pool was "
+        "terminated abruptly while the future was running or pending.)"]
+    assert sorted(p.name for p in (out / "records").iterdir()) == [
+        "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
+    assert "completed=2" in (out / "manifest.txt").read_text()
+
+
+@pytest.fixture()
+def setup_pids(tmp_path, monkeypatch):
+    """Reads [(pid, seeds)] of every cli.setup_seeds call, logged to a file
+    by the process that made it."""
+    log = tmp_path / "setup_pids.txt"
+    real = cli.setup_seeds
+
+    def logged(benches, configs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {','.join(str(c.seed) for c in configs)}\n")
+        return real(benches, configs)
+
+    monkeypatch.setattr(cli, "setup_seeds", logged)
+
+    def read() -> list[tuple[int, str]]:
+        calls = [(int(pid), seeds) for pid, seeds in map(str.split, log.read_text().splitlines())]
+        log.unlink()
+        return sorted(calls, key=lambda call: call[1])
+
+    return read
+
+
+def test_seed_split_matches_one_core(tmp_path, monkeypatch, capsys, setup_pids):
+    # one usable core: both seeds in this process; two: each seed in a worker
+    # process of its own, which builds its setup, same bytes
+    config = tmp_path / "two_seeds.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1").replace(
+        "strategies = fine_tune", "strategies = boundary_distill,fine_tune"))
+    monkeypatch.chdir(tmp_path)  # one relative --out, so config.resolved matches
+    printed = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+        assert cli.main(["run", "--config", str(config), "--out", "o"]) == 0
+        assert cli.main(["report", "o"]) == 0
+        printed[cores] = capsys.readouterr()
+        os.rename("o", f"cores{cores}")
+        calls = setup_pids()
+        if cores == 1:
+            assert calls == [(os.getpid(), "0,1")]
+        else:
+            assert [seeds for _, seeds in calls] == ["0", "1"]
+            pids = {pid for pid, _ in calls}
+            assert len(pids) == 2 and os.getpid() not in pids
+    assert printed[1] == printed[2]
+    assert printed[1].out.count("pp=") == 4 and not printed[1].err
+    assert _files(tmp_path / "cores1") == _files(tmp_path / "cores2")
 
 
 @pytest.fixture()
@@ -592,6 +682,8 @@ def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
         return real(path, schema)
 
     monkeypatch.setattr(config_module, "load_csv", counted)
+    # one usable core: on two, the run's seed groups parse in worker processes
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     assert sorted(parsed) == ["test.csv", "train.csv"]
     assert len(list((tmp_path / "o" / "records").glob("record_*.csv"))) == 2
@@ -709,6 +801,45 @@ def test_run_dry_run_loads_no_process_pool(two_seed_config):
                      "'--strategy', 'all', '--dry-run']) == 0; "
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
     assert printed[-1] == "[]"
+
+
+def test_worker_warnings_show_once_in_a_fixed_order(tmp_path):
+    # both splits on two usable cores, with runs that overflow in every
+    # worker process: each warning shows once, in the same order on a rerun
+    config = tmp_path / "diverging.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1")
+                      + "train.lr_base = 4000\ntrain.lr_incremental = 1e200\n")
+    src = Path(boundary_distill.__file__).resolve().parents[1]
+    for strategies in (["--strategy", "all"],  # the oracle split
+                       ["--strategy", "boundary_distill", "--strategy", "fine_tune"]):
+        code = ("import sys; from boundary_distill import cli; cli._usable_cores = lambda: 2; "
+                f"sys.exit(cli.main(['run', '--config', {str(config)!r}, *{strategies!r}, "
+                "'--out', 'o']))")
+        runs = [subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+                for _ in range(2)]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stderr == runs[1].stderr
+        shown = [line for line in runs[0].stderr.decode().splitlines() if "Warning: " in line]
+        assert shown and len(shown) == len(set(shown))
+
+
+def test_recorded_warnings_show_once_each_whatever_their_file():
+    # a warning this process has shown already (as the CLI process shows
+    # those of the setups it builds) does not show again, and a file that
+    # no loaded module comes from (a `python -c` string, say) still shows
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        warnings.warn("overflow", RuntimeWarning)
+        here = (shown[0].filename, shown[0].lineno)
+        cli._warn_again([("overflow", RuntimeWarning, *here),
+                         ("overflow", RuntimeWarning, "/elsewhere/net.py", 7),
+                         ("overflow", RuntimeWarning, "/elsewhere/net.py", 7),
+                         ("overflow", RuntimeWarning, "/elsewhere/net.py", 8),
+                         ("invalid", RuntimeWarning, "<string>", 1)])
+    assert [(str(w.message), w.filename, w.lineno) for w in shown] == [
+        ("overflow", *here), ("overflow", "/elsewhere/net.py", 7),
+        ("overflow", "/elsewhere/net.py", 8), ("invalid", "<string>", 1)]
 
 
 def test_usable_cores_follow_the_affinity(monkeypatch):
