@@ -393,7 +393,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _usable_cores() -> int:
     """The cores this process may run on: its CPU affinity where the
     platform reports one (so a run pinned with taskset counts its pinned
-    cores), else the machine's core count."""
+    cores), else the machine's core count. One where the platform cannot
+    fork, since worker processes take their cells through a fork (see
+    _map_cells)."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -414,18 +418,25 @@ def _seed_groups(seeds: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
 
 
 def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[list[dict]]:
-    """Run the cells and return each cell's outcomes, in cell order; a
-    cell whose worker process died gets `failed(exc, *args)` instead,
-    once every worker process has exited: a broken pool fails the cells
-    still running before it stops their workers, which may write files
-    until they stop. The warnings of worker processes are shown here, in
-    cell order (see _warn_again)."""
+    """Run the cells and return each cell's outcomes, in cell order. The
+    worker processes are forked from this one, whatever the interpreter's
+    default start method, and take the worker and every cell's arguments
+    (the setups of the oracle split, say) from this process's memory:
+    only a cell's index goes to a worker, and only its outcomes and
+    warnings come back pickled. A cell whose worker process died gets
+    `failed(exc, *args)` instead, once every worker process has exited: a
+    broken pool fails the cells still running before it stops their
+    workers, which may write files until they stop. The warnings of
+    worker processes are shown here, in cell order (see _warn_again)."""
     if workers > 1:
         # imported here so that a serial command loads no process pool
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_recording_warnings, worker, *a) for a in argtuples]
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
+                                 initializer=_take_cells, initargs=(worker, argtuples)) as pool:
+            futures = [pool.submit(_recording_warnings, index) for index in range(len(argtuples))]
             per_seed = []
             for future in futures:
                 try:
@@ -440,11 +451,30 @@ def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[lis
     return per_seed
 
 
-def _recording_warnings(worker, *args) -> tuple[list[dict], list[tuple]]:
-    """worker(*args) in a worker process, with the (message, category,
-    file, line) of each warning it raised, recorded instead of shown."""
+# (worker, argument tuples) of the cells, in a worker process of _map_cells
+_cells: tuple = ()
+
+
+def _take_cells(worker, argtuples: list[tuple]) -> None:
+    """Keep the cells a forked worker process inherited (pool initializer),
+    then free one 4 MB block. glibc's malloc raises its mmap threshold to
+    the size of a freed mapped block, and its trim threshold to twice
+    that, so the stacks' temporaries of up to 4 MB are then reused from
+    the heap instead of being mapped, faulted in and unmapped at every
+    step: without it, the oracle's worker of a 20-seed run took about a
+    million page faults and 2 s of system time."""
+    global _cells
+    _cells = worker, argtuples
+    bytes(4 << 20)  # calloc'd, so its pages are never touched
+
+
+def _recording_warnings(index: int) -> tuple[list[dict], list[tuple]]:
+    """Cell `index` in a worker process: its outcomes, with the (message,
+    category, file, line) of each warning it raised, recorded instead of
+    shown."""
+    worker, argtuples = _cells
     with warnings.catch_warnings(record=True) as caught:
-        outcomes = worker(*args)
+        outcomes = worker(*argtuples[index])
     return outcomes, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 

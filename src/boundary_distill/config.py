@@ -26,6 +26,7 @@ from .data import (
     ring_means,
 )
 from .protocol import (
+    MAX_PHASE_FRACTION,
     STRATEGIES,
     IILBenchmark,
     RunConfig,
@@ -157,6 +158,15 @@ class ExperimentConfig:
             if self.synth_test_per_class < 1:
                 raise ConfigError(
                     f"synthetic.test_per_class must be >= 1, got {self.synth_test_per_class}"
+                )
+            # the rows and the cap of IILBenchmark, which would fail every seed
+            base_rows = self.synth_num_classes * self.synth_base_per_class
+            phase_rows = self.synth_num_classes * self.synth_phase_per_class
+            if self.num_phases and phase_rows > MAX_PHASE_FRACTION * base_rows:
+                raise ConfigError(
+                    f"synthetic.phase_per_class = {self.synth_phase_per_class} gives phases of "
+                    f"{phase_rows} samples, more than {MAX_PHASE_FRACTION:.0%} of the base pool "
+                    f"({base_rows})"
                 )
         elif self.data_source != "csv":
             raise ConfigError(f"unknown data.source {self.data_source!r}")

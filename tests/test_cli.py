@@ -390,7 +390,7 @@ def test_parallel_splits_seeds_into_contiguous_groups():
 
 def test_serial_run_is_one_group(tmp_path, monkeypatch):
     # one usable core: on two, the group would send its seeds' cells to
-    # worker processes, and a local spy cannot be sent there
+    # worker processes, whose calls this process's list would not see
     cells = []
     real = cli._run_cell
 
@@ -572,6 +572,82 @@ def test_oracle_beside_the_others_matches_one_core(two_seed_config, tmp_path, mo
     assert printed[1].out.count("pp=") == 8 and not printed[1].err
     assert _files(tmp_path / "cores1") == _files(tmp_path / "cores2")
     assert not [p for p in (tmp_path / "cores2").iterdir() if p.name.startswith(".")]
+
+
+def test_cells_that_refuse_pickling_still_run(two_seed_config, tmp_path, monkeypatch, capsys):
+    # the oracle split hands its blocks the setups built in this process;
+    # the forked workers read them from memory, so none is pickled
+    def refuse(*_args):
+        raise TypeError("a SeedSetup was pickled")
+
+    monkeypatch.setattr(protocol.SeedSetup, "__reduce_ex__", refuse)
+    monkeypatch.chdir(tmp_path)  # one relative --out, so config.resolved matches
+    printed = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cores", lambda cores=cores: cores)
+        assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                         "--out", "o"]) == 0
+        assert cli.main(["report", "o"]) == 0
+        printed[cores] = capsys.readouterr()
+        os.rename("o", f"cores{cores}")
+    assert printed[1] == printed[2]
+    assert printed[1].out.count("pp=") == 8 and not printed[1].err
+    assert _files(tmp_path / "cores1") == _files(tmp_path / "cores2")
+
+
+FORK_WHATEVER_THE_DEFAULT = """\
+import multiprocessing, os, sys
+from boundary_distill import cli
+
+real = cli.run_seed_stack
+
+
+def logged(setups, configs, out_dir):
+    with open("stacks.txt", "a") as fh:
+        fh.write(f"{configs[0].strategy} {os.getpid()}\\n")
+    return real(setups, configs, out_dir)
+
+
+if __name__ == "__main__":  # spawn and forkserver import this file in a worker, skipping this
+    multiprocessing.set_start_method(sys.argv[1])
+    # a spy, and a core count, that exist in this process only
+    cli.run_seed_stack = logged
+    cli._usable_cores = lambda: 2
+    with open("stacks.txt", "a") as fh:
+        fh.write(f"cli {os.getpid()}\\n")
+    sys.exit(cli.main(["run", "--config", sys.argv[2], "--strategy", "all", "--out", "o"]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_the_pool_forks_whatever_the_default_start_method(two_seed_config, tmp_path, monkeypatch,
+                                                          capsys, method):
+    # forkserver is the Linux default from Python 3.14; the pool forks
+    # anyway, so its workers run a spy that exists in the CLI process only
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", "o"]) == 0
+    one_core = capsys.readouterr()
+    os.rename("o", "cores1")
+    script = tmp_path / "run_with_default.py"
+    script.write_text(FORK_WHATEVER_THE_DEFAULT)
+    src = Path(boundary_distill.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, str(script), method, str(two_seed_config)],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert (result.stdout, result.stderr) == (one_core.out, one_core.err)
+    assert _files(tmp_path / "cores1") == _files(tmp_path / "o")
+    # every strategy walked in a worker process that runs this process's spy:
+    # the oracle in one, the other strategies in another
+    pids: dict[str, set[str]] = {}
+    for line in (tmp_path / "stacks.txt").read_text().splitlines():
+        name, pid = line.split()
+        pids.setdefault(name, set()).add(pid)
+    others = set().union(*(pids.get(s, set()) for s in protocol.STRATEGIES if s != "full_data"))
+    assert len(others) == len(pids.get("full_data", ())) == 1
+    assert len(pids["cli"] | others | pids["full_data"]) == 3
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -850,6 +926,17 @@ def test_usable_cores_follow_the_affinity(monkeypatch):
     assert cli._usable_cores() == 8
 
 
+def test_a_platform_without_fork_runs_one_process(two_seed_config, tmp_path, monkeypatch,
+                                                  strategy_pids):
+    # worker processes take their cells through a fork, so without one a
+    # run keeps every cell in this process, as on one usable core
+    monkeypatch.delattr(os, "fork")
+    assert cli._usable_cores() == 1
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", str(tmp_path / "o"), "--parallel", "2"]) == 0
+    assert set().union(*strategy_pids().values()) == {os.getpid()}
+
+
 def _csv_config(tmp_path, train_text: str) -> Path:
     """TINY on the CSV route, with train.csv holding `train_text`."""
     (tmp_path / "train.csv").write_text(train_text)
@@ -996,6 +1083,11 @@ BAD_VALUES = [
     ("data.source = csv", "csv source needs both csv.train_path and csv.test_path"),
     ("data.num_phases = -1", "data.num_phases must be >= 0"),
     ("synthetic.test_per_class = 0", "synthetic.test_per_class must be >= 1"),
+    # TINY's phases of 40 samples sit at the cap of a 200-sample base pool,
+    # which every seed's benchmark would fail above it
+    ("synthetic.base_per_class = 40",
+     "synthetic.phase_per_class = 10 gives phases of 40 samples, more than 20% of the base "
+     "pool (160)"),
     ("grid.resolution = 0", "grid.resolution must be >= 2"),
     ("seeds = 0,1,0", "seeds lists 0 more than once"),
     ("strategies = fine_tune,fine_tune", "strategies lists fine_tune more than once"),
