@@ -9,8 +9,11 @@ or a worker process died, 2 for configuration/usage errors (before any write).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import os
+import pickle
+import signal
 import sys
 import traceback
 import warnings
@@ -73,12 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in (p_run, p_sweep):
         _common_flags(command)
         command.add_argument("--parallel", type=int, default=1, metavar="N",
-                             help="split the seeds into up to N contiguous groups, one process "
-                             "each (at most one per seed and per usable core); a group trains "
-                             "its seeds as one stack. When a second usable core exists, a run "
-                             "of one group uses it too: full_data beside the other strategies "
-                             "in a second process, else two groups of its seeds in two "
-                             "processes; worker processes never outnumber usable cores")
+                             help="split the seeds into up to N contiguous groups, each in a "
+                             "child process forked for it (at most one per seed and per usable "
+                             "core); a group trains its seeds as one stack. When a second "
+                             "usable core exists, a run of one group uses it too: full_data "
+                             "beside the other strategies, else two groups of its seeds, in "
+                             "two child processes; children never outnumber usable cores, and "
+                             "a child that dies fails only its own cells")
     p_run.add_argument(
         "--strategy",
         action="append",
@@ -116,7 +120,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "strategy", None):
         names = [n for s in args.strategy for n in (STRATEGIES if s == "all" else (s,))]
         changes["strategies"] = tuple(dict.fromkeys(names))
-    return replace(config, **changes)
+    config = replace(config, **changes)
+    if not config.seeds:  # a valid ExperimentConfig value, but nothing to run
+        raise ConfigError("no seeds given")
+    return config
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -157,17 +164,18 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
     then each strategy's phase walks as one stack of the group's seeds.
     A group of every seed of the run (no other worker process exists) may
     use a second usable core (see _spare_core): its seeds as two groups,
-    two cells in two worker processes that each build their own setups,
-    or its strategies as two blocks in two worker processes, from the
-    setups and phase-0 grids built here.
+    two cells in two child processes that each build their own setups,
+    or its strategies as two blocks in two child processes, from the
+    setups and phase-0 grids built here; _map_cells forks the children.
 
-    Executed possibly in a worker process. Returns one outcome per
-    (strategy, seed); a failing strategy fails only its own (strategy, seed).
+    Executed in the CLI process or in a child of _map_cells. Returns one
+    outcome per (strategy, seed); a failing strategy fails only its own
+    (strategy, seed); a dead child fails only its own cell's.
     """
     split = _spare_core(config) if seeds == config.seeds else ""
     if split == "seeds":
         argtuples = [(config, group, out_str) for group in _seed_groups(seeds, 2)]
-        return [o for group in _map_cells(_run_cell, argtuples, 2, _run_cell_failed)
+        return [o for group in _map_cells(_run_cell, argtuples, _run_cell_failed)
                 for o in group]
     setups, outcomes = [], []
     for seed, setup in zip(seeds, _group_setups(config, seeds)):
@@ -181,7 +189,7 @@ def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) ->
     phase0_grids = _phase0_grids(config, setups, Path(out_str))
     try:
         argtuples = [(config, setups, out_str, phase0_grids, block) for block in blocks]
-        for block_outcomes in _map_cells(_run_block, argtuples, len(blocks), _run_block_failed):
+        for block_outcomes in _map_cells(_run_block, argtuples, _run_block_failed):
             outcomes += block_outcomes
     finally:
         for path in phase0_grids.values():
@@ -362,7 +370,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # with no strategies there is nothing to set a seed up for
     argtuples = [(config, group, str(out)) for group in groups if config.strategies]
     by_cell = {(o["strategy"], o["seed"]): o
-               for group in _map_cells(_run_cell, argtuples, workers, _run_cell_failed)
+               for group in _map_cells(_run_cell, argtuples, _run_cell_failed)
                for o in group}
     outcomes = [by_cell[cell] for cell in cells]
 
@@ -417,65 +425,94 @@ def _seed_groups(seeds: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
             for g in range(count)]
 
 
-def _map_cells(worker, argtuples: list[tuple], workers: int, failed) -> list[list[dict]]:
-    """Run the cells and return each cell's outcomes, in cell order. The
-    worker processes are forked from this one, whatever the interpreter's
-    default start method, and take the worker and every cell's arguments
-    (the setups of the oracle split, say) from this process's memory:
-    only a cell's index goes to a worker, and only its outcomes and
-    warnings come back pickled. A cell whose worker process died gets
-    `failed(exc, *args)` instead, once every worker process has exited: a
-    broken pool fails the cells still running before it stops their
-    workers, which may write files until they stop. The warnings of
-    worker processes are shown here, in cell order (see _warn_again)."""
-    if workers > 1:
-        # imported here so that a serial command loads no process pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
-                                 initializer=_take_cells, initargs=(worker, argtuples)) as pool:
-            futures = [pool.submit(_recording_warnings, index) for index in range(len(argtuples))]
-            per_seed = []
-            for future in futures:
-                try:
-                    per_seed.append(future.result())
-                except BrokenProcessPool as exc:
-                    per_seed.append((exc, []))
-        _warn_again([w for _, caught in per_seed for w in caught])
-        per_seed = [failed(outcomes, *args) if isinstance(outcomes, BrokenProcessPool)
-                    else outcomes for (outcomes, _), args in zip(per_seed, argtuples)]
-    else:
-        per_seed = [worker(*a) for a in argtuples]
-    return per_seed
+def _map_cells(worker, argtuples: list[tuple], failed) -> list[list[dict]]:
+    """Run the cells and return each cell's outcomes, in cell order. One
+    cell runs in this process. Two or more run at once, each in a child
+    process forked from this one (every caller passes as many cells as it
+    wants processes), which reads its cell from this process's memory and
+    sends back only its outcomes and warnings, pickled, through a pipe of
+    its own. A cell whose child died (a non-zero exit, a signal, or no
+    outcomes) gets `failed(exc, *args)` once that child is reaped; the
+    other cells run on. An exception that a worker raises is raised here.
+    No child outlives this call: if this process raises while children
+    run, each gets SIGTERM and is reaped first. The children's warnings
+    are shown here, in cell order (see _warn_again)."""
+    if len(argtuples) < 2:
+        return [worker(*args) for args in argtuples]
+    running, pipes = [], []  # the children not yet reaped, and each cell's read end
+    try:
+        for args in argtuples:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            pid = os.fork()
+            if pid == 0:
+                _run_child(worker, args, pipes, write_end)
+            os.close(write_end)
+            running.append(pid)
+        per_cell, caught = [], []
+        for pid, pipe, args in zip(list(running), pipes, argtuples):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code or not data:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                per_cell.append(failed(ChildProcessError(
+                    f"worker process {how} before returning its outcomes"), *args))
+                continue
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            per_cell.append(result[0])
+            caught += result[1]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGTERM)
+        for pid in running:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    _warn_again(caught)
+    return per_cell
 
 
-# (worker, argument tuples) of the cells, in a worker process of _map_cells
-_cells: tuple = ()
+def _run_child(worker, args: tuple, pipes: list, write_end: int) -> None:
+    """A forked child of _map_cells: runs one cell, recording the (message,
+    category, file, line) of each warning it raises instead of showing it,
+    writes the pickled (outcomes, warnings), or the exception the worker
+    raised, to write_end, and leaves through os._exit, never returning.
 
-
-def _take_cells(worker, argtuples: list[tuple]) -> None:
-    """Keep the cells a forked worker process inherited (pool initializer),
-    then free one 4 MB block. glibc's malloc raises its mmap threshold to
-    the size of a freed mapped block, and its trim threshold to twice
-    that, so the stacks' temporaries of up to 4 MB are then reused from
-    the heap instead of being mapped, faulted in and unmapped at every
+    It first frees one untouched 4 MB block. glibc's malloc raises its mmap
+    threshold to the size of a freed mapped block, and its trim threshold
+    to twice that, so the stacks' temporaries of up to 4 MB are then reused
+    from the heap instead of being mapped, faulted in and unmapped at every
     step: without it, the oracle's worker of a 20-seed run took about a
     million page faults and 2 s of system time."""
-    global _cells
-    _cells = worker, argtuples
-    bytes(4 << 20)  # calloc'd, so its pages are never touched
-
-
-def _recording_warnings(index: int) -> tuple[list[dict], list[tuple]]:
-    """Cell `index` in a worker process: its outcomes, with the (message,
-    category, file, line) of each warning it raised, recorded instead of
-    shown."""
-    worker, argtuples = _cells
-    with warnings.catch_warnings(record=True) as caught:
-        outcomes = worker(*argtuples[index])
-    return outcomes, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    code = 1
+    try:
+        for pipe in pipes:  # so that a child whose parent is gone gets EPIPE, not a full pipe
+            pipe.close()
+        bytes(4 << 20)  # calloc'd, so its pages are never touched
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                outcomes = worker(*args)
+            result = outcomes, [(str(w.message), w.category, w.filename, w.lineno)
+                                for w in caught]
+        except BaseException as exc:  # noqa: BLE001 - raised again in the parent
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), "in a worker process:\n"
+                             + "".join(traceback.format_exception(exc)).rstrip()]
+            result = exc
+        try:
+            data = pickle.dumps(result)
+        except Exception as exc:  # noqa: BLE001 - an unpicklable result is raised as that
+            data = pickle.dumps(exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _warn_again(caught: list[tuple]) -> None:
@@ -572,7 +609,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     argtuples = [(config, args.knob, values, *group)
                  for group in _seed_groups(config.seeds, workers)]
-    per_group = _map_cells(_sweep_cell, argtuples, workers, _sweep_cell_failed)
+    per_group = _map_cells(_sweep_cell, argtuples, _sweep_cell_failed)
     seed_major = [outcome for group in per_group for outcome in group]
     outcomes = [o for v in range(len(values)) for o in seed_major[v::len(values)]]  # value-major
     failed = [o for o in outcomes if o["status"] != "ok"]

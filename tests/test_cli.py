@@ -1,7 +1,7 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 
+import contextlib
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -33,6 +33,16 @@ seeds = 0
 strategies = fine_tune
 grid.resolution = 12
 """
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fails a test that leaves a child process of this one unreaped,
+    running or exited: no command may leave one."""
+    yield
+    with contextlib.suppress(ChildProcessError):  # no child at all
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+        pytest.fail("a child process was left " + (f"unreaped ({pid})" if pid else "running"))
 
 
 @pytest.fixture()
@@ -350,6 +360,10 @@ def test_parallel_below_one_exits_two(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# the error of the cells of a child process that died with os._exit(3)
+DIED = "ChildProcessError: worker process exited with code 3 before returning its outcomes"
+
+
 def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, capsys):
     real = cli.setup_seeds
 
@@ -358,22 +372,22 @@ def test_dying_worker_fails_its_cells(two_seed_config, tmp_path, monkeypatch, ca
             os._exit(3)
         return real(benches, configs)
 
-    # forked workers inherit the patched module attribute; two reported cores
-    # keep the cells in a 2-worker pool, never in this process
+    # forked children inherit the patched module attribute; two reported
+    # cores put the cells in two children, never in this process
     monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_one)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
     rc = cli.main(["run", "--config", str(two_seed_config), "--out", str(run_out),
                    "--parallel", "2"])
     assert rc == 1
-    assert "fine_tune seed=1: FAILED (BrokenProcessPool" in capsys.readouterr().err
+    assert f"fine_tune seed=1: FAILED ({DIED})" in capsys.readouterr().err
     manifest = (run_out / "manifest.txt").read_text()
     assert "status=failed" in manifest and "failed=0" not in manifest
 
     rc = cli.main(["sweep", "--config", str(two_seed_config), "--knob", "delta",
                    "--values", "0.5,2.0", "--out", str(sweep_out), "--parallel", "2"])
     assert rc == 1
-    assert "sweep delta=2.0 seed=1: FAILED (BrokenProcessPool" in capsys.readouterr().err
+    assert f"sweep delta=2.0 seed=1: FAILED ({DIED})" in capsys.readouterr().err
     detail = (sweep_out / "sweep_delta.csv").read_text().splitlines()
     assert detail[0] == "knob,value,seed,acc_student,acc_teacher"
     assert not [row for row in detail[1:] if row.split(",")[2] == "1"]
@@ -429,7 +443,7 @@ def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
     rc = cli.main(["run", "--config", str(config), "--out", str(out), "--parallel", "2"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "fine_tune seed=2: FAILED (BrokenProcessPool" in err
+    assert f"fine_tune seed=2: FAILED ({DIED})" in err
     assert "seed=0: FAILED" not in err and "seed=1: FAILED" not in err
     assert sorted(p.name for p in (out / "records").iterdir()) == [
         "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
@@ -467,8 +481,7 @@ def test_dying_worker_on_the_default_path_fails_only_its_group(tmp_path, monkeyp
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if ": FAILED (" in line] == [
-        "fine_tune seed=2: FAILED (BrokenProcessPool: A process in the process pool was "
-        "terminated abruptly while the future was running or pending.)"]
+        f"fine_tune seed=2: FAILED ({DIED})"]
     assert sorted(p.name for p in (out / "records").iterdir()) == [
         "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
     assert "completed=2" in (out / "manifest.txt").read_text()
@@ -622,7 +635,7 @@ if __name__ == "__main__":  # spawn and forkserver import this file in a worker,
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_the_pool_forks_whatever_the_default_start_method(two_seed_config, tmp_path, monkeypatch,
                                                           capsys, method):
-    # forkserver is the Linux default from Python 3.14; the pool forks
+    # forkserver is the Linux default from Python 3.14; _map_cells forks
     # anyway, so its workers run a spy that exists in the CLI process only
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
@@ -694,9 +707,7 @@ def test_dying_oracle_worker_fails_only_full_data(two_seed_config, tmp_path, mon
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     failed = [line for line in err.splitlines() if ": FAILED (" in line]
-    assert failed == [f"full_data seed={seed}: FAILED (BrokenProcessPool: A process in the "
-                      "process pool was terminated abruptly while the future was running or "
-                      "pending.)" for seed in (0, 1)]
+    assert failed == [f"full_data seed={seed}: FAILED ({DIED})" for seed in (0, 1)]
     assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
         f"record_{s}_seed{seed}.csv" for s in protocol.STRATEGIES if s != "full_data"
         for seed in (0, 1))
@@ -704,39 +715,69 @@ def test_dying_oracle_worker_fails_only_full_data(two_seed_config, tmp_path, mon
     assert "completed=6" in manifest and "failed=2" in manifest
 
 
-def test_dying_oracle_worker_fails_the_other_block_after_it_stops(
-        two_seed_config, tmp_path, monkeypatch, capsys):
-    # the full_data worker dies while the other block still runs; that
-    # block's worker writes a record of its own after it is told to stop.
-    # The cells it failed must not keep that record.
+def test_dying_oracle_worker_leaves_the_running_block_alone(two_seed_config, tmp_path,
+                                                           monkeypatch, capsys):
+    # the full_data child dies while the other block's child still runs:
+    # only the full_data cells fail, and the other block completes and
+    # keeps its records
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     out = tmp_path / "o"
-    ready = tmp_path / "handler_installed"
+    dying = tmp_path / "oracle_dying"
+    real = cli.run_seed_stack
 
-    def late_writer(setups, configs, out_dir):
+    def oracle_dies_first(setups, configs, out_dir):
         if configs[0].strategy == "full_data":
-            deadline = time.monotonic() + 60
-            while not ready.exists() and time.monotonic() < deadline:
-                time.sleep(0.05)
+            dying.touch()
             os._exit(3)
+        if configs[0].strategy == protocol.STRATEGIES[0]:  # the block's first stack
+            deadline = time.monotonic() + 60
+            while not dying.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)  # the oracle's child has exited by now
+        return real(setups, configs, out_dir)
 
-        def write_and_exit(*_args):
-            time.sleep(0.5)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"record_{configs[0].strategy}_seed0.csv").write_text("late\n")
-            os._exit(0)
-
-        signal.signal(signal.SIGTERM, write_and_exit)
-        ready.touch()
-        time.sleep(60)
-
-    monkeypatch.setattr(cli, "run_seed_stack", late_writer)
+    monkeypatch.setattr(cli, "run_seed_stack", oracle_dies_first)
     assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
                      "--out", str(out)]) == 1
-    failed = [line for line in capsys.readouterr().err.splitlines() if ": FAILED (" in line]
-    assert len(failed) == 8 and all("BrokenProcessPool" in line for line in failed)
-    assert not list(out.rglob("record_*.csv"))
-    assert cli.main(["report", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert [line for line in printed.err.splitlines() if ": FAILED (" in line] == [
+        f"full_data seed={seed}: FAILED ({DIED})" for seed in (0, 1)]
+    assert printed.out.count("pp=") == 6
+    assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
+        f"record_{s}_seed{seed}.csv" for s in protocol.STRATEGIES if s != "full_data"
+        for seed in (0, 1))
+    manifest = (out / "manifest.txt").read_text()
+    assert "completed=6" in manifest and "failed=2" in manifest
+
+
+def test_a_raising_cli_process_reaps_every_child(two_seed_config, tmp_path, monkeypatch):
+    # os.waitpid raises once, when the first child has returned its cell and
+    # the second still sleeps in its own: that child gets SIGTERM, and both
+    # are reaped before the exception leaves cli.main
+    real_setup, real_waitpid = cli.setup_seeds, os.waitpid
+    interrupted = []
+
+    def sleeps_on_seed_one(benches, configs):
+        if any(config.seed == 1 for config in configs):
+            time.sleep(60)
+        return real_setup(benches, configs)
+
+    def interrupted_once(pid, options):
+        if not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(cli, "setup_seeds", sleeps_on_seed_one)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "--config", str(two_seed_config), "--out", str(tmp_path / "o"),
+                  "--parallel", "2"])
+    assert interrupted and time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # no child left, running or exited
+        real_waitpid(-1, os.WNOHANG)
 
 
 def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
@@ -857,7 +898,7 @@ def test_cli_import_does_not_load_scipy():
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == ["[]"]
 
 
-def test_serial_commands_load_no_process_pool(tiny_config, tmp_path):
+def test_serial_commands_load_no_process_pool(tiny_config, two_seed_config, tmp_path):
     pool_modules = ("print(sorted(m for m in sys.modules "
                     "if m.split('.')[0] in ('concurrent', 'multiprocessing'))); ")
     printed = _probe(
@@ -865,9 +906,15 @@ def test_serial_commands_load_no_process_pool(tiny_config, tmp_path):
         f"assert cli.main(['run', '--config', {str(tiny_config)!r}, '--out', "
         f"{str(tmp_path / 'r')!r}]) == 0; {pool_modules}"
         f"assert cli.main(['sweep', '--config', {str(tiny_config)!r}, '--knob', 'delta', "
-        f"'--values', '0.5,2.0', '--out', {str(tmp_path / 's')!r}]) == 0; {pool_modules}")
-    # after the import, the run and the sweep
-    assert [line for line in printed if line.startswith("[")] == ["[]", "[]", "[]"]
+        f"'--values', '0.5,2.0', '--out', {str(tmp_path / 's')!r}]) == 0; {pool_modules}"
+        # nor do the oracle split and the seed split, which fork children
+        "cli._usable_cores = lambda: 2; "
+        f"assert cli.main(['run', '--config', {str(two_seed_config)!r}, '--strategy', 'all', "
+        f"'--out', {str(tmp_path / 'oracle')!r}]) == 0; {pool_modules}"
+        f"assert cli.main(['run', '--config', {str(two_seed_config)!r}, '--out', "
+        f"{str(tmp_path / 'seeds')!r}]) == 0; {pool_modules}")
+    # after the import, the run, the sweep, the oracle split and the seed split
+    assert [line for line in printed if line.startswith("[")] == ["[]"] * 5
 
 
 def test_run_dry_run_loads_no_process_pool(two_seed_config):
@@ -1089,6 +1136,7 @@ BAD_VALUES = [
      "synthetic.phase_per_class = 10 gives phases of 40 samples, more than 20% of the base "
      "pool (160)"),
     ("grid.resolution = 0", "grid.resolution must be >= 2"),
+    ("seeds =", "no seeds given"),
     ("seeds = 0,1,0", "seeds lists 0 more than once"),
     ("strategies = fine_tune,fine_tune", "strategies lists fine_tune more than once"),
     ("grid.delta = 1,1,2", "grid.delta lists 1.0 more than once"),
