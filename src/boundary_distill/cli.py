@@ -76,13 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in (p_run, p_sweep):
         _common_flags(command)
         command.add_argument("--parallel", type=int, default=1, metavar="N",
-                             help="split the seeds into up to N contiguous groups, each in a "
-                             "child process forked for it (at most one per seed and per usable "
-                             "core); a group trains its seeds as one stack. When a second "
-                             "usable core exists, a run of one group uses it too: full_data "
-                             "beside the other strategies, else two groups of its seeds, in "
-                             "two child processes; children never outnumber usable cores, and "
-                             "a child that dies fails only its own cells")
+                             help="split the seeds into min(N, seeds, usable cores) contiguous "
+                             "groups, each trained as one stack. A run plans its cells, each "
+                             "some strategies on some seeds: one per group, or, for one group "
+                             "on two usable cores or more, full_data beside the other "
+                             "strategies, else two seed groups. Two cells or more run in a "
+                             "child process each, and a child that dies fails only its own cells")
     p_run.add_argument(
         "--strategy",
         action="append",
@@ -159,58 +158,86 @@ def cmd_split(args: argparse.Namespace) -> int:
 # --- run --------------------------------------------------------------------
 
 
-def _run_cell(config: ExperimentConfig, seeds: tuple[int, ...], out_str: str) -> list[dict]:
-    """Every configured strategy on a group of seeds: one setup per seed,
-    then each strategy's phase walks as one stack of the group's seeds.
-    A group of every seed of the run (no other worker process exists) may
-    use a second usable core (see _spare_core): its seeds as two groups,
-    two cells in two child processes that each build their own setups,
-    or its strategies as two blocks in two child processes, from the
-    setups and phase-0 grids built here; _map_cells forks the children.
+def _plan(config: ExperimentConfig, parallel: int,
+          cores: int) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """The cells of a run, each a (strategies, seeds) pair for one process,
+    never more than usable cores: min(--parallel, seeds, cores) contiguous
+    seed groups. One group on two usable cores or more uses a second one:
+    the full_data stack (the oracle) costs about as much as the other
+    strategies together and shares nothing with them after setup, so it is
+    a cell beside them; else, from two seeds, the seeds form two groups.
+    One usable core keeps one cell (two processes taking turns were slower)."""
+    groups = _pool_size(parallel, len(config.seeds), cores)
+    strategies, seeds = config.strategies, config.seeds
+    if not strategies:  # nothing to set a seed up for
+        return []
+    if groups == 1 and cores > 1:
+        if "full_data" in strategies and len(strategies) > 1:
+            others = tuple(s for s in strategies if s != "full_data")
+            return [(others, seeds), (("full_data",), seeds)]
+        groups = min(2, len(seeds))
+    return [(strategies, group) for group in _seed_groups(seeds, groups)]
 
-    Executed in the CLI process or in a child of _map_cells. Returns one
-    outcome per (strategy, seed); a failing strategy fails only its own
-    (strategy, seed); a dead child fails only its own cell's.
-    """
-    split = _spare_core(config) if seeds == config.seeds else ""
-    if split == "seeds":
-        argtuples = [(config, group, out_str) for group in _seed_groups(seeds, 2)]
-        return [o for group in _map_cells(_run_cell, argtuples, _run_cell_failed)
-                for o in group]
+
+def _run_cell(config: ExperimentConfig, cells: list[tuple], out: Path) -> list[dict]:
+    """Every cell of a run's plan (see _plan), called once per run, in the
+    CLI process. A seed group whose strategies the cells split is set up
+    here, before the fork, and its cells' children read the setups from
+    memory; any other cell's process sets up its own seeds (see _walk_cell).
+    Returns one outcome per (strategy, seed); a dead child fails only its own
+    cell's."""
+    shared, outcomes, argtuples = {}, [], []
+    for strategies, seeds in cells:
+        if seeds not in shared and [on for _, on in cells].count(seeds) > 1:
+            group = tuple(s for cell, on in cells if on == seeds for s in cell)
+            shared[seeds], failures = _setup_group(config, group, seeds, out)
+            outcomes += failures
+        setups = shared.get(seeds)
+        if setups is not None:  # the seeds that set up, if any
+            seeds = tuple(setup.base_config.seed for setup in setups)
+        argtuples += [(config, strategies, seeds, out, setups)] if seeds else []
+
+    def died(exc, _config, strategies, seeds, out, _setups):  # a cell whose child died
+        return _cells_failed(exc, strategies, seeds, out)
+
+    return outcomes + [o for cell in _map_cells(_walk_cell, argtuples, died) for o in cell]
+
+
+def _walk_cell(config: ExperimentConfig, strategies: tuple[str, ...], seeds: tuple[int, ...],
+               out: Path, setups: list[SeedSetup] | None) -> list[dict]:
+    """One cell's phase walks, one stack per strategy (see _run_strategy),
+    from the setups of its seeds, built here when none are given. Executed
+    in the CLI process or in a child of _map_cells."""
+    outcomes = []
+    if setups is None:
+        setups, outcomes = _setup_group(config, strategies, seeds, out)
+    return outcomes + [outcome for strategy in strategies
+                       for outcome in _run_strategy(config, setups, strategy, out)]
+
+
+def _setup_group(config: ExperimentConfig, strategies: tuple[str, ...], seeds: tuple[int, ...],
+                 out: Path) -> tuple[list[SeedSetup], list[dict]]:
+    """The setups of a group of seeds (see _group_setups), each followed by
+    its phase-0 grid: that of the base model, the same for every strategy,
+    so it is computed once and its bytes written as each strategy's phase00
+    file. Also returns the outcomes of every strategy on each seed whose
+    setup or phase-0 grid failed, before any walk."""
     setups, outcomes = [], []
     for seed, setup in zip(seeds, _group_setups(config, seeds)):
+        if not isinstance(setup, Exception) and setup.bench.base.dim == 2:
+            paths = [out / "grids" / f"{s}_seed{seed}_phase00.csv" for s in strategies]
+            try:
+                paths[0].parent.mkdir(parents=True, exist_ok=True)
+                _export_grid(config, setup, setup.base_model, paths[0])
+                for path in paths[1:]:
+                    write_atomic(path, paths[0].read_bytes().decode())
+            except Exception as exc:  # noqa: BLE001 - fails only this seed
+                setup = exc
         if isinstance(setup, Exception):
-            outcomes += _run_cell_failed(setup, config, (seed,), out_str)
+            outcomes += _cells_failed(setup, strategies, (seed,), out)
         else:
             setups.append(setup)
-    if split != "oracle" or not setups:
-        return outcomes + _run_block(config, setups, out_str, {}, config.strategies)
-    blocks = [tuple(s for s in config.strategies if s != "full_data"), ("full_data",)]
-    phase0_grids = _phase0_grids(config, setups, Path(out_str))
-    try:
-        argtuples = [(config, setups, out_str, phase0_grids, block) for block in blocks]
-        for block_outcomes in _map_cells(_run_block, argtuples, _run_block_failed):
-            outcomes += block_outcomes
-    finally:
-        for path in phase0_grids.values():
-            path.unlink(missing_ok=True)
-    return outcomes
-
-
-def _spare_core(config: ExperimentConfig) -> str:
-    """How a run whose seeds form one group uses a second usable core.
-    "oracle": the full_data stack (the oracle) costs about as much as the
-    other strategies together and shares nothing with them after setup,
-    so it runs beside them as a block of its own; two seed groups were
-    slower there. "seeds": otherwise, with two seeds or more, the seeds
-    run as two contiguous groups, as --parallel 2 runs them. "": one
-    process, on one usable core (where two processes taking turns were
-    slower than one) or for one seed without that split."""
-    if _usable_cores() < 2:
-        return ""
-    if "full_data" in config.strategies and len(config.strategies) > 1:
-        return "oracle"
-    return "seeds" if len(config.seeds) > 1 else ""
+    return setups, outcomes
 
 
 def _group_setups(config: ExperimentConfig,
@@ -236,102 +263,55 @@ def _group_setups(config: ExperimentConfig,
     return [setups[seed] for seed in seeds]
 
 
-def _run_cell_failed(exc: Exception, config: ExperimentConfig, seeds: tuple[int, ...],
-                     out_str: str) -> list[dict]:
-    """Outcomes of a run cell (or one seed of it) that failed as a whole."""
-    return _cells_failed(exc, config.strategies, seeds, Path(out_str))
-
-
-def _run_block(config: ExperimentConfig, setups: list[SeedSetup], out_str: str,
-               phase0_grids: dict[int, Path], strategies: tuple[str, ...]) -> list[dict]:
-    """The phase walks of a block of strategies from a group's setups, one
-    stack per strategy (see _run_strategy). Executed possibly in a worker
-    process."""
-    return [outcome for strategy in strategies
-            for outcome in _run_strategy(config, setups, strategy, Path(out_str), phase0_grids)]
-
-
-def _run_block_failed(exc: Exception, _config, setups: list[SeedSetup], out_str: str,
-                      _phase0_grids, strategies: tuple[str, ...]) -> list[dict]:
-    """Outcomes of a block that a dead worker process failed (its own or
-    the other block's)."""
-    seeds = tuple(setup.base_config.seed for setup in setups)
-    return _cells_failed(exc, strategies, seeds, Path(out_str))
-
-
 def _cells_failed(exc: Exception, strategies: tuple[str, ...], seeds: tuple[int, ...],
                   out: Path) -> list[dict]:
     """Outcomes of (strategy, seed) cells that failed before their records
-    were written, after removing the records an earlier run of each left,
-    so that report cannot list them."""
+    were written, after removing the records and grids an earlier run of
+    each left, so that report cannot list them."""
     for strategy in strategies:
         for seed in seeds:
             clear_records(out / "records", strategy, seed)
+            _clear_grids(out, strategy, seed)
     return [_failure(exc, strategy=s, seed=seed) for s in strategies for seed in seeds]
 
 
+def _clear_grids(out: Path, strategy: str, seed: int) -> None:
+    for path in (out / "grids").glob(f"{strategy}_seed{seed}_phase*.csv"):
+        path.unlink()
+
+
 def _run_strategy(config: ExperimentConfig, setups: list[SeedSetup], strategy: str,
-                  out: Path, phase0_grids: dict[int, Path]) -> list[dict]:
+                  out: Path) -> list[dict]:
     """One strategy's phase walks (records and grids) from the setups of a
-    group of seeds, as one stack; one outcome per seed. phase0_grids holds
-    the phase-0 grid file of each seed once a strategy has written it."""
+    group of seeds, as one stack; one outcome per seed."""
     seeds = [setup.base_config.seed for setup in setups]
     try:
         run_cfgs = [config.run_config(strategy, seed) for seed in seeds]
         walks = run_seed_stack(setups, run_cfgs, out / "records")
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
         return _cells_failed(exc, (strategy,), tuple(seeds), out)
-    return [_grids_and_outcome(config, setup, strategy, walk, out, phase0_grids)
+    return [_grids_and_outcome(config, setup, strategy, walk, out)
             for setup, walk in zip(setups, walks)]
 
 
-def _phase0_grids(config: ExperimentConfig, setups: list[SeedSetup],
-                  out: Path) -> dict[int, Path]:
-    """The phase-0 grid of each seed with 2-d inputs, written once to a
-    hidden file in out for the blocks to copy; the caller removes them. A
-    seed whose export fails is left out, so that its blocks export it
-    again and fail its cells as a one-block run does."""
-    paths = {}
-    for setup in setups:
-        if setup.bench.base.dim != 2:
-            continue
-        seed = setup.base_config.seed
-        path = out / f".base_seed{seed}_phase00.csv"
-        try:
-            _export_grid(config, setup, setup.base_model, path)
-        except Exception:  # noqa: BLE001 - see above
-            continue
-        paths[seed] = path
-    return paths
-
-
 def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str,
-                       walk: tuple | Exception, out: Path, phase0_grids: dict[int, Path]) -> dict:
-    """The outcome of one seed's phase walk, after exporting its grids. The
-    phase-0 grid is the base model's, the same for every strategy, so it is
-    computed once, by _phase0_grids or for the first strategy, and its
-    bytes copied for the others from that file (phase0_grids[seed]), which
-    holds no text in memory."""
+                       walk: tuple | Exception, out: Path) -> dict:
+    """The outcome of one seed's phase walk, after exporting the grids of
+    its phases past phase 0 (see _setup_group). A walk or an export that
+    fails leaves none of the (strategy, seed)'s grids."""
     seed = setup.base_config.seed
-    if isinstance(walk, Exception):
-        return _failure(walk, strategy=strategy, seed=seed)
-    try:
-        results, record = walk
-        if setup.bench.base.dim == 2:
-            grid_dir = out / "grids"
-            grid_dir.mkdir(parents=True, exist_ok=True)
-            for res in results:
-                path = grid_dir / f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv"
-                if res.phase_index == 0 and seed in phase0_grids:
-                    write_atomic(path, phase0_grids[seed].read_bytes().decode())
-                    continue
-                _export_grid(config, setup, res.model, path)
-                if res.phase_index == 0:
-                    phase0_grids[seed] = path
-        return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
-                "forgetting": record.forgetting}
-    except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
-        return _failure(exc, strategy=strategy, seed=seed)
+    if not isinstance(walk, Exception):
+        try:
+            results, record = walk
+            for res in results[1:] if setup.bench.base.dim == 2 else ():  # past phase 0
+                _export_grid(config, setup, res.model, out / "grids" / (
+                    f"{strategy}_seed{seed}_phase{res.phase_index:02d}.csv"))
+            return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
+                    "forgetting": record.forgetting}
+        except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
+            walk = exc
+    _clear_grids(out, strategy, seed)
+    return _failure(walk, strategy=strategy, seed=seed)
 
 
 def _export_grid(config: ExperimentConfig, setup: SeedSetup, model: np.ndarray,
@@ -353,26 +333,21 @@ def _failure(exc: Exception, **cell) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
-    workers = _pool_size(args.parallel, len(config.seeds), _usable_cores())
-    groups = _seed_groups(config.seeds, workers)
+    cells = _plan(config, args.parallel, _usable_cores())
     out = _out_dir(config)
-    cells = [(s, seed) for s in config.strategies for seed in config.seeds]
+    pairs = [(s, seed) for s in config.strategies for seed in config.seeds]
     if args.dry_run:
         print(dump_config(config), end="")
-        print(f"# plan: {len(cells)} run(s) -> {out}")
-        for strategy, seed in cells:
+        print(f"# plan: {len(pairs)} run(s) -> {out}")
+        for strategy, seed in pairs:
             print(f"#   {strategy} seed={seed}")
         return 0
 
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "config.resolved", dump_config(config))
 
-    # with no strategies there is nothing to set a seed up for
-    argtuples = [(config, group, str(out)) for group in groups if config.strategies]
-    by_cell = {(o["strategy"], o["seed"]): o
-               for group in _map_cells(_run_cell, argtuples, _run_cell_failed)
-               for o in group}
-    outcomes = [by_cell[cell] for cell in cells]
+    by_pair = {(o["strategy"], o["seed"]): o for o in _run_cell(config, cells, out)}
+    outcomes = [by_pair[pair] for pair in pairs]
 
     failed = [o for o in outcomes if o["status"] != "ok"]
     for o in outcomes:
@@ -389,7 +364,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "version": __version__,
             "numpy": np.__version__,
             "config": "config.resolved",
-            "cells": ",".join(f"{s}:{seed}" for s, seed in cells),
+            "cells": ",".join(f"{s}:{seed}" for s, seed in pairs),
             "completed": len(outcomes) - len(failed),
             "failed": len(failed),
             "status": "ok" if not failed else "failed",

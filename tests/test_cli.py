@@ -336,8 +336,74 @@ def test_failing_strategy_fails_only_its_own_cell(tiny_config, tmp_path, monkeyp
     )
     assert read_record_csv(out / "records" / "record_fine_tune_seed0.csv").strategy == "fine_tune"
     assert not (out / "records" / "record_boundary_distill_seed0.csv").exists()
+    # its phase-0 grid, written before the walks, goes with it
+    assert sorted(p.name for p in (out / "grids").iterdir()) == [
+        f"fine_tune_seed0_phase{t:02d}.csv" for t in (0, 1, 2)]
     manifest = (out / "manifest.txt").read_text()
     assert "completed=1" in manifest and "failed=1" in manifest
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_phase0_grid_that_cannot_be_exported_fails_its_seed(cores, two_seed_config, tmp_path,
+                                                              monkeypatch, capsys):
+    # one usable core: the cell's process exports it; two: the CLI process,
+    # before the oracle split forks. Seed 1's strategies fail before any
+    # walk and keep no record or grid of the earlier run; seed 0 completes
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(two_seed_config), "--strategy", "all", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    real = cli._export_grid
+
+    def refuses_seed_one(config, setup, model, path):
+        if path.name.endswith("_seed1_phase00.csv"):
+            raise OSError("disk full")
+        return real(config, setup, model, path)
+
+    monkeypatch.setattr(cli, "_export_grid", refuses_seed_one)
+    assert cli.main(argv) == 1
+    printed = capsys.readouterr()
+    assert [line for line in printed.err.splitlines() if ": FAILED (" in line] == [
+        f"{s} seed=1: FAILED (OSError: disk full)" for s in protocol.STRATEGIES]
+    assert printed.out.count("pp=") == 4
+    assert not [p.name for p in out.rglob("*") if "seed1" in p.name]
+    assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
+        f"record_{s}_seed0.csv" for s in protocol.STRATEGIES)
+    assert len(list((out / "grids").iterdir())) == 4 * 3
+    manifest = (out / "manifest.txt").read_text()
+    assert "completed=4" in manifest and "failed=4" in manifest
+
+
+@pytest.mark.parametrize("failure", ["walk", "export"])
+def test_a_failed_walk_or_grid_export_keeps_no_grids(failure, two_seed_config, tmp_path,
+                                                     monkeypatch, capsys):
+    # a rerun into the output of a clean run, in which seed 1's walk fails,
+    # or its phase-2 grid cannot be written: none of its grids remain
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(two_seed_config), "--out", str(out)]
+    assert cli.main(argv) == 0
+    kept = {p.name: p.read_bytes() for p in (out / "grids").glob("*_seed0_*")}
+    capsys.readouterr()
+    real_stack, real_export = cli.run_seed_stack, cli._export_grid
+
+    def walk_fails(setups, configs, out_dir):
+        return [RuntimeError("no walk") if config.seed == 1 else walk
+                for config, walk in zip(configs, real_stack(setups, configs, out_dir))]
+
+    def export_fails(config, setup, model, path):
+        if path.name == "fine_tune_seed1_phase02.csv":
+            raise RuntimeError("no export")
+        return real_export(config, setup, model, path)
+
+    if failure == "walk":
+        monkeypatch.setattr(cli, "run_seed_stack", walk_fails)
+    else:
+        monkeypatch.setattr(cli, "_export_grid", export_fails)
+    assert cli.main(argv) == 1
+    assert _failed_lines(capsys.readouterr().err, 1) == [
+        f"fine_tune seed=1: FAILED (RuntimeError: no {failure})"]
+    assert {p.name: p.read_bytes() for p in (out / "grids").iterdir()} == kept
 
 
 def test_pool_size_is_clamped_to_cells_and_cores():
@@ -408,83 +474,83 @@ def test_serial_run_is_one_group(tmp_path, monkeypatch):
     cells = []
     real = cli._run_cell
 
-    def spy(config, seeds, out):
-        cells.append(seeds)
-        return real(config, seeds, out)
+    def spy(config, plan, out):
+        cells.append(plan)
+        return real(config, plan, out)
 
     monkeypatch.setattr(cli, "_run_cell", spy)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     config = tmp_path / "three_seeds.cfg"
     config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-    assert cells == [(0, 1, 2)]
+    assert cells == [[(("fine_tune",), (0, 1, 2))]]
 
 
-def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
-    # --parallel 2 on 3 seeds: groups (0, 1) and (2,). The worker of (2,)
-    # dies once seed 1's last grid is written, so group (0, 1) completes.
-    config = tmp_path / "three_seeds.cfg"
-    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
-    out = tmp_path / "o"
-    last_grid = out / "grids" / "fine_tune_seed1_phase02.csv"
-    real = cli.setup_seeds
-
-    def dies_on_seed_two(benches, run_configs):
-        if any(run_config.seed == 2 for run_config in run_configs):
-            deadline = time.monotonic() + 60
-            while not last_grid.exists() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            time.sleep(0.5)
-            os._exit(3)
-        return real(benches, run_configs)
-
-    monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    rc = cli.main(["run", "--config", str(config), "--out", str(out), "--parallel", "2"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"fine_tune seed=2: FAILED ({DIED})" in err
-    assert "seed=0: FAILED" not in err and "seed=1: FAILED" not in err
-    assert sorted(p.name for p in (out / "records").iterdir()) == [
-        "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
-    assert "completed=2" in (out / "manifest.txt").read_text()
+# cores, --parallel, seeds -> the sizes of the seed groups, and whether a
+# run of full_data and another strategy puts full_data beside the others
+PLANS = [
+    *[(1, parallel, seeds, [seeds], False) for parallel in (1, 2, 3) for seeds in (1, 2, 5)],
+    (2, 1, 1, [1], True), (2, 1, 2, [1, 1], True), (2, 1, 5, [3, 2], True),
+    (2, 2, 1, [1], True), (2, 2, 2, [1, 1], False), (2, 2, 5, [3, 2], False),
+    (2, 3, 1, [1], True), (2, 3, 2, [1, 1], False), (2, 3, 5, [3, 2], False),
+    (4, 1, 1, [1], True), (4, 1, 2, [1, 1], True), (4, 1, 5, [3, 2], True),
+    (4, 2, 1, [1], True), (4, 2, 2, [1, 1], False), (4, 2, 5, [3, 2], False),
+    (4, 3, 1, [1], True), (4, 3, 2, [1, 1], False), (4, 3, 5, [2, 2, 1], False),
+]
 
 
-def test_dying_worker_on_the_default_path_fails_only_its_group(tmp_path, monkeypatch, capsys):
-    # no --parallel, two usable cores, 3 seeds of one strategy: the seed
-    # split runs the groups (0, 1) and (2,), whose worker dies once seed 1's
-    # last grid is written. Seed 2's record of an earlier run goes.
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    config = tmp_path / "three_seeds.cfg"
-    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2"))
-    out = tmp_path / "o"
-    argv = ["run", "--config", str(config), "--out", str(out)]
-    assert cli.main(argv) == 0
-    last_grid = out / "grids" / "fine_tune_seed1_phase02.csv"
-    last_grid.unlink()
-    capsys.readouterr()
-    real = cli.setup_seeds
-    this_process = os.getpid()
+@pytest.mark.parametrize(("cores", "parallel", "seeds", "sizes", "oracle"), PLANS,
+                         ids=[f"{c}cores-parallel{p}-{n}seeds" for c, p, n, *_ in PLANS])
+def test_plan_cells(cores, parallel, seeds, sizes, oracle):
+    for strategies in (("boundary_distill", "fine_tune"), ("full_data",), protocol.STRATEGIES):
+        config = ExperimentConfig(seeds=tuple(range(10, 10 + seeds)), strategies=strategies)
+        cells = cli._plan(config, parallel, cores)
+        if oracle and len(strategies) > 1 and "full_data" in strategies:
+            assert cells == [(strategies[:-1], config.seeds), (("full_data",), config.seeds)]
+        else:
+            assert [cell for cell, _ in cells] == [strategies] * len(sizes)
+            assert [len(group) for _, group in cells] == sizes
+            assert tuple(seed for _, group in cells for seed in group) == config.seeds
+        assert len(cells) <= cores
+        # every (strategy, seed) of the run in exactly one cell
+        assert sorted((s, seed) for cell, group in cells for s in cell for seed in group) == sorted(
+            (s, seed) for s in strategies for seed in config.seeds)
+    assert cli._plan(replace(config, strategies=()), parallel, cores) == []
 
-    def dies_on_seed_two(benches, run_configs):
-        if any(run_config.seed == 2 for run_config in run_configs):
-            if os.getpid() == this_process:
-                raise RuntimeError("seed 2 set up in the CLI process")
-            deadline = time.monotonic() + 60
-            while not last_grid.exists() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            time.sleep(0.5)
-            os._exit(3)
-        return real(benches, run_configs)
 
-    monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if ": FAILED (" in line] == [
-        f"fine_tune seed=2: FAILED ({DIED})"]
-    assert sorted(p.name for p in (out / "records").iterdir()) == [
-        "record_fine_tune_seed0.csv", "record_fine_tune_seed1.csv"]
-    assert "completed=2" in (out / "manifest.txt").read_text()
+# run shapes on two usable cores: extra argv, seeds, strategies
+SHAPES = {
+    "parallel": (["--parallel", "2"], "0,1,2", protocol.STRATEGIES),  # groups (0, 1) and (2,)
+    "seeds": ([], "0,1,2", ("fine_tune",)),  # the same groups, by default
+    "oracle": ([], "0,1", protocol.STRATEGIES),  # full_data beside the other strategies
+}
+
+
+def _shape_argv(tmp_path: Path, shape: str) -> list[str]:
+    extra, seeds, strategies = SHAPES[shape]
+    config = tmp_path / f"{shape}.cfg"
+    config.write_text(TINY.replace("seeds = 0", f"seeds = {seeds}").replace(
+        "strategies = fine_tune", "strategies = " + ",".join(strategies)))
+    return ["run", "--config", str(config), *extra]
+
+
+@pytest.mark.parametrize("shape", ["one_core", *SHAPES])
+def test_run_cell_is_entered_once_in_the_cli_process(shape, tmp_path, monkeypatch):
+    # a traced run times its cells as one cli.cell span, so whatever the
+    # shape, the CLI process calls _run_cell once and no child calls it
+    log = tmp_path / "run_cell_pids.txt"
+    real = cli._run_cell
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_run_cell", logged)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1 if shape == "one_core" else 2)
+    argv = _shape_argv(tmp_path, "oracle" if shape == "one_core" else shape)
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 @pytest.fixture()
@@ -668,53 +734,6 @@ def _files(root: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
-def test_parallel_two_starts_no_oracle_process(two_seed_config, tmp_path, monkeypatch,
-                                               strategy_pids):
-    # --parallel 2 on two seeds: one group per worker, each walking every
-    # strategy, full_data included
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
-                     "--out", str(tmp_path / "o"), "--parallel", "2"]) == 0
-    pids = strategy_pids()
-    assert len(pids["full_data"]) == 2
-    assert all(pids[s] == pids["full_data"] for s in protocol.STRATEGIES)
-
-
-def test_dying_oracle_worker_fails_only_full_data(two_seed_config, tmp_path, monkeypatch,
-                                                  capsys):
-    # the full_data worker dies once the other block's last grid is written,
-    # so the other strategies complete; full_data's records of an earlier
-    # run into the same directory go
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    out = tmp_path / "o"
-    argv = ["run", "--config", str(two_seed_config), "--strategy", "all", "--out", str(out)]
-    assert cli.main(argv) == 0
-    last_grid = out / "grids" / "vanilla_distill_seed1_phase02.csv"
-    last_grid.unlink()
-    capsys.readouterr()
-    real = cli.run_seed_stack
-
-    def oracle_dies(setups, configs, out_dir):
-        if configs[0].strategy == "full_data":
-            deadline = time.monotonic() + 60
-            while not last_grid.exists() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            time.sleep(0.5)
-            os._exit(3)
-        return real(setups, configs, out_dir)
-
-    monkeypatch.setattr(cli, "run_seed_stack", oracle_dies)
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    failed = [line for line in err.splitlines() if ": FAILED (" in line]
-    assert failed == [f"full_data seed={seed}: FAILED ({DIED})" for seed in (0, 1)]
-    assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
-        f"record_{s}_seed{seed}.csv" for s in protocol.STRATEGIES if s != "full_data"
-        for seed in (0, 1))
-    manifest = (out / "manifest.txt").read_text()
-    assert "completed=6" in manifest and "failed=2" in manifest
-
-
 def test_dying_oracle_worker_leaves_the_running_block_alone(two_seed_config, tmp_path,
                                                            monkeypatch, capsys):
     # the full_data child dies while the other block's child still runs:
@@ -748,6 +767,74 @@ def test_dying_oracle_worker_leaves_the_running_block_alone(two_seed_config, tmp
         for seed in (0, 1))
     manifest = (out / "manifest.txt").read_text()
     assert "completed=6" in manifest and "failed=2" in manifest
+
+
+def _a_dying_child_fails_only_its_cell(shape, tmp_path, monkeypatch, capsys):
+    # a rerun into a clean run's output on two usable cores, in which the
+    # child of the last cell dies: in seed 2's setup for the seed groups, in
+    # the full_data stack for the oracle split. Only that cell's pairs fail,
+    # keeping no record or grid of the first run; the other cells keep theirs
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    out = tmp_path / "o"
+    argv = [*_shape_argv(tmp_path, shape), "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _, seeds, strategies = SHAPES[shape]
+    pairs = [(s, int(seed)) for s in strategies for seed in seeds.split(",")]
+    dead = [(s, seed) for s, seed in pairs if (s == "full_data" if shape == "oracle" else seed == 2)]
+    real_setup, real_stack = cli.setup_seeds, cli.run_seed_stack
+    this_process = os.getpid()
+
+    def dies_on_seed_two(benches, configs):
+        if any(config.seed == 2 for config in configs):
+            if os.getpid() == this_process:
+                raise RuntimeError("seed 2 set up in the CLI process")
+            os._exit(3)
+        return real_setup(benches, configs)
+
+    def oracle_dies(setups, configs, out_dir):
+        if configs[0].strategy == "full_data" and os.getpid() != this_process:
+            os._exit(3)
+        return real_stack(setups, configs, out_dir)
+
+    if shape == "oracle":
+        monkeypatch.setattr(cli, "run_seed_stack", oracle_dies)
+    else:
+        monkeypatch.setattr(cli, "setup_seeds", dies_on_seed_two)
+    assert cli.main(argv) == 1
+    printed = capsys.readouterr()
+    assert [line for line in printed.err.splitlines() if ": FAILED (" in line] == [
+        f"{s} seed={seed}: FAILED ({DIED})" for s, seed in dead]
+    kept = [pair for pair in pairs if pair not in dead]
+    assert printed.out.count("pp=") == len(kept)
+    assert sorted(p.name for p in (out / "records").glob("record_*.csv")) == sorted(
+        f"record_{s}_seed{seed}.csv" for s, seed in kept)
+    assert sorted(p.name for p in (out / "grids").iterdir()) == sorted(
+        f"{s}_seed{seed}_phase{t:02d}.csv" for s, seed in kept for t in (0, 1, 2))
+    manifest = (out / "manifest.txt").read_text()
+    assert f"completed={len(kept)}" in manifest and f"failed={len(dead)}" in manifest
+
+
+@pytest.mark.parametrize("shape", ["seeds", "oracle"])
+def test_a_dying_child_fails_only_its_cell(shape, tmp_path, monkeypatch, capsys):
+    _a_dying_child_fails_only_its_cell(shape, tmp_path, monkeypatch, capsys)
+
+
+def test_dying_worker_fails_only_its_group(tmp_path, monkeypatch, capsys):
+    # --parallel 2 on 3 seeds: the child of group (2,) dies, group (0, 1) completes
+    _a_dying_child_fails_only_its_cell("parallel", tmp_path, monkeypatch, capsys)
+
+
+def test_parallel_two_starts_no_oracle_process(two_seed_config, tmp_path, monkeypatch,
+                                               strategy_pids):
+    # --parallel 2 on two seeds: one group per child, each walking every
+    # strategy, full_data included
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    assert cli.main(["run", "--config", str(two_seed_config), "--strategy", "all",
+                     "--out", str(tmp_path / "o"), "--parallel", "2"]) == 0
+    pids = strategy_pids()
+    assert len(pids["full_data"]) == 2
+    assert all(pids[s] == pids["full_data"] for s in protocol.STRATEGIES)
 
 
 def test_a_raising_cli_process_reaps_every_child(two_seed_config, tmp_path, monkeypatch):
