@@ -298,7 +298,9 @@ def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str
                        walk: tuple | Exception, out: Path) -> dict:
     """The outcome of one seed's phase walk, after exporting the grids of
     its phases past phase 0 (see _setup_group). A walk or an export that
-    fails leaves none of the (strategy, seed)'s grids."""
+    fails leaves none of the (strategy, seed)'s grids, and an export that
+    fails none of its records either: only a diverged walk keeps its
+    partial record."""
     seed = setup.base_config.seed
     if not isinstance(walk, Exception):
         try:
@@ -309,6 +311,7 @@ def _grids_and_outcome(config: ExperimentConfig, setup: SeedSetup, strategy: str
             return {"strategy": strategy, "seed": seed, "status": "ok", "pp": record.pp,
                     "forgetting": record.forgetting}
         except Exception as exc:  # noqa: BLE001 - cell failures must not kill the matrix
+            clear_records(out / "records", strategy, seed)
             walk = exc
     _clear_grids(out, strategy, seed)
     return _failure(walk, strategy=strategy, seed=seed)

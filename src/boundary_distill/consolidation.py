@@ -49,8 +49,7 @@ class ConsolidationSchedule:
 class EmaState:
     """Teacher parameters plus the consolidations of this phase.
 
-    history records (epoch, alpha) per consolidation, serializable as
-    key=value lines for run diagnostics.
+    history records (epoch, alpha) per consolidation.
     """
 
     teacher: np.ndarray
@@ -112,14 +111,6 @@ def closed_form_teacher(
     for i, s in enumerate(students, start=1):
         total = total + alpha ** (n - i) * (1.0 - alpha) * np.asarray(s, dtype=np.float64)
     return total
-
-
-def history_text(state: EmaState) -> str:
-    """Consolidation history as key=value blocks (one per event)."""
-    blocks = []
-    for i, (epoch, alpha) in enumerate(state.history, start=1):
-        blocks.append(f"n={i}\nepoch={epoch}\nalpha={alpha!r}\n")
-    return "\n".join(blocks)
 
 
 def with_mode(sched: ConsolidationSchedule, mode: str) -> ConsolidationSchedule:

@@ -374,14 +374,12 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     return Dataset(np.frombuffer(feats).reshape(len(labels), -1), np.array(labels, dtype=np.int64))
 
 
-def save_csv(dataset: Dataset, path: str, feature_names: tuple[str, ...] | None = None) -> None:
-    """Write a Dataset as CSV with full-precision floats (repr round-trip)."""
-    names = feature_names or tuple(f"f{i}" for i in range(dataset.dim))
-    if len(names) != dataset.dim:
-        raise ValueError(f"need {dataset.dim} feature names, got {len(names)}")
+def save_csv(dataset: Dataset, path: str) -> None:
+    """Write a Dataset as CSV with columns f0, f1, ..., label and
+    full-precision floats (repr round-trip)."""
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow([*names, "label"])
+    writer.writerow([*(f"f{i}" for i in range(dataset.dim)), "label"])
     for row, label in zip(dataset.features, dataset.labels):
         writer.writerow([*(repr(float(v)) for v in row), int(label)])
     write_atomic(path, text.getvalue())

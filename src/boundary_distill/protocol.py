@@ -33,7 +33,6 @@ from .consolidation import (
     EmaState,
     adaptive_momentum,
     consolidate,
-    history_text,
     should_consolidate,
 )
 from .data import (
@@ -960,8 +959,9 @@ def run_phases(
     model-space benchmark plus the stats of its base split, so the
     perturbation op's contract holds verbatim. On a phase failure the
     partial record is flushed to out_dir (when given) before the exception
-    propagates. Either replaces every record and consolidation log that an
-    earlier run of the strategy and seed left there. This is run_seed_stack on a group of one.
+    propagates. Either replaces the record and partial record that an
+    earlier run of the strategy and seed left there. This is
+    run_seed_stack on a group of one.
     """
     return _one(run_seed_stack([setup], [config], out_dir))
 
@@ -1050,9 +1050,8 @@ def _finish(
     out_dir: str | Path | None,
 ) -> tuple[list[PhaseResult], MetricsRecord] | Exception:
     """Write one seed's record (its partial record when `error` is set,
-    which is returned instead), after removing the record, partial record
-    and consolidation log that an earlier run of its strategy and seed
-    left in out_dir."""
+    which is returned instead), after removing the record and partial
+    record that an earlier run of its strategy and seed left in out_dir."""
     if out_dir is not None:
         out_dir = Path(out_dir)
         clear_records(out_dir, config.strategy, config.seed)
@@ -1063,8 +1062,6 @@ def _finish(
     record = _record_from_results(results, config)
     if out_dir is not None:
         write_record_csv(record, out_dir)
-        if config.strategy == "boundary_distill":
-            _write_consolidation_log(results, _log_path(out_dir, config.strategy, config.seed))
     return results, record
 
 
@@ -1116,24 +1113,9 @@ def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
     return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
 
 
-def _log_path(out_dir: Path, strategy: str, seed: int) -> Path:
-    return out_dir / f"consolidation_{strategy}_seed{seed}.txt"
-
-
 def clear_records(out_dir: Path, strategy: str, seed: int) -> None:
-    """Remove the record, partial record and consolidation log that an
-    earlier run of (strategy, seed) left in out_dir."""
+    """Remove the record and partial record that an earlier run of
+    (strategy, seed) left in out_dir."""
     for path in (_record_path(out_dir, strategy, seed),
-                 _record_path(out_dir, strategy + "(partial)", seed),
-                 _log_path(out_dir, strategy, seed)):
+                 _record_path(out_dir, strategy + "(partial)", seed)):
         path.unlink(missing_ok=True)
-
-
-def _write_consolidation_log(results: list[PhaseResult], path: Path) -> None:
-    blocks = []
-    for r in results:
-        if r.ema_history:
-            state = EmaState(teacher=r.model, history=r.ema_history)
-            blocks.append(f"phase={r.phase_index}\n" + history_text(state))
-    if blocks:
-        write_atomic(path, "\n".join(blocks))

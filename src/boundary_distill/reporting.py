@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,36 +19,20 @@ from .metrics import MetricsRecord, PhaseAccuracy
 from .network import NetworkSpec, forward
 
 
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Dense class/confidence evaluation of a 2-d model over a rectangle.
-
-    classes[i, j] and probs[i, j] correspond to y index i (rows) and
-    x index j (columns); cell centers come from inclusive linspace over
-    the ranges, resolution points per axis.
-    """
-
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    resolution: int
-    classes: np.ndarray
-    probs: np.ndarray
-
-
 def export_boundary_grid(
     model: np.ndarray,
     spec: NetworkSpec,
     x_range: tuple[float, float],
     y_range: tuple[float, float],
     resolution: int,
-    path: str | Path | None = None,
-) -> BoundaryGrid:
-    """Evaluate the model on a resolution x resolution grid of cell centers.
+    path: str | Path,
+) -> None:
+    """Write the model's class and top-1 probability at the cell centers
+    of a resolution x resolution grid (inclusive linspace over each range)
+    to `path` as CSV with columns x,y,class,prob, rows in y-major order.
 
     Only defined for 2-d inputs; for higher-dimensional models, project or
-    slice down to two dimensions before exporting. When `path` is given
-    the grid is also written as CSV with columns x,y,class,prob (rows in
-    y-major order).
+    slice down to two dimensions before exporting.
     """
     if spec.input_dim != 2:
         raise ValueError(
@@ -64,19 +47,10 @@ def export_boundary_grid(
     probs = forward(model, spec, points)
     classes = np.argmax(probs, axis=1)
     confidence = probs[np.arange(points.shape[0]), classes]
-    grid = BoundaryGrid(
-        x_range=x_range,
-        y_range=y_range,
-        resolution=resolution,
-        classes=classes.reshape(resolution, resolution),
-        probs=confidence.reshape(resolution, resolution),
-    )
-    if path is not None:
-        # the same bytes as csv.writer gives (repr'd floats need no quoting)
-        cells = zip(prefixes, classes.tolist(), confidence.tolist())
-        write_atomic(path, "x,y,class,prob\r\n" + "".join([f"{xy}{cls},{prob!r}\r\n"
-                                                            for xy, cls, prob in cells]))
-    return grid
+    # the same bytes as csv.writer gives (repr'd floats need no quoting)
+    cells = zip(prefixes, classes.tolist(), confidence.tolist())
+    write_atomic(path, "x,y,class,prob\r\n" + "".join([f"{xy}{cls},{prob!r}\r\n"
+                                                        for xy, cls, prob in cells]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -97,8 +71,8 @@ def _grid_layout(
 
 
 # The 97.5 % Student-t quantiles for df = 1..100, exactly as
-# t_confidence_interval computes them, so that a 95 % report over at most
-# 101 values loads no SciPy. Generated with SciPy 1.17.1 by
+# t_confidence_interval computes them, so that a report over at most 101
+# values loads no SciPy. Generated with SciPy 1.17.1 by
 # tuple(float(scipy.special.stdtrit(df, 0.5 + 0.95 / 2.0)) for df in range(1, 101))
 _T_QUANTILES_95 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
@@ -148,21 +122,21 @@ def median(values: "list[float]") -> float:
     return (0.0 + v[mid - 1] + v[mid]) / 2
 
 
-def t_confidence_interval(values: "list[float] | np.ndarray", confidence: float = 0.95) -> tuple[float, float]:
-    """(mean, halfwidth) of the Student-t interval over independent runs."""
+def t_confidence_interval(values: "list[float] | np.ndarray") -> tuple[float, float]:
+    """(mean, halfwidth) of the 95 % Student-t interval over independent runs."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         raise ValueError(f"need at least two values for an interval, got {v.size}")
     mean = float(v.mean())
     sem = float(v.std(ddof=1) / np.sqrt(v.size))
     df = v.size - 1
-    if confidence == 0.95 and df <= len(_T_QUANTILES_95):
+    if df <= len(_T_QUANTILES_95):
         quantile = _T_QUANTILES_95[df - 1]
     else:
         # imported here so that only such intervals pay for loading SciPy;
         # stdtrit is the function scipy.stats.t.ppf calls, without scipy.stats
         from scipy.special import stdtrit
-        quantile = float(stdtrit(df, 0.5 + confidence / 2.0))
+        quantile = float(stdtrit(df, 0.5 + 0.95 / 2.0))
     return mean, quantile * sem
 
 

@@ -119,22 +119,37 @@ def test_seed_flag_changes_split(tiny_config, tmp_path):
 
 
 def test_run_produces_records_grids_manifest(tiny_config, tmp_path, capsys):
+    # boundary_distill's teacher consolidates, at epochs 2 and 3 of each phase
+    tiny_config.write_text(TINY + "consolidate.freeze_epochs = 1\nconsolidate.period_epochs = 1\n")
     out = tmp_path / "o"
-    rc = cli.main(["run", "--config", str(tiny_config), "--out", str(out)])
+    rc = cli.main(["run", "--config", str(tiny_config), "--out", str(out),
+                   "--strategy", "fine_tune", "--strategy", "boundary_distill"])
     assert rc == 0
     record_path = out / "records" / "record_fine_tune_seed0.csv"
     record = read_record_csv(record_path)
     assert record.strategy == "fine_tune"
     assert [p.phase for p in record.per_phase] == [0, 1, 2]
-    grids = sorted(p.name for p in (out / "grids").iterdir())
-    assert grids == [f"fine_tune_seed0_phase{t:02d}.csv" for t in (0, 1, 2)]
     manifest = (out / "manifest.txt").read_text()
     assert "status=ok" in manifest
-    assert "completed=1" in manifest
+    assert "completed=2" in manifest
     assert "fine_tune seed=0: pp=" in capsys.readouterr().out
-    # the resolved config re-parses to the file config plus the flag override
+    # the resolved config re-parses to the file config plus the flag overrides
     resolved = load_config(out / "config.resolved")
-    assert resolved == replace(load_config(tiny_config), out_dir=str(out))
+    assert resolved == replace(load_config(tiny_config), out_dir=str(out),
+                               strategies=("fine_tune", "boundary_distill"))
+    assert cli.main(["report", str(out)]) == 0
+    # every file that run and report write, and nothing else
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+        "config.resolved",
+        *(f"grids/{s}_seed0_phase{t:02d}.csv" for s in ("boundary_distill", "fine_tune")
+          for t in (0, 1, 2)),
+        "manifest.txt",
+        "records/record_boundary_distill_seed0.csv",
+        "records/record_fine_tune_seed0.csv",
+        "report/manifest.txt",
+        "report/per_phase.csv",
+        "report/summary.csv",
+    ]
 
 
 def test_run_parallel_matches_serial(tiny_config, tmp_path):
@@ -197,8 +212,7 @@ def test_failed_setup_clears_the_earlier_records(tmp_path, capsys):
         protocol.STRATEGIES)))
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    for name in ("record_fine_tune_partial_seed0.csv", "consolidation_boundary_distill_seed0.txt"):
-        (out / "records" / name).write_text("left over\n")
+    (out / "records" / "record_fine_tune_partial_seed0.csv").write_text("left over\n")
     config.write_text(config.read_text() + "train.lr_base = 1e308\n")
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
@@ -379,7 +393,8 @@ def test_a_phase0_grid_that_cannot_be_exported_fails_its_seed(cores, two_seed_co
 def test_a_failed_walk_or_grid_export_keeps_no_grids(failure, two_seed_config, tmp_path,
                                                      monkeypatch, capsys):
     # a rerun into the output of a clean run, in which seed 1's walk fails,
-    # or its phase-2 grid cannot be written: none of its grids remain
+    # or its phase-2 grid cannot be written: none of its grids remain, and
+    # after a failed export none of its records either
     out = tmp_path / "o"
     argv = ["run", "--config", str(two_seed_config), "--out", str(out)]
     assert cli.main(argv) == 0
@@ -404,6 +419,9 @@ def test_a_failed_walk_or_grid_export_keeps_no_grids(failure, two_seed_config, t
     assert _failed_lines(capsys.readouterr().err, 1) == [
         f"fine_tune seed=1: FAILED (RuntimeError: no {failure})"]
     assert {p.name: p.read_bytes() for p in (out / "grids").iterdir()} == kept
+    records = sorted(p.name for p in (out / "records").iterdir())
+    assert ("record_fine_tune_seed1.csv" in records) == (failure == "walk")
+    assert "record_fine_tune_seed0.csv" in records
 
 
 def test_pool_size_is_clamped_to_cells_and_cores():

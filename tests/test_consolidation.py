@@ -9,7 +9,6 @@ from boundary_distill.consolidation import (
     adaptive_momentum,
     closed_form_teacher,
     consolidate,
-    history_text,
     should_consolidate,
     with_mode,
 )
@@ -110,7 +109,3 @@ def test_history_records_epoch_and_alpha():
     state = consolidate(state, np.ones(2), alpha=0.25, epoch=15)
     state = consolidate(state, np.ones(2), alpha=0.125, epoch=20)
     assert state.history == ((15, 0.25), (20, 0.125))
-    text = history_text(state)
-    assert "epoch=15" in text
-    assert "alpha=0.25" in text
-    assert "n=2" in text

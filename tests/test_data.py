@@ -449,8 +449,3 @@ class TestCsv:
                 load_csv(path, CsvSchema(feature_cols=cols))
         assert load_csv(path, CsvSchema(feature_cols=("f1", "f0"))).features.tolist() == [
             [2.0, 1.0], [4.0, 3.0]]
-
-    def test_save_csv_name_count_checked(self, tmp_path):
-        ds = Dataset(np.ones((2, 2)), np.zeros(2, dtype=int))
-        with pytest.raises(ValueError, match="feature names"):
-            save_csv(ds, str(tmp_path / "x.csv"), feature_names=("only_one",))

@@ -904,16 +904,6 @@ class TestRunBenchmark:
             run_benchmark(bench, replace(config, lr_incremental=1e300), out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["record_fine_tune_partial_seed0.csv"]
 
-    def test_rerun_without_consolidation_removes_log(self, tmp_path):
-        bench = _drift_bench(seed=0, phases=2)
-        config = RunConfig(epochs_per_phase=3, seed=0,
-                           sched=ConsolidationSchedule(freeze_epochs=1, period_epochs=1))
-        run_benchmark(bench, config, out_dir=tmp_path)
-        assert (tmp_path / "consolidation_boundary_distill_seed0.txt").exists()
-        run_benchmark(bench, replace(config, sched=replace(config.sched, mode="off")),
-                      out_dir=tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["record_boundary_distill_seed0.csv"]
-
 
 class TestDivergence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
