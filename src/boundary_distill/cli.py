@@ -29,15 +29,15 @@ from .protocol import (
     STRATEGIES,
     SeedSetup,
     _boundary_distill_lanes,
-    clear_records,
     run_seed_stack,
     setup_seeds,
 )
 from .reporting import (
+    clear_records,
     export_boundary_grid,
     export_report,
     median,
-    read_record_csv,
+    read_records,
     write_manifest,
 )
 
@@ -625,15 +625,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
-    if not results_dir.exists():
-        raise FileNotFoundError(f"{results_dir} does not exist")
-    candidates = sorted((results_dir / "records").glob("record_*.csv")) or sorted(
-        results_dir.glob("record_*.csv")
-    )
-    if not candidates:
-        raise FileNotFoundError(f"no record_*.csv files under {results_dir}")
-    records = [read_record_csv(p) for p in candidates]
-    paths = export_report(records, results_dir / "report")
+    paths = export_report(read_records(results_dir), results_dir / "report")
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

@@ -46,11 +46,11 @@ from .data import (
     row_blocks,
     standardize,
     take_rows,
-    write_atomic,
 )
 from .distill import DistillBatches, DistillLossTerms, FuseConfig, LabelAssignment, NoiseSpec
 from .metrics import MetricsRecord, PhaseAccuracy, accuracy, forgetting_rate, performance_promotion
 from .network import NetworkSpec, Trainer, forward, init_network, one_hot
+from .reporting import clear_records, write_record_csv
 from .seeding import PhaseStreams, derive_seed, rng_for
 
 STRATEGIES = ("boundary_distill", "fine_tune", "vanilla_distill", "full_data")
@@ -1052,17 +1052,11 @@ def _finish(
     """Write one seed's record (its partial record when `error` is set,
     which is returned instead), after removing the record and partial
     record that an earlier run of its strategy and seed left in out_dir."""
+    record = _record_from_results(results, config, partial=error is not None)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        clear_records(out_dir, config.strategy, config.seed)
-    if error is not None:
-        if out_dir is not None:
-            write_record_csv(_record_from_results(results, config, partial=True), out_dir)
-        return error
-    record = _record_from_results(results, config)
-    if out_dir is not None:
-        write_record_csv(record, out_dir)
-    return results, record
+        clear_records(Path(out_dir), config.strategy, config.seed)
+        write_record_csv(record, Path(out_dir))
+    return error if error is not None else (results, record)
 
 
 def run_benchmark(
@@ -1093,29 +1087,3 @@ def _record_from_results(
     strategy = config.strategy + ("(partial)" if partial else "")
     return MetricsRecord(strategy=strategy, seed=config.seed, per_phase=per_phase, pp=pp,
                          forgetting=forgetting, config_digest=config.digest())
-
-
-def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
-    """One CSV per run: the canonical, byte-reproducible record format."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = _record_path(out_dir, record.strategy, record.seed)
-    lines = ["strategy,seed,phase,acc_test,acc_base,pp,forgetting,config_digest"]
-    for p in record.per_phase:
-        lines.append(
-            f"{record.strategy},{record.seed},{p.phase},{p.acc_test!r},{p.acc_base!r},"
-            f"{record.pp!r},{record.forgetting!r},{record.config_digest}"
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
-    return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
-
-
-def clear_records(out_dir: Path, strategy: str, seed: int) -> None:
-    """Remove the record and partial record that an earlier run of
-    (strategy, seed) left in out_dir."""
-    for path in (_record_path(out_dir, strategy, seed),
-                 _record_path(out_dir, strategy + "(partial)", seed)):
-        path.unlink(missing_ok=True)

@@ -1,4 +1,4 @@
-"""Report files: boundary grids, per-phase series, summaries, manifests.
+"""Report files: run records, boundary grids, per-phase series, summaries, manifests.
 
 Every float is written with repr() so parsing a report reproduces the
 in-memory values bit for bit. Accuracy-like columns additionally get a
@@ -232,6 +232,45 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
     return {"per_phase": per_phase_path, "summary": summary_path, "manifest": manifest_path}
 
 
+# the columns of a record file, which holds one row per phase
+RECORD_COLUMNS = ("strategy", "seed", "phase", "acc_test", "acc_base", "pp", "forgetting",
+                  "config_digest")
+
+
+def write_record_csv(record: MetricsRecord, out_dir: Path) -> Path:
+    """One CSV per run: the canonical, byte-reproducible record format."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = _record_path(out_dir, record.strategy, record.seed)
+    write_atomic(path, "".join([",".join(RECORD_COLUMNS) + "\n"] + [
+        f"{record.strategy},{record.seed},{p.phase},{p.acc_test!r},{p.acc_base!r},"
+        f"{record.pp!r},{record.forgetting!r},{record.config_digest}\n" for p in record.per_phase]))
+    return path
+
+
+def _record_path(out_dir: Path, strategy: str, seed: int) -> Path:
+    return out_dir / f"record_{strategy.replace('(partial)', '_partial')}_seed{seed}.csv"
+
+
+def clear_records(out_dir: Path, strategy: str, seed: int) -> None:
+    """Remove the record and partial record that an earlier run of
+    (strategy, seed) left in out_dir."""
+    for path in (_record_path(out_dir, strategy, seed),
+                 _record_path(out_dir, strategy + "(partial)", seed)):
+        path.unlink(missing_ok=True)
+
+
+def read_records(results_dir: Path) -> list[MetricsRecord]:
+    """The records under results_dir/records (where run writes them), else
+    those in results_dir itself, in file name order."""
+    if not results_dir.exists():
+        raise FileNotFoundError(f"{results_dir} does not exist")
+    paths = sorted((results_dir / "records").glob("record_*.csv")) or sorted(
+        results_dir.glob("record_*.csv"))
+    if not paths:
+        raise FileNotFoundError(f"no record_*.csv files under {results_dir}")
+    return [read_record_csv(path) for path in paths]
+
+
 def read_record_csv(path: str | Path) -> MetricsRecord:
     """Parse one canonical per-run record file."""
     with open(path, newline="") as fh:
@@ -239,8 +278,7 @@ def read_record_csv(path: str | Path) -> MetricsRecord:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty record file")
-    missing = [c for c in ("strategy", "seed", "phase", "acc_test", "acc_base", "pp",
-                           "forgetting", "config_digest") if c not in reader.fieldnames]
+    missing = [c for c in RECORD_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
     first = rows[0]
