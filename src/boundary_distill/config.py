@@ -11,6 +11,7 @@ experiment identically.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -224,10 +225,12 @@ class ExperimentConfig:
         )
 
     def build_benchmark(self, seed: int) -> IILBenchmark:
-        """Materialize the benchmark for one run seed."""
+        """Materialize the benchmark for one run seed, with the data digest
+        of this config (see _data_digest)."""
         if self.data_source == "synthetic":
             return drift_benchmark(self.synthetic_spec(derive_seed(seed, "data")),
-                                   self.num_phases, self.synth_test_per_class)
+                                   self.num_phases, self.synth_test_per_class,
+                                   data_digest=self._data_digest)
         train, test = self._csv_datasets
         return split_benchmark(
             train,
@@ -237,7 +240,23 @@ class ExperimentConfig:
             imbalance=self.imbalance,
             test=test,
             dirichlet_alpha=self.dirichlet_alpha,
+            data_digest=self._data_digest,
         )
+
+    @functools.cached_property
+    def _data_digest(self) -> str:
+        """The sha256 of the data section (every data.*, synthetic.* and
+        csv.* line that dump_config writes) and, on the CSV route, of the
+        bytes of both files: what a record's config_digest knows of the data
+        (see RunConfig.digest). Cached per config object, as _csv_datasets is."""
+        digest = hashlib.sha256("".join(
+            line for line in dump_config(self).splitlines(keepends=True)
+            if line.startswith(("data.", "synthetic.", "csv."))).encode("utf-8"))
+        if self.data_source == "csv":
+            for path in (self.csv_train_path, self.csv_test_path):
+                with open(path, "rb") as fh:
+                    digest.update(hashlib.file_digest(fh, "sha256").digest())
+        return digest.hexdigest()
 
     @functools.cached_property
     def _csv_datasets(self) -> tuple[Dataset, Dataset]:

@@ -65,13 +65,17 @@ class IILBenchmark:
 
     Phases must be pairwise disjoint and small relative to the base pool
     (each at most MAX_PHASE_FRACTION of it). Every class must appear in the
-    base pool: the class space is fixed before increments begin.
+    base pool: the class space is fixed before increments begin. data_digest
+    identifies the data a config built it from (see
+    ExperimentConfig.build_benchmark), and is empty for a benchmark built by
+    hand; each record's config_digest covers it (see RunConfig.digest).
     """
 
     base: Dataset
     phases: tuple[Dataset, ...]
     test: Dataset
     num_classes: int
+    data_digest: str = ""
 
     def __post_init__(self) -> None:
         # Zero phases is legal: the run then consists of the base model only.
@@ -169,11 +173,15 @@ class RunConfig:
     def network_spec(self, input_dim: int, num_classes: int) -> NetworkSpec:
         return NetworkSpec((input_dim, *self.hidden_layers, num_classes), self.activation)
 
-    def digest(self) -> str:
-        """Stable hash of the full configuration (for record identity)."""
+    def digest(self, data_digest: str = "") -> str:
+        """Stable hash of every field but the seed, and of the benchmark's
+        data_digest: the identity of an experiment's records, which every
+        seed of a strategy shares (the seed has a record column of its own)."""
         import json  # here, so that a sweep, which writes no record, loads no json
 
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        knobs = asdict(self)
+        del knobs["seed"]
+        payload = json.dumps([knobs, data_digest], sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -222,6 +230,7 @@ def split_benchmark(
     test: Dataset,
     imbalance: str = "uniform_random",
     dirichlet_alpha: float = 5.0,
+    data_digest: str = "",
 ) -> IILBenchmark:
     """Partition a labeled dataset into base + phase pools.
 
@@ -279,6 +288,7 @@ def split_benchmark(
         phases=tuple(dataset.subset(p) for p in phase_parts),
         test=test,
         num_classes=num_classes,
+        data_digest=data_digest,
     )
 
 
@@ -306,13 +316,15 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def drift_benchmark(spec: SyntheticSpec, num_phases: int, test_per_class: int = 50) -> IILBenchmark:
+def drift_benchmark(spec: SyntheticSpec, num_phases: int, test_per_class: int = 50,
+                    data_digest: str = "") -> IILBenchmark:
     """Assemble the synthetic drifting benchmark from its generators."""
     return IILBenchmark(
         base=gen_base(spec),
         phases=tuple(gen_phase(spec, t) for t in range(1, num_phases + 1)),
         test=gen_test(spec, num_phases, test_per_class),
         num_classes=spec.num_classes,
+        data_digest=data_digest,
     )
 
 
@@ -328,7 +340,8 @@ def standardized_benchmark(bench: IILBenchmark) -> IILBenchmark:
         return Dataset(standardize(ds.features, stats), ds.labels.copy())
 
     return IILBenchmark(base=_tx(bench.base), phases=tuple(_tx(p) for p in bench.phases),
-                        test=_tx(bench.test), num_classes=bench.num_classes)
+                        test=_tx(bench.test), num_classes=bench.num_classes,
+                        data_digest=bench.data_digest)
 
 
 # --- training loops ---------------------------------------------------------
@@ -1011,8 +1024,8 @@ def run_seed_stack(
             member_errors = [e or exc for e in member_errors]
         for s, error in zip(members, member_errors):
             errors[s] = error
-    return [_finish(res, config, error, out_dir)
-            for res, config, error in zip(results, configs, errors)]
+    return [_finish(res, config, setup.bench.data_digest, error, out_dir)
+            for res, config, setup, error in zip(results, configs, setups, errors)]
 
 
 def _walk_stack(
@@ -1046,13 +1059,14 @@ def _walk_stack(
 def _finish(
     results: list[PhaseResult],
     config: RunConfig,
+    data_digest: str,
     error: Exception | None,
     out_dir: str | Path | None,
 ) -> tuple[list[PhaseResult], MetricsRecord] | Exception:
     """Write one seed's record (its partial record when `error` is set,
     which is returned instead), after removing the record and partial
     record that an earlier run of its strategy and seed left in out_dir."""
-    record = _record_from_results(results, config, partial=error is not None)
+    record = _record_from_results(results, config, data_digest, partial=error is not None)
     if out_dir is not None:
         clear_records(Path(out_dir), config.strategy, config.seed)
         write_record_csv(record, Path(out_dir))
@@ -1074,7 +1088,7 @@ def run_benchmark(
 
 
 def _record_from_results(
-    results: list[PhaseResult], config: RunConfig, partial: bool = False
+    results: list[PhaseResult], config: RunConfig, data_digest: str = "", partial: bool = False
 ) -> MetricsRecord:
     per_phase = tuple(
         PhaseAccuracy(phase=r.phase_index, acc_test=r.acc_test, acc_base=r.acc_base)
@@ -1086,4 +1100,4 @@ def _record_from_results(
         forgetting = forgetting_rate(per_phase[-1].acc_base, per_phase[0].acc_base)
     strategy = config.strategy + ("(partial)" if partial else "")
     return MetricsRecord(strategy=strategy, seed=config.seed, per_phase=per_phase, pp=pp,
-                         forgetting=forgetting, config_digest=config.digest())
+                         forgetting=forgetting, config_digest=config.digest(data_digest))

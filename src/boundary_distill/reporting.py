@@ -148,9 +148,21 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
     and forgetting, plus per-strategy median/mean/95% CI columns repeated
     on each row of the strategy's group. manifest.txt: key=value lines
     identifying the report deterministically (no timestamps).
+
+    Raises ValueError, before writing anything, when the records of one
+    strategy carry more than one config_digest: they come from different
+    experiments, which a median or mean must not mix.
     """
     if not records:
         raise ValueError("no records to report")
+    by_strategy: dict[str, list[MetricsRecord]] = {}
+    for rec in records:
+        by_strategy.setdefault(rec.strategy, []).append(rec)
+    for strategy, group in by_strategy.items():
+        digests = sorted({rec.config_digest for rec in group})
+        if len(digests) > 1:
+            raise ValueError(f"the {strategy} records come from {len(digests)} experiments, "
+                             f"config_digest {', '.join(digests)}; report each on its own")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -175,9 +187,6 @@ def export_report(records: list[MetricsRecord], out_dir: str | Path) -> dict[str
             )
     write_atomic(per_phase_path, text.getvalue())
 
-    by_strategy: dict[str, list[MetricsRecord]] = {}
-    for rec in records:
-        by_strategy.setdefault(rec.strategy, []).append(rec)
     group_stats: dict[str, dict[str, float]] = {}
     for strategy, group in by_strategy.items():
         entry = group_stats[strategy] = {}

@@ -885,17 +885,24 @@ def test_a_raising_cli_process_reaps_every_child(two_seed_config, tmp_path, monk
         real_waitpid(-1, os.WNOHANG)
 
 
-def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
+def _three_class_csv_config(tmp_path: Path, seeds: str) -> Path:
+    """TINY with ten phases on the CSV route, over train.csv and test.csv
+    files of three separated classes."""
     rng = np.random.default_rng(0)
     for name, rows in (("train.csv", 600), ("test.csv", 120)):
         labels = np.arange(rows) % 3
         features = 3.0 * labels[:, None] + rng.standard_normal((rows, 2))
         save_csv(Dataset(features, labels), str(tmp_path / name))
     config = tmp_path / "csv.cfg"
-    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1").replace("num_phases = 2",
-                                                                      "num_phases = 10")
+    config.write_text(TINY.replace("seeds = 0", f"seeds = {seeds}").replace("num_phases = 2",
+                                                                           "num_phases = 10")
                       + f"data.source = csv\ncsv.train_path = {tmp_path / 'train.csv'}\n"
                       f"csv.test_path = {tmp_path / 'test.csv'}\n")
+    return config
+
+
+def test_csv_files_are_parsed_once_per_group(tmp_path, monkeypatch):
+    config = _three_class_csv_config(tmp_path, "0,1")
     parsed = []
     real = config_module.load_csv
 
@@ -1157,9 +1164,10 @@ def test_config_round_trips_every_value_type(tmp_path):
         assert load_config(path) == config
 
 
-# dump_config(ExperimentConfig()) and the default RunConfig digest of each
-# strategy: a refactor of the config code must leave both unchanged, since
-# every record carries the digest and config.resolved re-runs the experiment
+# dump_config(ExperimentConfig()) and the config_digest of each strategy's
+# records under it: a refactor of the config code must leave both unchanged,
+# since every record carries the digest and config.resolved re-runs the
+# experiment
 DEFAULT_DUMP = """\
 data.source = synthetic
 data.num_phases = 10
@@ -1211,17 +1219,95 @@ grid.lambda = 0.1,0.5,1.0,2.0,5.0,10.0
 grid.resolution = 50
 """
 DEFAULT_DIGESTS = {
-    "boundary_distill": "98f22945bcbe221aceba0c7c65bbdfc78551d26a1501197d1524495ea096a7f1",
-    "fine_tune": "892c618fbe3b2495771a17d4a85ae4e346c924fa78f3695b75150d16a5dea0d3",
-    "vanilla_distill": "b97072b2d1f5f91debfd93ba6307e7b3855ca6c02033a0b67a1729af664c2da2",
-    "full_data": "f41a82a0015738bccd3ad8b267e56da02c810b8552a7bb00f53f95110dddc5a2",
+    "boundary_distill": "71ec7bbe3d63ef633f30cae0e37700d0dfb50e0a27b0b2ed41d6a60f69d978f5",
+    "fine_tune": "6ba275ac4c1e26e9acfef4a8a11a03dd416a0eb929dfb2b9681ffcea09ea0c57",
+    "vanilla_distill": "76704e2a6a045b5127b46373cf69d5e08eec02131e1ceb1416d25889d8d61b18",
+    "full_data": "469508318413308dc282ad10e91f201d9ee4f4e9f2856e9e04c009cbee76059e",
 }
 
 
 def test_default_config_text_and_digests_are_pinned():
-    assert dump_config(ExperimentConfig()) == DEFAULT_DUMP
+    config = ExperimentConfig()
+    assert dump_config(config) == DEFAULT_DUMP
+    data_digest = config.build_benchmark(0).data_digest
     for strategy in cli.STRATEGIES:
-        assert ExperimentConfig().run_config(strategy, 0).digest() == DEFAULT_DIGESTS[strategy]
+        assert config.run_config(strategy, 0).digest(data_digest) == DEFAULT_DIGESTS[strategy]
+
+
+def _digests(out: Path) -> dict[tuple[str, int], str]:
+    """The config_digest of each (strategy, seed) record of a run."""
+    return {(r.strategy, r.seed): r.config_digest
+            for r in map(read_record_csv, (out / "records").glob("record_*.csv"))}
+
+
+# the two configs of the digest repro: fine_tune on seed 0 with two phases,
+# the second on 10 classes in 8 dimensions
+OTHER_DATA = "synthetic.num_classes = 10\nsynthetic.dim = 8\n"
+
+
+def test_a_records_digest_covers_its_data(tiny_config, tmp_path):
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY + OTHER_DATA)
+    for config, out in ((tiny_config, "a"), (other, "b")):
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    assert _digests(tmp_path / "a")[("fine_tune", 0)] != _digests(tmp_path / "b")[("fine_tune", 0)]
+
+
+def test_every_seed_and_strategy_list_of_an_experiment_shares_its_digest(tiny_config, tmp_path):
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "alone")]) == 0
+    assert cli.main(["run", "--config", str(tiny_config), "--strategy", "all", "--seed", "0",
+                     "--seed", "1", "--out", str(tmp_path / "all")]) == 0
+    within_all = _digests(tmp_path / "all")
+    assert within_all[("fine_tune", 0)] == within_all[("fine_tune", 1)]
+    assert within_all[("fine_tune", 0)] == _digests(tmp_path / "alone")[("fine_tune", 0)]
+    assert len(set(within_all.values())) == len(cli.STRATEGIES)
+
+
+def test_a_changed_csv_byte_changes_the_digest(tmp_path):
+    config = _three_class_csv_config(tmp_path, "0")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+    test = tmp_path / "test.csv"
+    text = bytearray(test.read_bytes())
+    text[text.rindex(b",") - 1] ^= 1  # the last digit of the last feature, another digit
+    test.write_bytes(text)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    assert _digests(tmp_path / "a")[("fine_tune", 0)] != _digests(tmp_path / "b")[("fine_tune", 0)]
+
+
+def test_report_refuses_two_experiments_of_one_strategy(tiny_config, tmp_path, capsys):
+    # seed 1 of the repro's second config left in the first one's directory
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY + OTHER_DATA)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(other), "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = sorted(set(_digests(out).values()))
+    assert len(digests) == 2
+    assert cli.main(["report", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the fine_tune records come from 2 experiments, "
+                                       f"config_digest {', '.join(digests)}; report each on its "
+                                       "own\n")
+    assert not (out / "report").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc thresholds")
+def test_a_one_process_run_reuses_its_temporaries(tmp_path):
+    # on one usable core a run trains in the CLI process. With 64-unit
+    # layers over batches of 64 rows on 8 seeds, the stacks' temporaries
+    # pass glibc's default mmap threshold, so each would be mapped and
+    # faulted in anew at every step unless the CLI process raised it: about
+    # 3,200 minor faults here, against about 500
+    config = tmp_path / "wide.cfg"
+    config.write_text(TINY.replace("seeds = 0", "seeds = 0,1,2,3,4,5,6,7")
+                      .replace("batch_size = 16", "batch_size = 64") + "model.hidden = 64\n")
+    printed = _probe("import os, resource; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                     "from boundary_distill import cli; "
+                     "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                     f"assert cli.main(['run', '--config', {str(config)!r}, '--strategy', 'all', "
+                     f"'--out', {str(tmp_path / 'o')!r}]) == 0; "
+                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    assert int(printed[-1]) < 1500
 
 
 # one out-of-range value per owner of a check, and the check's message

@@ -1130,9 +1130,13 @@ class TestRunConfig:
         assert RunConfig(lr_base=0.2, lr_incremental=0.5).lr_incremental_resolved == 0.5
 
     def test_digest_tracks_content(self):
+        # the identity of an experiment: every seed shares it, and any other
+        # field or the data changes it
         assert RunConfig(seed=0).digest() == RunConfig(seed=0).digest()
-        assert RunConfig(seed=0).digest() != RunConfig(seed=1).digest()
+        assert RunConfig(seed=0).digest() == RunConfig(seed=1).digest()
         assert RunConfig(seed=0).digest() != RunConfig(seed=0, lr_base=0.3).digest()
+        assert RunConfig().digest() != RunConfig(strategy="fine_tune").digest()
+        assert RunConfig().digest("a") != RunConfig().digest("b") != RunConfig().digest()
 
     def test_network_spec_shape(self):
         spec = RunConfig(hidden_layers=(16,)).network_spec(2, 4)
